@@ -1,0 +1,8 @@
+"""Import paths for the benchmark's own tests (python3 -m pytest perfbench)."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+sys.path.insert(0, HERE)
