@@ -404,40 +404,32 @@ def gamma_bound_sweep(ctx, nl, nu_max):
     c3max = float(np.max(np.abs(nl.c3)))
     cone = [(n, nu) for nu in range(1, nu_max) for n in range(-nu, nu + 1)]
 
-    beta_level = {}
-    for m_, mu in cone:
-        w1 = ctx.omega(m_, mu)
-        for l_, lam in cone:
-            nu = mu + lam
-            if nu > nu_max:
-                continue
-            n = m_ + l_
-            w2 = ctx.omega(l_, lam)
-            mag = (
-                abs(ctx.omega(n, nu)) * eps0 * mu0**2 * c2max
-                * abs(nl._scalar_chi2_truncated(w1, w2))
-            )
-            if mag > beta_level.get(nu, 0.0):
-                beta_level[nu] = mag
+    # (n, nu, frequency tuple) of every sampled coefficient
+    pairs = [
+        (m_ + l_, mu + lam, (ctx.omega(m_, mu), ctx.omega(l_, lam)))
+        for m_, mu in cone for l_, lam in cone if mu + lam <= nu_max
+    ]
+    triples = [
+        (m_ + l_ + p_, mu + lam + rho,
+         (ctx.omega(m_, mu), ctx.omega(l_, lam), ctx.omega(p_, rho)))
+        for i, (m_, mu) in enumerate(cone)
+        for l_, lam in cone[i:]         # chi3 is symmetric in its arguments
+        if mu + lam < nu_max
+        for p_, rho in cone if mu + lam + rho <= nu_max
+    ]
+    nl.fill_cache(ws for _, _, ws in pairs + triples)
 
-    gamma_level = {}
-    for i, (m_, mu) in enumerate(cone):
-        w1 = ctx.omega(m_, mu)
-        for l_, lam in cone[i:]:        # chi3 is symmetric in its arguments
-            if mu + lam >= nu_max:
-                continue
-            w2 = ctx.omega(l_, lam)
-            for p_, rho in cone:
-                nu = mu + lam + rho
-                if nu > nu_max:
-                    continue
-                n = m_ + l_ + p_
-                mag = (
-                    abs(ctx.omega(n, nu)) * eps0 * mu0**3 * c3max
-                    * abs(nl._scalar_chi3_truncated(w1, w2, ctx.omega(p_, rho)))
-                )
-                if mag > gamma_level.get(nu, 0.0):
-                    gamma_level[nu] = mag
+    def level_maxima(samples, order, cmax, chi):
+        level = {}
+        for n, nu, ws in samples:
+            mag = (abs(ctx.omega(n, nu)) * eps0 * mu0**order * cmax
+                   * abs(chi(*ws)))
+            if mag > level.get(nu, 0.0):
+                level[nu] = mag
+        return level
+
+    beta_level = level_maxima(pairs, 2, c2max, nl._scalar_chi2_truncated)
+    gamma_level = level_maxima(triples, 3, c3max, nl._scalar_chi3_truncated)
 
     def fit(level, root):
         c = 0.0

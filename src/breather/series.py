@@ -8,6 +8,14 @@ solves the linear interface problem L_{nk}(omega^{(n,nu)}) u = h.
 Only n >= 0 is solved; negative harmonics follow by conjugation, which
 enforces u^{-n,nu} = conj(u^{n,nu}) exactly.
 
+Seeded at (1, 1), the quadratic and cubic sums preserve the parity of
+n - nu, so every harmonic with n + nu odd vanishes identically.  The
+sources skip every term with such a factor and return zero for those
+harmonics outright; the table still stores their (zero) entries.  Before
+each level, the distinct chi2/chi3 frequency tuples its sources need are
+evaluated in one batch per transform order, and the assembly then reads
+them from the transform cache.
+
 The physical fields are partial sums
 
     psi^(M)(x,y,t) = sum_{nu<=M} sum_{|n|<=nu}
@@ -19,6 +27,7 @@ forms (operator identity vs explicit polarization sums) used to
 cross-check the assembly.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DivergenceWarning,
+    OverflowGuard,
     ResolventViolation,
     SingularSystem,
     SolverError,
@@ -49,7 +59,6 @@ __all__ = [
     "CoefficientTable",
     "NonlinearRHS",
     "beta_coeff",
-    "gamma_coeff",
     "assemble_h",
     "build_series",
     "synthesize",
@@ -164,25 +173,6 @@ def beta_coeff(ctx, n, m, nu, mu, j, p, q, side):
             * chi2[j - 1, p - 1, q - 1])
 
 
-def gamma_coeff(ctx, n, m, l, nu, mu, lam, j, p, q, r, side):
-    """Cubic coefficient
-    -omega^{(n,nu)} eps0 mu0^3 chi3_{j,p,q,r}(omega^{(m,mu)},
-    omega^{(l,lam)}, omega^{(n-m-l,nu-mu-lam)}); zero on a linear side.
-    """
-    if not (mu >= 1 and lam >= 1 and mu + lam <= nu - 1):
-        raise ValueError("need mu, lam >= 1 and mu + lam <= nu - 1")
-    nl = ctx.interface.nl_side(side)
-    if nl is None:
-        return 0j
-    itf = ctx.interface
-    chi3 = ft_chi3_truncated(
-        nl, ctx.omega(m, mu), ctx.omega(l, lam),
-        ctx.omega(n - m - l, nu - mu - lam),
-    )
-    return (-ctx.omega(n, nu) * itf.eps0 * itf.mu0**3
-            * chi3[j - 1, p - 1, q - 1, r - 1])
-
-
 # ----------------------------------------------------------------------
 # Grid-function component samples per side and node family
 # ----------------------------------------------------------------------
@@ -237,24 +227,64 @@ def _active_sides(ctx):
             if ctx.interface.nl_side(s) is not None]
 
 
+def _source_terms(n, nu):
+    """Factor indices of the nonzero terms of h^{n,nu}, in summation order.
+
+    Yields ((m, mu), (n-m, nu-mu)) for the quadratic sum, then
+    ((m, mu), (l, lam), (n-m-l, nu-mu-lam)) for the cubic one, clipped to
+    the cone.  Terms with a factor of odd parity (m + mu odd) are
+    skipped: those harmonics vanish identically, and so does every
+    source with n + nu odd.
+    """
+    if (n + nu) % 2:
+        return
+    for mu in range(1, nu):
+        mu2 = nu - mu
+        for mm in range(max(-mu, n - mu2), min(mu, n + mu2) + 1):
+            if (mm + mu) % 2 == 0:
+                yield (mm, mu), (n - mm, mu2)
+    for mu in range(1, nu - 1):
+        for lam in range(1, nu - mu):
+            kap = nu - mu - lam
+            for mm in range(-mu, mu + 1):
+                if (mm + mu) % 2:
+                    continue
+                rem = n - mm
+                for ll in range(max(-lam, rem - kap), min(lam, rem + kap) + 1):
+                    if (ll + lam) % 2 == 0:
+                        yield (mm, mu), (ll, lam), (rem - ll, kap)
+
+
+def _fill_level_cache(ctx, nu):
+    """Evaluate, one batch per transform order, every chi2/chi3 tuple that
+    the sources of level nu will look up."""
+    nls = {id(nl): nl for nl in map(ctx.interface.nl_side, _active_sides(ctx))}
+    if not nls:
+        return
+    tuples = [tuple(ctx.omega(*f) for f in factors)
+              for n in range(0, nu + 1) for factors in _source_terms(n, nu)]
+    for nl in nls.values():
+        nl.fill_cache(tuples)
+
+
 def assemble_h(ctx, table, n, nu):
     """The nonlinear source h^{n,nu}: quadratic plus cubic convolution
     sums over the lower levels, index ranges clipped to the cone.
 
     Needs all table entries with level < nu.  Returns a NonlinearRHS
-    (identically zero for nu = 1 or |n| > nu).
+    (identically zero for nu = 1, |n| > nu or n + nu odd).
     """
     grid = table.grid
     out = NonlinearRHS.zero(grid)
-    if nu < 2 or abs(n) > nu:
+    if nu < 2 or abs(n) > nu or (n + nu) % 2:
         return out
     sides = _active_sides(ctx)
     if not sides:
         return out
     itf = ctx.interface
     m_idx = grid.mid
-    pref2 = -ctx.omega(n, nu) * itf.eps0 * itf.mu0**2
-    pref3 = -ctx.omega(n, nu) * itf.eps0 * itf.mu0**3
+    pref = {2: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**2,
+            3: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**3}
 
     acc = {}
     for side in sides:
@@ -265,73 +295,29 @@ def assemble_h(ctx, table, n, nu):
 
     nls = {side: itf.nl_side(side) for side in sides}
 
-    # quadratic sums
-    for mu in range(1, nu):
-        mu2 = nu - mu
-        for mm in range(max(-mu, n - mu2), min(mu, n + mu2) + 1):
-            a = table.get(mm, mu)
-            b = table.get(n - mm, mu2)
-            if a is None or b is None:
-                continue
-            sa, sb = _side_samples(a), _side_samples(b)
-            w1, w2 = ctx.omega(mm, mu), ctx.omega(n - mm, mu2)
-            for side in sides:
-                chi2 = ft_chi2_truncated(nls[side], w1, w2)
-                h1s, h2s = acc[side]
-                ai, ah = sa[side]
-                bi, bh = sb[side]
-                for j in range(2):
-                    for p in range(2):
-                        for q in range(2):
-                            c = chi2[j, p, q]
-                            if c == 0:
-                                continue
-                            c = pref2 * c
-                            if j == 0:
-                                h1s += c * ai[p] * bi[q]
-                            else:
-                                h2s += c * ah[p] * bh[q]
-
-    # cubic sums
-    if nu >= 3:
-        for mu in range(1, nu - 1):
-            for lam in range(1, nu - mu):
-                kap = nu - mu - lam
-                for mm in range(-mu, mu + 1):
-                    rem = n - mm
-                    for ll in range(max(-lam, rem - kap),
-                                    min(lam, rem + kap) + 1):
-                        a = table.get(mm, mu)
-                        b = table.get(ll, lam)
-                        c3e = table.get(rem - ll, kap)
-                        if a is None or b is None or c3e is None:
-                            continue
-                        sa = _side_samples(a)
-                        sb = _side_samples(b)
-                        sc = _side_samples(c3e)
-                        w1 = ctx.omega(mm, mu)
-                        w2 = ctx.omega(ll, lam)
-                        w3 = ctx.omega(rem - ll, kap)
-                        for side in sides:
-                            chi3 = ft_chi3_truncated(nls[side], w1, w2, w3)
-                            h1s, h2s = acc[side]
-                            ai, ah = sa[side]
-                            bi, bh = sb[side]
-                            ci, ch = sc[side]
-                            for j in range(2):
-                                for p in range(2):
-                                    for q in range(2):
-                                        for r in range(2):
-                                            cc = chi3[j, p, q, r]
-                                            if cc == 0:
-                                                continue
-                                            cc = pref3 * cc
-                                            if j == 0:
-                                                h1s += (cc * ai[p]
-                                                        * bi[q] * ci[r])
-                                            else:
-                                                h2s += (cc * ah[p]
-                                                        * bh[q] * ch[r])
+    for factors in _source_terms(n, nu):
+        gfs = [table.get(*f) for f in factors]
+        if any(gf is None for gf in gfs):
+            continue
+        samples = [_side_samples(gf) for gf in gfs]
+        ws = [ctx.omega(*f) for f in factors]
+        order = len(factors)
+        ft = ft_chi2_truncated if order == 2 else ft_chi3_truncated
+        for side in sides:
+            chi = ft(nls[side], *ws)
+            h1s, h2s = acc[side]
+            # j: source component; comps: field component of each factor
+            for j, *comps in itertools.product(range(2), repeat=order + 1):
+                c = chi[(j, *comps)]
+                if c == 0:
+                    continue
+                term = pref[order] * c
+                for s_, p in zip(samples, comps):
+                    term = term * s_[side][j][p]
+                if j == 0:
+                    h1s += term
+                else:
+                    h2s += term
 
     if "minus" in acc:
         h1s, h2s = acc["minus"]
@@ -408,6 +394,8 @@ def build_series(ctx, grid, eps, nu_max, solver="fd", threads=1):
                 gf, _ = solve_analytic(ctx, n, nu, r)
         except SingularSystem as exc:
             raise ResolventViolation(n, nu, str(exc)) from exc
+        except OverflowGuard as exc:
+            raise OverflowGuard(f"solve failed at ({n},{nu}): {exc}") from exc
         except (ValueError, ArithmeticError) as exc:
             raise SolverError(f"solve failed at ({n},{nu}): {exc}") from exc
         if gf.W is None:
@@ -417,6 +405,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd", threads=1):
 
     growth = 0
     for nu in range(2, nu_max + 1):
+        _fill_level_cache(ctx, nu)
         ns = list(range(0, nu + 1))
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

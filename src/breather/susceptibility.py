@@ -6,6 +6,14 @@ oscillator-driven nonlinear susceptibilities, all evaluated in closed form
 at arbitrary complex frequencies.  The truncated (compact-memory) kernels
 are entire in every frequency argument; their transforms are computed by
 exact exponential-sum algebra (see _expalg) rather than quadrature.
+
+The scalar chi2/chi3 transforms are cached per frequency tuple, under a
+key that ignores argument order.  Each order has one kernel, vectorized
+over a batch of K tuples; ``NonlinearSusceptibility.fill_cache`` sends
+all misses of a batch through it at once (the series recursion fills a
+whole level, the coupling sweep its whole scan), and a single lookup
+that misses is a batch of one.  The recursion only asks for tuples of
+even-parity harmonics (n + nu even), since the others vanish.
 """
 
 import math
@@ -256,6 +264,12 @@ def ft_chi1_scaled(model, omega):
 # Nonlinear susceptibility
 # ----------------------------------------------------------------------
 
+# Tuples per kernel call.  A chi3 tuple spans 16 nodes and the divided
+# differences hold a few dozen node arrays at once, so this caps the
+# temporaries of one call at a few MiB.
+_MAX_BATCH = 256
+
+
 @dataclass(frozen=True)
 class NonlinearSusceptibility:
     """Quadratic and cubic responses driven by one damped oscillator.
@@ -330,19 +344,65 @@ class NonlinearSusceptibility:
         amp = np.array([1.0 / (2j * ct), -1.0 / (2j * ct)])
         return lam, amp
 
+    def fill_cache(self, tuples):
+        """Evaluate every frequency pair/triple of ``tuples`` not yet cached.
+
+        The misses of each order go through their kernel in vectorized
+        passes of up to _MAX_BATCH tuples.  A key is evaluated in the
+        argument order it is first seen in, as the scalar path evaluates it
+        on first use, so filling ahead gives the same bits as filling on
+        demand; keys already cached are left untouched.
+        """
+        pending = {2: {}, 3: {}}
+        for ws in tuples:
+            ws = tuple(complex(w) for w in ws)
+            key = _cache_key(ws)
+            if key not in self._cache(len(ws)):
+                pending[len(ws)].setdefault(key, ws)
+        for order, todo in pending.items():
+            keys, args = list(todo), np.array(list(todo.values()))
+            for lo in range(0, len(keys), _MAX_BATCH):
+                vals = self._kernel(order)(args[lo: lo + _MAX_BATCH])
+                with self._lock:
+                    self._cache(order).update(
+                        zip(keys[lo: lo + _MAX_BATCH], map(complex, vals)))
+
+    def _cache(self, order):
+        return self._cache2 if order == 2 else self._cache3
+
+    def _kernel(self, order):
+        return self._chi2_kernel if order == 2 else self._chi3_kernel
+
+    def _lookup(self, ws):
+        """Cached scalar transform; a miss is filled as a batch of one."""
+        ws = tuple(complex(w) for w in ws)
+        key = _cache_key(ws)
+        cache = self._cache(len(ws))
+        if key not in cache:
+            self.fill_cache([ws])
+        return cache[key]
+
     def _scalar_chi2_truncated(self, w1, w2):
-        key = tuple(sorted((complex(w1), complex(w2)), key=lambda w: (w.real, w.imag)))
-        hit = self._cache2.get(key)
-        if hit is not None:
-            return hit
+        return self._lookup((w1, w2))
+
+    def _scalar_chi3_truncated(self, w1, w2, w3):
+        return self._lookup((w1, w2, w3))
+
+    def _chi2_kernel(self, w):
+        """Scalar chi2 transforms of the K frequency pairs w[:, 0:2].
+
+        Vectorized over (K, 2, 2, 2): batch, then the rate indices of the
+        two driven factors and of the self-convolution.
+        """
         T = self.T_N
         lam, amp = self._rates_amps()
-        lj = lam[:, None, None]
-        lk = lam[None, :, None]
-        ll = lam[None, None, :]
+        lj = lam[None, :, None, None]
+        lk = lam[None, None, :, None]
+        ll = lam[None, None, None, :]
         weight = amp[:, None, None] * amp[None, :, None] * amp[None, None, :]
-        z1 = lj + 1j * complex(w1)
-        z2 = lk + 1j * complex(w2)
+        iw = 1j * w[:, :, None, None, None]
+        z1 = lj + iw[:, 0]
+        z2 = lk + iw[:, 1]
         delta = ll - lj - lk  # Re delta = gamma_tilde > 0, never confluent
         z1b, z2b = np.broadcast_arrays(z1 + 0 * ll, z2 + 0 * ll)
         db = np.broadcast_to(delta, z1b.shape)
@@ -351,38 +411,32 @@ class NonlinearSusceptibility:
             + triangle_transform(z2b + db, z1b, T)
             - g_window(z1b, T) * g_window(z2b, T)
         ) / db
-        out = complex(np.sum(weight * val))
-        with self._lock:
-            self._cache2[key] = out
-        return out
+        return np.sum((weight * val).reshape(len(w), -1), axis=1)
 
-    def _scalar_chi3_truncated(self, w1, w2, w3):
-        key = tuple(
-            sorted(
-                (complex(w1), complex(w2), complex(w3)),
-                key=lambda w: (w.real, w.imag),
-            )
-        )
-        hit = self._cache3.get(key)
-        if hit is not None:
-            return hit
+    def _chi3_kernel(self, w):
+        """Scalar chi3 transforms of the K frequency triples w[:, 0:3].
+
+        Vectorized over (K, 2, 2, 2, 2): batch, then the rate indices of
+        the three driven factors and of the self-convolution.
+        """
         T = self.T_N
         lam, amp = self._rates_amps()
-        sh = (2, 2, 2, 2)
-        lj = lam[:, None, None, None]
-        lk = lam[None, :, None, None]
-        lp = lam[None, None, :, None]
-        ll = lam[None, None, None, :]
+        sh = (len(w), 2, 2, 2, 2)
+        lj = lam[None, :, None, None, None]
+        lk = lam[None, None, :, None, None]
+        lp = lam[None, None, None, :, None]
+        ll = lam[None, None, None, None, :]
         weight = (
             amp[:, None, None, None]
             * amp[None, :, None, None]
             * amp[None, None, :, None]
             * amp[None, None, None, :]
         )
+        iw = 1j * w[:, :, None, None, None, None]
         z = [
-            np.broadcast_to(lj + 1j * complex(w1), sh),
-            np.broadcast_to(lk + 1j * complex(w2), sh),
-            np.broadcast_to(lp + 1j * complex(w3), sh),
+            np.broadcast_to(lj + iw[:, 0], sh),
+            np.broadcast_to(lk + iw[:, 1], sh),
+            np.broadcast_to(lp + iw[:, 2], sh),
         ]
         delta = np.broadcast_to(ll - lj - lk - lp, sh)  # Re = 2*gamma_tilde > 0
         acc = -g_window(z[0], T) * g_window(z[1], T) * g_window(z[2], T)
@@ -391,10 +445,13 @@ class NonlinearSusceptibility:
             (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
         ):
             acc = acc + simplex_transform(z[s0] + delta, z[s1], z[s2], T)
-        out = complex(np.sum(weight * acc / delta))
-        with self._lock:
-            self._cache3[key] = out
-        return out
+        return np.sum((weight * acc / delta).reshape(len(w), -1), axis=1)
+
+
+def _cache_key(ws):
+    """Order-free cache key of a frequency tuple (the transforms are
+    symmetric in their arguments)."""
+    return tuple(sorted(ws, key=lambda w: (w.real, w.imag)))
 
 
 def d_hat(nl, omega):

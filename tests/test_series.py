@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from breather.errors import OverflowGuard
+from breather.pencil import PencilContext
 from breather.resolvent import StaggeredGrid
 from breather.series import (
     _side_samples,
@@ -26,6 +28,7 @@ from breather.series import (
     maxwell_residual,
     synthesize,
 )
+from breather.susceptibility import MaterialInterface, NonlinearSusceptibility
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,57 @@ class TestConeStructure:
     def test_solve_residuals(self, table):
         worst = max(gf.residual for gf in table.entries.values())
         assert worst < 1e-10
+
+
+class TestStructuralZeros:
+    def test_odd_harmonics_cost_no_transforms(self, ctx, monkeypatch):
+        """Odd-parity harmonics feed no transform, every distinct tuple is
+        evaluated once, and the odd entries are still stored as zeros."""
+        nl = ctx.interface.nl_minus
+        fresh = NonlinearSusceptibility(
+            c2=nl.c2, c3=nl.c3, gamma_tilde=nl.gamma_tilde,
+            omega_star_tilde=nl.omega_star_tilde, T_N=nl.T_N,
+        )
+        itf = ctx.interface
+        own = PencilContext(
+            MaterialInterface(minus=itf.minus, plus=itf.plus,
+                              nl_minus=fresh, nl_plus=fresh),
+            k=ctx.k, omega0=ctx.omega0,
+        )
+        evaluated = []
+        for name in ("_chi2_kernel", "_chi3_kernel"):
+            kernel = getattr(NonlinearSusceptibility, name)
+
+            def spy(self, w, kernel=kernel):
+                evaluated.extend(tuple(row) for row in w)
+                return kernel(self, w)
+
+            monkeypatch.setattr(NonlinearSusceptibility, name, spy)
+        nu_max = 5
+        table = build_series(own, StaggeredGrid(40.0, 400), eps=0.5,
+                             nu_max=nu_max, solver="fd")
+        odd = {own.omega(n, nu) for nu in range(1, nu_max + 1)
+               for n in range(-nu, nu + 1) if (n + nu) % 2}
+        assert evaluated
+        assert not any(w in odd for ws in evaluated for w in ws)
+        keys = [tuple(sorted(ws, key=lambda w: (w.real, w.imag)))
+                for ws in evaluated]
+        assert len(set(keys)) == len(keys)
+        for nu in range(2, nu_max + 1):
+            for n in range(0, nu + 1):
+                if (n + nu) % 2:
+                    gf = table.entries[(n, nu)]
+                    assert not (gf.U.any() or gf.V.any() or gf.W.any())
+                    assert table.h_entries[(n, nu)].is_zero
+
+    def test_overflow_names_harmonic(self, ctx, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowGuard("scaled quantity exceeds double range")
+
+        monkeypatch.setattr("breather.series.solve_analytic", overflow)
+        with pytest.raises(OverflowGuard, match=r"\(0,2\)"):
+            build_series(ctx, StaggeredGrid(40.0, 400), eps=0.5, nu_max=3,
+                         solver="analytic")
 
 
 class TestAmplitudeScaling:

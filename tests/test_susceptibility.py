@@ -295,6 +295,69 @@ class TestNonlinearTransforms:
             t3, nl.c3 * nl._scalar_chi3_truncated(w1, w2, w1)
         )
 
+    def test_batched_kernel_matches_single_calls(self, monkeypatch):
+        """One batch of mixed tuples gives the same bits as K = 1 calls.
+
+        The tuples straddle every masked branch of _expalg in the same
+        kernel call: near-confluent first divided differences on both
+        sides of _CONFLUENT_TOL (gap i w1 against |node| ~ 3), triples
+        clustered at the oscillator poles (Hermite-Genocchi branch), and
+        |zT| on both sides of the _psi switch radius.
+        """
+        from breather import _expalg
+
+        pole = make_nl(0.8).c_tilde + 1j   # i w + lambda = 0 here
+        pairs = [
+            (1e-3, 0.0), (5e-3, 0.0), (2e-3, 1.5 - 0.2j),
+            (0.3 + 0.1j, -0.4), (9.0 - 0.3j, -7.5 + 0.2j),
+        ]
+        triples = [
+            (pole, -pole, 0.7), (pole + 1e-4, -pole, -1.2 + 0.3j),
+            (pole + 0.05, -pole, 0.7), (0.4 - 0.1j, 1e-3, -0.6),
+            (8.0, -6.5 + 0.4j, 5.0 - 0.2j),
+        ]
+        seen = {"derivs": set(), "small": 0, "big": 0}
+        g_window, psi = _expalg.g_window, _expalg._psi
+
+        def spy_g(z, T, deriv=0):
+            seen["derivs"].add(deriv)
+            return g_window(z, T, deriv)
+
+        def spy_psi(w, m):
+            small = int(np.sum(np.abs(w) < 4.0))
+            seen["small"] += small
+            seen["big"] += np.size(w) - small
+            return psi(w, m)
+
+        monkeypatch.setattr(_expalg, "g_window", spy_g)
+        monkeypatch.setattr(_expalg, "_psi", spy_psi)
+        batched = make_nl(0.8)
+        batched.fill_cache(pairs + triples)
+        assert {1, 2, 3} <= seen["derivs"]   # close pairs, clustered triples
+        assert seen["small"] > 0 and seen["big"] > 0
+        single = make_nl(0.8)
+        for w in pairs:
+            assert (batched._scalar_chi2_truncated(*w)
+                    == single._scalar_chi2_truncated(*w))
+        for w in triples:
+            assert (batched._scalar_chi3_truncated(*w)
+                    == single._scalar_chi3_truncated(*w))
+        assert len(batched._cache2) == len(pairs)
+        assert len(batched._cache3) == len(triples)
+
+    def test_fill_keeps_first_seen_order(self):
+        """A batch evaluates each key in its first argument order, as the
+        scalar path does, and leaves cached keys untouched."""
+        w = (0.3 - 0.2j, -1.7 + 0.1j, 2.4)
+        scalar = make_nl(0.8)
+        first = scalar._scalar_chi3_truncated(*w)
+        filled = make_nl(0.8)
+        filled.fill_cache([w, w[::-1], (w[1], w[0], w[2])])
+        assert filled._scalar_chi3_truncated(*w[::-1]) == first
+        filled.fill_cache([(9.0, 9.0, 9.0), w[::-1]])
+        assert len(filled._cache3) == 2
+        assert filled._scalar_chi3_truncated(*w) == first
+
     def test_tm_compatibility_guard(self):
         c2 = np.zeros((3, 3, 3))
         c2[2, 0, 0] = 1.0
