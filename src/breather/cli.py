@@ -257,22 +257,23 @@ def cmd_breather(cfg, out, args):
     modes_dir = os.path.join(out, "modes")
     os.makedirs(modes_dir, exist_ok=True)
     files = []
+    x = grid.x  # a property that rebuilds the array on every access
     for (n, nu) in sorted(table.entries):
         gf = table.entries[(n, nu)]
         name = f"mode_n{n}_nu{nu}.csv"
-        u1 = gf.eval_u1(grid.x)
-        u2 = gf.eval_u2(grid.x)
-        u3 = (gf.eval_u3(grid.x) if gf.W is not None
+        u1 = gf.eval_u1(x)
+        u2 = gf.eval_u2(x)
+        u3 = (gf.eval_u3(x) if gf.W is not None
               else np.zeros_like(u1))
         _write_csv(
             os.path.join(modes_dir, name),
             ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"],
             [
-                (float(grid.x[i]),
+                (float(x[i]),
                  float(u1[i].real), float(u1[i].imag),
                  float(u2[i].real), float(u2[i].imag),
                  float(u3[i].real), float(u3[i].imag))
-                for i in range(grid.x.size)
+                for i in range(x.size)
             ],
         )
         files.append(os.path.join("modes", name))

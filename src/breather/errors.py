@@ -22,14 +22,6 @@ class ModelError(BreatherError):
     """The requested operation needs a different material model variant."""
 
 
-class DegenerateRateError(BreatherError):
-    """Two exponential rates coincided in a closed-form kernel integral.
-
-    Internal signal; callers resolve it with the confluent (L'Hopital-style)
-    limit formula, so user code should normally never see this.
-    """
-
-
 class DegenerateError(BreatherError):
     """A leading coefficient or decay exponent degenerated to zero."""
 

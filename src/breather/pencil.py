@@ -10,6 +10,7 @@ and the closed-form surface-mode eigenfunction.
 """
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -368,44 +369,106 @@ def newton_eigenvalue(ctx, n, T, omega_guess, tol=1e-12, max_iter=60):
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+# Segments per logderiv call: 512 eight-node segments are the two halves of
+# 256 panels, 4096 nodes, which keeps the integrand's temporaries small.
+_SEGMENTS_PER_CALL = 512
+_MAX_DEPTH = 28
+# Edge tolerance: the whole contour should contribute < ~1e-4 winding
+# units of quadrature error (counts only need 0.25).
+_EDGE_TOL = 2.0 * math.pi * 1e-5
 
-def _gauss_segment(f, a, b):
-    zs = 0.5 * (b - a) * _GAUSS_NODES + 0.5 * (a + b)
-    vals = np.asarray(f(zs))  # integrands are vectorized over nodes
-    return 0.5 * (b - a) * np.sum(_GAUSS_WEIGHTS * vals)
+_log = logging.getLogger(__name__)
 
 
-def _adaptive_edge_integral(f, z0, z1, tol, depth=0, max_depth=28):
-    """Adaptive composite Gauss integration of f along the segment [z0, z1].
+def _gauss_segments(f, a, b):
+    """8-point Gauss rule of f on each segment [a[i], b[i]].
 
-    Bisects until two Gauss levels agree within the local tolerance (split
-    across children, floored at roundoff level), so refinement concentrates
-    where f varies fast.  Returns (integral, local error estimate).
+    The last complex product is spelled out in real arithmetic: numpy's
+    vector complex multiply fuses multiply-adds, and the values must round
+    as the scalar product 0.5 * (b - a) * sum does.
     """
-    mid = 0.5 * (z0 + z1)
-    coarse = _gauss_segment(f, z0, z1)
-    fine = _gauss_segment(f, z0, mid) + _gauss_segment(f, mid, z1)
-    err = abs(fine - coarse)
-    if err < tol or depth >= max_depth:
-        return fine, err
-    child_tol = max(0.5 * tol, 1e-12)
-    left, e1 = _adaptive_edge_integral(f, z0, mid, child_tol, depth + 1, max_depth)
-    right, e2 = _adaptive_edge_integral(f, mid, z1, child_tol, depth + 1, max_depth)
-    return left + right, e1 + e2
+    h = 0.5 * (b - a)
+    c = 0.5 * (a + b)
+    s = np.empty(a.shape, dtype=complex)
+    for lo in range(0, a.size, _SEGMENTS_PER_CALL):
+        part = slice(lo, lo + _SEGMENTS_PER_CALL)
+        zs = h[part, None] * _GAUSS_NODES + c[part, None]
+        vals = np.asarray(f(zs.ravel())).reshape(zs.shape)
+        s[part] = np.sum(_GAUSS_WEIGHTS * vals, axis=1)
+    out = np.empty_like(s)
+    out.real = h.real * s.real - h.imag * s.imag
+    out.imag = h.real * s.imag + h.imag * s.real
+    return out
+
+
+def _contour_integrals(f, corners, tol, max_depth=_MAX_DEPTH):
+    """Adaptive composite Gauss integrals of f along each edge of a polygon.
+
+    Each panel is bisected until its 8-point Gauss value and the sum over
+    its two halves agree within the panel tolerance, or until it sits at
+    depth max_depth; a child panel gets half its parent's tolerance,
+    floored at roundoff level, and reuses its parent's half value as its
+    own coarse value.  All live panels of one depth, over every edge, are
+    evaluated together.  The tree is summed bottom-up (left + right), in
+    the order of a depth-first recursion, so the edge values are bit-for-bit
+    those of that recursion, which tests/test_pencil.py keeps as reference.
+
+    Returns three arrays over the edges (corners[i] -> corners[i + 1],
+    closing back to corners[0]): the integrals, the summed error
+    estimates, and the number of panels accepted only at the depth cap.
+    """
+    a = np.asarray(corners, dtype=complex)
+    b = np.roll(a, -1)
+    mid = 0.5 * (a + b)
+    whole = _gauss_segments(f, np.concatenate((a, a, mid)),
+                            np.concatenate((b, mid, b)))
+    coarse, halves = np.split(whole, [a.size])
+    levels = []
+    depth = 0
+    while True:
+        left, right = np.split(halves, 2)
+        fine = left + right
+        diff = fine - coarse
+        err = np.hypot(diff.real, diff.imag)  # rounds as scalar abs() does
+        converged = err < tol
+        if depth >= max_depth:
+            capped, refine = ~converged, np.zeros_like(converged)
+        else:
+            capped, refine = np.zeros_like(converged), ~converged
+        levels.append((fine, err, capped.astype(np.int64), refine))
+        if not refine.any():
+            break
+        # Children in tree order: left0, right0, left1, right1, ...
+        a = np.column_stack((a[refine], mid[refine])).ravel()
+        b = np.column_stack((mid[refine], b[refine])).ravel()
+        coarse = np.column_stack((left[refine], right[refine])).ravel()
+        tol = max(0.5 * tol, 1e-12)
+        depth += 1
+        mid = 0.5 * (a + b)
+        halves = _gauss_segments(f, np.concatenate((a, mid)),
+                                 np.concatenate((mid, b)))
+    children = None
+    for *sums, refine in reversed(levels):
+        if children is not None:
+            for total, child in zip(sums, children):
+                total[refine] = child[0::2] + child[1::2]
+        children = sums
+    return tuple(children)
 
 
 def winding_count_function(logderiv, rect, zero_probe=None):
     """(1/2 pi i) contour integral of f'/f around the rectangle, rounded.
 
-    logderiv(omega) must return f'(omega)/f(omega).  zero_probe(omega), if
-    given, returns a log-magnitude of f used to reject contours passing
-    through a zero.  Raises QuadratureNotConverged when the pre-rounding
+    logderiv(omega) must return f'(omega)/f(omega) elementwise for a flat
+    array of nodes; one call receives up to 4096 nodes drawn from all four
+    edges.  zero_probe(omega), if given, is called per point and returns a
+    log-magnitude of f used to reject contours passing through a zero.
+    Panels accepted only at the quadrature depth cap are logged as one
+    warning per contour on the ``breather.pencil`` logger.  Returns
+    (count, residual); raises QuadratureNotConverged when the pre-rounding
     value sits further than 0.25 from an integer.
     """
     corners = rect.corners
-    # Edge tolerance: the whole contour should contribute < ~1e-4 winding
-    # units of quadrature error (counts only need 0.25).
-    edge_tol = 2.0 * math.pi * 1e-5
     if zero_probe is not None:
         logs = []
         for a, b in zip(corners, corners[1:] + corners[:1]):
@@ -416,9 +479,16 @@ def winding_count_function(logderiv, rect, zero_probe=None):
             raise ZeroOnContour(
                 "dispersion function nearly vanishes on the contour"
             )
+    parts, errors, capped = _contour_integrals(logderiv, corners, _EDGE_TOL)
+    if capped.any():
+        _log.warning(
+            "contour |Re| <= %r, %r <= Im <= %r: %d quadrature panel(s) "
+            "accepted at depth cap %d, error estimate %.3g",
+            float(rect.a), float(rect.y_bottom), float(rect.y_top),
+            capped.sum(), _MAX_DEPTH, errors.sum(),
+        )
     total = 0j
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        part, _ = _adaptive_edge_integral(logderiv, a, b, edge_tol)
+    for part in parts:
         total += part
     raw = total / (2j * math.pi)
     nearest = round(raw.real)

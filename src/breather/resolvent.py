@@ -176,16 +176,6 @@ class GridFunction:
         out[~neg] = np.interp(x[~neg], xp, fp)
         return out
 
-    def l2_norms(self):
-        """Trapezoid L2 norms of (u1, u2) (and u3 if attached)."""
-        h = self.grid.h
-        n1 = math.sqrt(h * float(np.sum(np.abs(self.U) ** 2)))
-        n2 = math.sqrt(h * float(np.sum(np.abs(self.V[: self.grid.N]) ** 2)))
-        if self.W is None:
-            return n1, n2
-        n3 = math.sqrt(h * float(np.sum(np.abs(self.W) ** 2)))
-        return n1, n2, n3
-
 
 @dataclass
 class SampledRHS:

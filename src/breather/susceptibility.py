@@ -42,7 +42,6 @@ __all__ = [
     "permittivity_scaled",
     "d_hat",
     "ft_chi2_untruncated",
-    "ft_chi3_untruncated",
     "ft_chi2_truncated",
     "ft_chi3_truncated",
 ]
@@ -463,17 +462,6 @@ def ft_chi2_untruncated(nl, omega1, omega2):
     """c^(2)_{jpq} D(omega1) D(omega2) D(omega1+omega2), componentwise."""
     scalar = nl.d_hat(omega1) * nl.d_hat(omega2) * nl.d_hat(omega1 + omega2)
     return nl.c2 * scalar
-
-
-def ft_chi3_untruncated(nl, omega1, omega2, omega3):
-    """c^(3)_{jpqr} D(w1) D(w2) D(w3) D(w1+w2+w3), componentwise."""
-    scalar = (
-        nl.d_hat(omega1)
-        * nl.d_hat(omega2)
-        * nl.d_hat(omega3)
-        * nl.d_hat(omega1 + omega2 + omega3)
-    )
-    return nl.c3 * scalar
 
 
 def ft_chi2_truncated(nl, omega1, omega2):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -31,8 +32,9 @@ from breather.pencil import (
     winding_count,
     winding_count_function,
 )
+from breather.pencil import _EDGE_TOL, _contour_integrals
 
-from conftest import OMEGA0_REF, T_REF
+from conftest import CSTAR, OMEGA0_REF, T_REF
 
 
 class TestUntruncatedRoots:
@@ -119,6 +121,144 @@ class TestWinding:
         d_short = delta0_search(probe, 1, 51 * math.pi / cstar, a=8.0)
         d_long = delta0_search(probe, 1, 201 * math.pi / cstar, a=8.0)
         assert d_long < d_short
+
+
+# The panel-by-panel recursion that the level-batched integrator replaced,
+# kept as the reference it must reproduce bit for bit.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _gauss_segment(f, a, b):
+    zs = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
+    vals = np.asarray(f(zs))  # integrands are vectorized over nodes
+    return 0.5 * (b - a) * np.sum(_WEIGHTS * vals)
+
+
+def _adaptive_edge_integral(f, z0, z1, tol, depth=0, max_depth=28):
+    mid = 0.5 * (z0 + z1)
+    coarse = _gauss_segment(f, z0, z1)
+    fine = _gauss_segment(f, z0, mid) + _gauss_segment(f, mid, z1)
+    err = abs(fine - coarse)
+    if err < tol or depth >= max_depth:
+        return fine, err
+    child_tol = max(0.5 * tol, 1e-12)
+    left, e1 = _adaptive_edge_integral(f, z0, mid, child_tol, depth + 1, max_depth)
+    right, e2 = _adaptive_edge_integral(f, mid, z1, child_tol, depth + 1, max_depth)
+    return left + right, e1 + e2
+
+
+def _assert_matches_recursion(f, corners, max_depth=28):
+    """Edge values and error estimates equal the recursion's exactly."""
+    ref = [
+        _adaptive_edge_integral(f, a, b, _EDGE_TOL, max_depth=max_depth)
+        for a, b in zip(corners, corners[1:] + corners[:1])
+    ]
+    parts, errors, capped = _contour_integrals(f, corners, _EDGE_TOL,
+                                               max_depth)
+    assert [complex(p) for p in parts] == [complex(v) for v, _ in ref]
+    assert [float(e) for e in errors] == [float(e) for _, e in ref]
+    total_ref, total = 0j, 0j
+    for (v, _), p in zip(ref, parts):
+        total_ref += v
+        total += p
+    assert total / (2j * math.pi) == total_ref / (2j * math.pi)
+    return capped
+
+
+def _dispersion(probe, j):
+    T = j * math.pi / CSTAR
+    return lambda w: dispersion_logderiv(probe, 1, w, T)
+
+
+class TestLevelBatchedQuadrature:
+    def test_polynomial_contours_match_recursion(self):
+        zeros = (1.0 - 0.2j, -2.0 - 0.35j)
+
+        def logderiv(w):
+            return sum(1.0 / (w - z) for z in zeros)
+
+        for a, y_bottom in ((5.0, -0.5), (1.5, -0.5), (5.0, -0.1)):
+            rect = ContourRectangle(a=a, y_top=0.0, y_bottom=y_bottom)
+            assert not _assert_matches_recursion(logderiv, rect.corners).any()
+        # Slanted edges, where the panel half-lengths are fully complex.
+        quad = [-4.0 - 0.6j, 3.0 - 0.9j, 4.5 + 0.2j, -3.5 + 0.1j]
+        assert not _assert_matches_recursion(logderiv, quad).any()
+
+    def test_reference_rectangle_matches_recursion(self, probe):
+        gamma = probe.interface.minus.gamma
+        rect = ContourRectangle(a=20.0, y_top=0.0, y_bottom=-gamma + 0.05)
+        _assert_matches_recursion(_dispersion(probe, 1001), rect.corners)
+
+    def test_near_spurious_band_matches_recursion(self, probe):
+        # Just below delta0 at j = 101, where the spurious zeros crowd in.
+        gamma = probe.interface.minus.gamma
+        rect = ContourRectangle(a=8.0, y_top=0.0, y_bottom=-gamma + 0.0158)
+        _assert_matches_recursion(_dispersion(probe, 101), rect.corners)
+
+    def test_forced_cap_matches_recursion(self, probe):
+        gamma = probe.interface.minus.gamma
+        rect = ContourRectangle(a=8.0, y_top=0.0, y_bottom=-gamma + 0.01)
+        capped = _assert_matches_recursion(_dispersion(probe, 101),
+                                           rect.corners, max_depth=4)
+        assert capped.sum() > 0
+
+    def test_one_call_per_level(self, probe):
+        # Depth 6 holds at most 4 * 2**6 = 256 panels: every level is one
+        # call, and the cap is reached, so there are exactly 7 levels.
+        sizes = []
+        f = _dispersion(probe, 101)
+
+        def logderiv(w):
+            sizes.append(w.size)
+            return f(w)
+
+        gamma = probe.interface.minus.gamma
+        rect = ContourRectangle(a=8.0, y_top=0.0, y_bottom=-gamma + 0.01)
+        _, _, capped = _contour_integrals(logderiv, rect.corners, _EDGE_TOL,
+                                          max_depth=6)
+        assert capped.sum() > 0
+        assert len(sizes) == 7
+        assert sizes[0] == 4 * 3 * 8
+
+    def test_calls_stay_within_chunk(self):
+        # Nothing converges: depth d has 4 * 2**d panels, 16 nodes each.
+        sizes = []
+
+        def logderiv(w):
+            sizes.append(w.size)
+            return np.exp(1e8j * (w.real + w.imag))
+
+        rect = ContourRectangle(a=8.0, y_top=0.0, y_bottom=-0.5)
+        _, _, capped = _contour_integrals(logderiv, rect.corners, _EDGE_TOL,
+                                          max_depth=8)
+        assert capped.tolist() == [256] * 4
+        assert max(sizes) == 4096
+        assert sizes == [96, 128, 256, 512, 1024, 2048] + [4096] * 7
+
+    def test_cap_hit_logs_one_warning(self, caplog):
+        z = 1.0 - 0.2j
+        rect = ContourRectangle(a=5.0, y_top=0.0, y_bottom=-0.5)
+
+        def smooth(w):
+            return 1.0 / (w - z)
+
+        def cusp(w):
+            # An integrable singularity on both horizontal edges: its panels
+            # never converge, but it adds nothing to the winding number.
+            return smooth(w) + 0.01 / np.sqrt(np.abs(w.real - 0.3))
+
+        with caplog.at_level(logging.WARNING, logger="breather.pencil"):
+            assert winding_count_function(smooth, rect)[0] == 1
+            assert not caplog.records
+            count, residual = winding_count_function(cusp, rect)
+        assert count == 1 and residual < 1e-3
+        (record,) = caplog.records
+        assert record.name == "breather.pencil"
+        assert record.levelname == "WARNING"
+        msg = record.getMessage()
+        assert "|Re| <= 5.0, -0.5 <= Im <= 0.0" in msg
+        assert "2 quadrature panel(s) accepted at depth cap 28" in msg
+        assert "error estimate" in msg
 
 
 class TestSpectralQuantities:
