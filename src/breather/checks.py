@@ -20,7 +20,6 @@ Three groups of checks:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,7 +333,7 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
 # Cone classification against the truncated spectral sets
 # ----------------------------------------------------------------------
 
-def check_A6_cone(ctx, nu_max, tol_pack=TolerancePack(), threads=1):
+def check_A6_cone(ctx, nu_max, tol_pack=TolerancePack()):
     """Classify every cone frequency (except the seed pair) spectrally.
 
     Each omega^{(n, nu)} with |n| <= nu <= nu_max, (n, nu) != (+-1, 1)
@@ -357,11 +356,7 @@ def check_A6_cone(ctx, nu_max, tol_pack=TolerancePack(), threads=1):
         kind = resolvent_membership(ctx, n, nu, tol_pack)
         return (n, nu, kind)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            classified = list(pool.map(classify, points))
-    else:
-        classified = [classify(p) for p in points]
+    classified = [classify(p) for p in points]
     violations = [c for c in classified if c[2] != "resolvent"]
     return {
         "nu_max": nu_max,

@@ -2,7 +2,8 @@
 
 Every verb reads one JSON config (``--config``, bundled example when
 omitted) and writes deterministic CSV/JSON/SVG artifacts into ``--out``.
-Thread count resolves as ``--threads`` > ``BREATHER_THREADS`` > config.
+Warnings of the ``breather`` loggers go to stderr as
+``LEVEL logger: message`` lines.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -249,10 +251,7 @@ def cmd_eigen(cfg, out, args):
 def cmd_breather(cfg, out, args):
     ctx = cfg.context()
     grid = StaggeredGrid(cfg.grid_d, cfg.grid_n)
-    table = build_series(
-        ctx, grid, cfg.eps, cfg.nu_max, solver=cfg.solver,
-        threads=cfg.threads,
-    )
+    table = build_series(ctx, grid, cfg.eps, cfg.nu_max, solver=cfg.solver)
 
     modes_dir = os.path.join(out, "modes")
     os.makedirs(modes_dir, exist_ok=True)
@@ -327,7 +326,7 @@ def cmd_check(cfg, out, args):
     omega_inf = _shallow_root(probe)
 
     report = check_B(ctx, omega_inf, coupling=args.coupling)
-    cone = check_A6_cone(ctx, cfg.nu_max, threads=cfg.threads)
+    cone = check_A6_cone(ctx, cfg.nu_max)
     nl = cfg.interface.nl_minus or cfg.interface.nl_plus
     sweep = gamma_bound_sweep(ctx, nl, min(cfg.nu_max, args.sweep_nu))
 
@@ -482,7 +481,6 @@ def _build_parser():
         p.add_argument("--config", default=None,
                        help="JSON config (bundled example when omitted)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed-eps", type=float, default=None,
                        help="seed amplitude override")
         p.add_argument("--nu-max", type=int, default=None)
@@ -536,12 +534,23 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # one stderr handler for the duration of this call, so repeated
+    # in-process runs never stack handlers; records stop there, so a
+    # caller's root handlers do not print them a second time
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("breather")
+    logger.addHandler(handler)
+    propagate, logger.propagate = logger.propagate, False
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.propagate = propagate
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("BREATHER_THREADS")
-        threads = int(env) if env else None
 
+def _run(args):
     try:
         cfg = load_config(
             args.config,
@@ -550,7 +559,6 @@ def main(argv=None):
             grid_d=args.grid_d,
             grid_n=args.grid_n,
             solver=args.solver,
-            threads=threads,
         )
         os.makedirs(args.out, exist_ok=True)
         return args.func(cfg, args.out, args)

@@ -6,7 +6,7 @@ drude | constant for the dispersive side), ``c_L``/``c_D``, ``gamma``,
 ``alpha`` (non-dispersive side), ``c2``, ``c3``, ``gamma_tilde``,
 ``omega_star_tilde``, ``T_N``, ``eps0``, ``mu0``, and
 ``nonlinear_sides``.  Run fields: ``k``, ``grid`` {d, N}, ``eps``,
-``nu_max``, ``solver``, ``threads``.
+``nu_max``, ``solver``.  Unknown keys are kept in ``raw`` and ignored.
 
 ``c2``/``c3`` accept either a scalar (diagonal coupling tensor) or fully
 nested lists of shape (3,3,3) / (3,3,3,3).
@@ -79,7 +79,6 @@ class RunConfig:
     eps: float
     nu_max: int
     solver: str
-    threads: int
     T: float | None
     omega0: complex | None
     raw: dict = field(repr=False, default_factory=dict)
@@ -115,7 +114,7 @@ def config_from_dict(data, **overrides):
     """Build a RunConfig from a JSON-style dict.
 
     Keyword overrides (``eps``, ``nu_max``, ``grid_d``, ``grid_n``,
-    ``solver``, ``threads``, ``k``) replace the corresponding config
+    ``solver``, ``k``) replace the corresponding config
     fields; ``None`` overrides are ignored.
     """
     if not isinstance(data, dict):
@@ -241,7 +240,6 @@ def config_from_dict(data, **overrides):
         eps=float(data.get("eps", 0.5)),
         nu_max=nu_max,
         solver=solver,
-        threads=int(data.get("threads", 1)),
         T=T,
         omega0=omega0,
         raw=data,

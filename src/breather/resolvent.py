@@ -8,6 +8,8 @@ u2(+-d) = 0:
 * ``solve_analytic`` -- closed-form variation of constants for two
   spatially homogeneous layers, with exponentially weighted quadrature
   of the source integrals (never forms a growing exponential alone).
+  The cumulative quadratures are unit-bidiagonal triangular band solves
+  (LAPACK ``ztbtrs``).
 * ``solve_fd`` -- the anti-pollution staggered-grid finite-difference
   scheme: u1 lives on integer nodes, u2 on half nodes, with one extra
   unknown for u2(0) and one-sided 3-point stencils at the interface.
@@ -20,16 +22,24 @@ The component equations on each half line are
 
 with V = V_+- (n, nu).  Minus-side coefficients can carry magnitudes far
 outside double range deep in the index cone; rows are assembled through
-log-scaled arithmetic and equilibrated before the sparse direct solve.
+log-scaled arithmetic and equilibrated, one scale per row or stencil
+block, before a banded LU solve (LAPACK ``zgbsv``).
+
+The staggered system is a narrow band once its unknowns are interleaved
+as U_0, V_0, U_1, V_1, ..., U_m, V*, V_m, U_{m+1}, V_{m+1}, ..., U_N
+(m = N/2, V* = u2(0)), with the first-equation row of node j placed at
+U_j, the second-equation row of half node j at V_j and the interface
+jump row at V*.  The one-sided interface stencils then reach five
+places below and three above the diagonal: (kl, ku) = (5, 3).  For
+n = 0 only V is solved for, ordered V_0, ..., V_{m-1}, V*, V_m, ...,
+with the continuity row of u2' at V*: (kl, ku) = (2, 2).
 """
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.linalg import lapack
 
 from ._scaled import ScaledComplex
 from .errors import OverflowGuard, SingularSystem, SpectrumError, ZeroFrequency
@@ -252,8 +262,6 @@ class ResolventPieces:
     rho2_plus: np.ndarray
     rho1_minus: np.ndarray
     rho2_minus: np.ndarray
-    u_h: GridFunction = None
-    u_p: GridFunction = None
 
 
 # ----------------------------------------------------------------------
@@ -284,15 +292,28 @@ def _to_complex_soft(t):
     return z
 
 
-class _RowAssembler:
-    """Collects equilibrated sparse rows; each row is scaled by the
-    magnitude of its largest coefficient before conversion to doubles."""
+class _BandAssembler:
+    """Collects equilibrated rows straight into LAPACK band storage.
 
-    def __init__(self, nrows):
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        self.b = np.zeros(nrows, dtype=complex)
+    Each row, or block of rows sharing a stencil, is scaled by the
+    magnitude of its largest coefficient before conversion to doubles.
+    Callers index rows and unknowns in their natural order; ``prow`` and
+    ``pcol`` give their places in the banded order, where entry (i, j)
+    of the matrix sits at op[ku + i - j, j].
+    """
+
+    def __init__(self, prow, pcol, kl, ku):
+        self.prow, self.pcol = prow, pcol
+        self.kl, self.ku = kl, ku
+        self.op = np.zeros((kl + ku + 1, len(pcol)), dtype=complex)
+        self.b = np.zeros(len(prow), dtype=complex)
+
+    def _put(self, ridx, cols, v):
+        i, j = self.prow[ridx], self.pcol[cols]
+        off = i - j
+        if off.size and (off.max() > self.kl or off.min() < -self.ku):
+            raise ValueError("coefficient outside the band")
+        self.op[self.ku + off, j] += v
 
     def add_row(self, ridx, terms, rhs):
         """terms: list of (col, coeff) with coeff complex or ScaledComplex."""
@@ -300,12 +321,8 @@ class _RowAssembler:
         if math.isinf(L):
             raise SingularSystem(f"empty row {ridx}")
         for c, t in terms:
-            v = _descale(t, L)
-            if v != 0:
-                self.rows.append(ridx)
-                self.cols.append(c)
-                self.vals.append(v)
-        self.b[ridx] = _descale(rhs, L)
+            self._put(ridx, c, _descale(t, L))
+        self.b[self.prow[ridx]] = _descale(rhs, L)
 
     def add_block(self, ridx, cols_vals, rhs):
         """Vectorized rows sharing a stencil: cols_vals is a list of
@@ -313,36 +330,53 @@ class _RowAssembler:
         ScaledComplex.  All rows in the block get a common scale."""
         L = max(_logabs(t) for _, t in cols_vals)
         for cols, t in cols_vals:
-            v = _descale(t, L)
-            if v != 0:
-                self.rows.append(np.asarray(ridx))
-                self.cols.append(np.asarray(cols))
-                self.vals.append(np.full(len(cols), v, dtype=complex))
-        self.b[ridx] = np.asarray(rhs) * math.exp(min(-L, 700.0))
+            self._put(ridx, cols, _descale(t, L))
+        self.b[self.prow[ridx]] = np.asarray(rhs) * math.exp(min(-L, 700.0))
 
-    def matrix(self, shape):
-        rows = np.concatenate([np.atleast_1d(r) for r in self.rows])
-        cols = np.concatenate([np.atleast_1d(c) for c in self.cols])
-        vals = np.concatenate([np.atleast_1d(v) for v in self.vals])
-        return csr_matrix((vals, (rows, cols)), shape=shape)
+    def matvec(self, z):
+        """The banded operator applied to z (banded order)."""
+        n = z.size
+        out = np.zeros(n, dtype=complex)
+        for k in range(-self.kl, self.ku + 1):     # k = column - row
+            diag = self.op[self.ku - k]
+            if k >= 0:
+                out[: n - k] += diag[k:] * z[k:]
+            else:
+                out[-k:] += diag[: n + k] * z[: n + k]
+        return out
+
+    def solve(self):
+        """Banded LU solve; the solution in the natural unknown order and
+        the relative residual of the equilibrated system."""
+        z = spsolve(self.op, self.b, self.kl, self.ku)
+        if not np.all(np.isfinite(z.view(float))):
+            raise SingularSystem("direct solve produced non-finite entries")
+        bnorm = float(np.linalg.norm(self.b))
+        res = float(np.linalg.norm(self.matvec(z) - self.b)) / max(bnorm, 1e-300)
+        if bnorm > 0 and res > 1e-8:
+            raise SingularSystem(
+                f"equilibrated residual {res:.2e} indicates spectral proximity"
+            )
+        return z[self.pcol], res
 
 
-def _sparse_solve(A, b):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            z = spsolve(A, b)
-        except (MatrixRankWarning, RuntimeError) as exc:
-            raise SingularSystem(f"direct solve failed: {exc}") from exc
-    if not np.all(np.isfinite(z.view(float))):
-        raise SingularSystem("direct solve produced non-finite entries")
-    bnorm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(A @ z - b)) / max(bnorm, 1e-300)
-    if bnorm > 0 and res > 1e-8:
+def spsolve(op, b, kl, ku):
+    """Direct solve of the banded system A z = b (LAPACK ``zgbsv``).
+
+    A has kl sub- and ku superdiagonals and is given in band storage,
+    entry (i, j) at op[ku + i - j, j]; neither op nor b is modified.
+    """
+    # zgbsv wants kl extra rows on top for the fill-in of the LU factors
+    ab = np.zeros((2 * kl + ku + 1, b.size), dtype=complex, order="F")
+    ab[kl:] = op
+    _, _, z, info = lapack.zgbsv(kl, ku, ab, b, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"zgbsv: illegal value in argument {-info}")
+    if info > 0:
         raise SingularSystem(
-            f"equilibrated residual {res:.2e} indicates spectral proximity"
+            f"banded LU: exact zero pivot U({info - 1},{info - 1}) of {b.size}"
         )
-    return z, res
+    return z
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +384,7 @@ def _sparse_solve(A, b):
 # ----------------------------------------------------------------------
 
 def solve_fd(ctx, n, nu, r, grid=None):
-    """Staggered-grid direct solve of the interface system.
+    """Staggered-grid banded LU solve of the interface system.
 
     ``r`` is a SampledRHS with r3 = 0.  Returns a GridFunction with the
     2N+2 unknowns (U at integer nodes, V at half nodes plus V[N] =
@@ -378,7 +412,14 @@ def solve_fd(ctx, n, nu, r, grid=None):
 
     colU = np.arange(N + 1)
     colV = N + 1 + np.arange(N + 1)
-    asm = _RowAssembler(2 * N + 2)
+    # banded order: U_0, V_0, ..., U_m, V*, V_m, U_{m+1}, V_{m+1}, ..., U_N
+    j = np.arange(N + 1)
+    pcol = np.concatenate((np.where(j <= m, 2 * j, 2 * j + 1),
+                           np.where(j[:N] < m, 2 * j[:N] + 1, 2 * j[:N] + 2),
+                           [2 * m + 1]))
+    # eq-1 row j at U_j, jump row N+1 at V*, eq-2 row N+2+j at V_j
+    prow = np.concatenate((pcol[: N + 1], [2 * m + 1], pcol[N + 1: 2 * N + 1]))
+    asm = _BandAssembler(prow, pcol, kl=5, ku=3)
 
     # -- first equation at integer nodes (rows 0..N, row N+1 = 0+ limit)
     inv_h = 1.0 / h
@@ -475,8 +516,7 @@ def solve_fd(ctx, n, nu, r, grid=None):
         f2[m],
     )
 
-    A = asm.matrix((2 * N + 2, 2 * N + 2))
-    z, res = _sparse_solve(A, asm.b)
+    z, res = asm.solve()
     U = z[: N + 1]
     V = z[N + 1:]
     u1_right = U[m] + kap * (
@@ -498,8 +538,10 @@ def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
     c2 = {s: sV[s] * omega for s in sV}
     f2 = -omega * r.r2
     ih2 = 1.0 / h**2
-    asm = _RowAssembler(N + 1)
     colV = np.arange(N + 1)
+    # banded order V_0, ..., V_{m-1}, V*, V_m, ...; the continuity row at V*
+    pcol = np.concatenate((np.where(colV[:N] < m, colV[:N], colV[:N] + 1), [m]))
+    asm = _BandAssembler(pcol, pcol, kl=2, ku=2)
     for s, sl in (("minus", np.arange(1, m - 1)), ("plus", np.arange(m + 1, N - 1))):
         asm.add_block(
             sl,
@@ -530,8 +572,7 @@ def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
          (colV[m - 1], 9.0 + 0j), (colV[m - 2], -1.0 + 0j)],
         0j,
     )
-    A = asm.matrix((N + 1, N + 1))
-    V, res = _sparse_solve(A, asm.b)
+    V, res = asm.solve()
     return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
 
 
@@ -604,7 +645,8 @@ def solve_analytic(ctx, n, nu, r):
     built from the source densities rho_+-^{(1,2)}.  All quadratures of
     int rho e^{-+mu s} ds use cumulative recurrences whose weights are
     exact cell integrals of the decaying exponential, so no growing
-    factor is ever materialized.  u1 follows algebraically per side.
+    factor is ever materialized; each recurrence is one bidiagonal band
+    solve.  u1 follows algebraically per side.
 
     Returns (GridFunction, ResolventPieces).
     """
@@ -647,21 +689,12 @@ def solve_analytic(ctx, n, nu, r):
     ep_2, Kp2 = _exp_cell(sMp, 0.5 * h)
     em_2, Km2 = _exp_cell(sMm, 0.5 * h)
 
-    # plus side, local integer index 0..Np with Np = N - m
-    Np = N - m
-    A = np.zeros(Np + 1, dtype=complex)   # int_x^d rho1 e^{-mu(s-x)}
-    for j in range(Np - 1, -1, -1):
-        A[j] = rho1_p[j] * Kp + ep_h * A[j + 1]
-    B = np.zeros(Np + 1, dtype=complex)   # int_0^x rho2 e^{-mu(x-s)}
-    for j in range(Np):
-        B[j + 1] = ep_h * B[j] + rho2_p[j] * Kp
+    # plus side, local integer index 0..N-m
+    A = _decay_sweep(rho1_p * Kp, ep_h, backward=True)    # int_x^d rho1 e^{-mu(s-x)}
+    B = _decay_sweep(rho2_p * Kp, ep_h, backward=False)   # int_0^x rho2 e^{-mu(x-s)}
     # minus side, integer index 0..m
-    P = np.zeros(m + 1, dtype=complex)    # int_x^0 rho1 e^{-mu(s-x)}
-    for j in range(m - 1, -1, -1):
-        P[j] = rho1_m[j] * Km + em_h * P[j + 1]
-    Q = np.zeros(m + 1, dtype=complex)    # int_{-d}^x rho2 e^{-mu(x-s)}
-    for j in range(m):
-        Q[j + 1] = em_h * Q[j] + rho2_m[j] * Km
+    P = _decay_sweep(rho1_m * Km, em_h, backward=True)    # int_x^0 rho1 e^{-mu(s-x)}
+    Q = _decay_sweep(rho2_m * Km, em_h, backward=False)   # int_{-d}^x rho2 e^{-mu(x-s)}
 
     I1p = A[0]
     I2m = Q[m]
@@ -678,27 +711,17 @@ def solve_analytic(ctx, n, nu, r):
     V_p = _to_complex_soft(sVp)
     V_m = _to_complex_soft(sVm)
 
-    # particular and homogeneous parts at the integer nodes
+    # particular and homogeneous parts of u3 at the integer nodes
     x = grid.x
-    u2p = np.empty(N + 1, dtype=complex)
     u3p = np.empty(N + 1, dtype=complex)
-    u2h = np.empty(N + 1, dtype=complex)
     u3h = np.empty(N + 1, dtype=complex)
-    u2p[: m + 1] = 0.5j * mu_m * (P + Q)
     u3p[: m + 1] = 0.5 * V_m * (P - Q)
-    u2p[m:] = 0.5j * mu_p * (A + B)
     u3p[m:] = 0.5 * V_p * (A - B)
-    decay_m = _decaying_exp(mu_m, x[: m + 1])
-    decay_p = _decaying_exp(-mu_p, x[m:])
-    u2h[: m + 1] = C_minus * mu_m * decay_m
-    u3h[: m + 1] = C_minus * (-1j * V_m) * decay_m
-    u2h[m:] = C_plus * mu_p * decay_p
-    u3h[m:] = C_plus * (1j * V_p) * decay_p
+    u3h[: m + 1] = C_minus * (-1j * V_m) * _decaying_exp(mu_m, x[: m + 1])
+    u3h[m:] = C_plus * (1j * V_p) * _decaying_exp(-mu_p, x[m:])
     # the shared node x = 0 keeps the minus-side values (the matching
     # conditions make u2 and u3 continuous there)
-    u2p[m] = 0.5j * mu_m * (P[m] + Q[m])
     u3p[m] = 0.5 * V_m * (P[m] - Q[m])
-    u2h[m] = C_minus * mu_m
     u3h[m] = C_minus * (-1j * V_m)
 
     # u2 at the half nodes: half-cell extensions of the recurrences
@@ -711,12 +734,11 @@ def solve_analytic(ctx, n, nu, r):
     Qh = em_2 * Q[:-1] + rho2_m[:] * Km2
     Vh_p[:m] = 0.5j * mu_m * (Ph + Qh)
     Vh_p[m:N] = 0.5j * mu_p * (Ah + Bh)
-    Vh_p[N] = u2p[m]
+    Vh_p[N] = 0.5j * mu_m * (P[m] + Q[m])
     Vh_h[:m] = C_minus * mu_m * _decaying_exp(mu_m, xh[:m])
     Vh_h[m:N] = C_plus * mu_p * _decaying_exp(-mu_p, xh[m:])
-    Vh_h[N] = u2h[m]
+    Vh_h[N] = C_minus * mu_m
 
-    u2 = u2p + u2h
     u3 = u3p + u3h
     Vfull = Vh_p + Vh_h
     u3_right = u3[m]   # continuous across the interface by construction
@@ -729,26 +751,35 @@ def solve_analytic(ctx, n, nu, r):
     U[m + 1:] = (nk * u3[m + 1:] - r.r1[m + 1:]) * inv_Vp
     u1_right = (nk * u3_right - r.r1_right) * inv_Vp
 
-    u_h = GridFunction(grid, np.where(x <= 0, nk * u3h * inv_Vm,
-                                      nk * u3h * inv_Vp), Vh_h,
-                       u1_right=nk * u3h[m] * inv_Vp, W=u3h,
-                       w_right=u3h[m])
-    Up = np.empty(N + 1, dtype=complex)
-    Up[: m + 1] = (nk * u3p[: m + 1] - r.r1[: m + 1]) * inv_Vm
-    Up[m + 1:] = (nk * u3p[m + 1:] - r.r1[m + 1:]) * inv_Vp
-    u_p = GridFunction(grid, Up, Vh_p,
-                       u1_right=(nk * u3p[m] - r.r1_right) * inv_Vp,
-                       W=u3p, w_right=u3p[m])
-
     gf = GridFunction(grid, U, Vfull, u1_right=u1_right,
                       W=u3, w_right=u3_right)
     pieces = ResolventPieces(
         C_plus=C_plus, C_minus=C_minus,
         rho1_plus=rho1_p, rho2_plus=rho2_p,
         rho1_minus=rho1_m, rho2_minus=rho2_m,
-        u_h=u_h, u_p=u_p,
     )
     return gf, pieces
+
+
+def _decay_sweep(f, c, backward):
+    """Cumulative decaying sums of the cell integrals f, length len(f) + 1.
+
+    backward: y[j] = f[j] + c y[j+1] for j = n-1, ..., 0 from y[n] = 0;
+    forward:  y[j+1] = c y[j] + f[j] for j = 0, ..., n-1 from y[0] = 0.
+    Either recurrence is a unit-bidiagonal triangular band solve.
+    """
+    n = f.size
+    y = np.zeros(n + 1, dtype=complex)
+    ab = np.empty((2, n), dtype=complex)
+    if backward:
+        ab[0], ab[1] = -c, 1.0     # superdiagonal (ab[0, 0] unused), diagonal
+        y[:n], info = lapack.ztbtrs(ab, f, uplo="U", diag="U")
+    else:
+        ab[0], ab[1] = 1.0, -c     # diagonal, subdiagonal (ab[1, -1] unused)
+        y[1:], info = lapack.ztbtrs(ab, f, uplo="L", diag="U")
+    if info:
+        raise ValueError(f"ztbtrs: illegal value in argument {-info}")
+    return y
 
 
 def _decaying_exp(mu, x):

@@ -364,7 +364,7 @@ def _entry_norm_sq(gf):
     return h * s
 
 
-def build_series(ctx, grid, eps, nu_max, solver="fd", threads=1):
+def build_series(ctx, grid, eps, nu_max, solver="fd"):
     """Run the recursion up to level nu_max and return the table.
 
     solver: 'fd' (staggered scheme) or 'analytic' (variation of
@@ -385,7 +385,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd", threads=1):
                               np.zeros(grid.N + 1, dtype=complex),
                               W=np.zeros(grid.N + 1, dtype=complex),
                               w_right=0j, residual=0.0)
-            return n, h, gf
+            return h, gf
         r = SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right)
         try:
             if solver == "fd":
@@ -401,21 +401,14 @@ def build_series(ctx, grid, eps, nu_max, solver="fd", threads=1):
         if gf.W is None:
             gf.W = reconstruct_u3(ctx, n, nu, gf.U, gf.V, grid)
             gf.w_right = interface_u3_right(ctx, n, nu, gf)
-        return n, h, gf
+        return h, gf
 
     growth = 0
     for nu in range(2, nu_max + 1):
         _fill_level_cache(ctx, nu)
-        ns = list(range(0, nu + 1))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda n: _solve_one(n, nu), ns))
-        else:
-            results = [_solve_one(n, nu) for n in ns]
         lvl = 0.0
-        for n, h, gf in results:
+        for n in range(0, nu + 1):
+            h, gf = _solve_one(n, nu)
             table.entries[(n, nu)] = gf
             table.h_entries[(n, nu)] = h
             w = 1.0 if n == 0 else 2.0      # negative-n mirror by symmetry

@@ -17,7 +17,6 @@ even-parity harmonics (n + nu even), since the others vanish.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,9 +288,6 @@ class NonlinearSusceptibility:
     T_N: float
     _cache2: dict = field(default_factory=dict, repr=False, compare=False)
     _cache3: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "c2", np.asarray(self.c2, dtype=float))
@@ -362,9 +358,8 @@ class NonlinearSusceptibility:
             keys, args = list(todo), np.array(list(todo.values()))
             for lo in range(0, len(keys), _MAX_BATCH):
                 vals = self._kernel(order)(args[lo: lo + _MAX_BATCH])
-                with self._lock:
-                    self._cache(order).update(
-                        zip(keys[lo: lo + _MAX_BATCH], map(complex, vals)))
+                self._cache(order).update(
+                    zip(keys[lo: lo + _MAX_BATCH], map(complex, vals)))
 
     def _cache(self, order):
         return self._cache2 if order == 2 else self._cache3

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import breather
 from breather.cli import main
 
 from conftest import OMEGA0_REF
@@ -70,10 +75,13 @@ class TestBreather:
                 pb = pa.replace(a, b, 1)
                 assert open(pa, "rb").read() == open(pb, "rb").read()
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BREATHER_THREADS", "2")
+    def test_coarsest_grid(self, tmp_path):
+        """N = 4, the smallest grid the config accepts, leaves the
+        vectorized stencil blocks empty on both sides."""
         out = str(tmp_path)
-        assert main(self.ARGS + ["--out", out]) == 0
+        assert main(["breather", "--nu-max", "2", "--grid-n", "4",
+                     "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "manifest.json"))
 
     def test_zero_amplitude(self, tmp_path):
         out = str(tmp_path)
@@ -122,3 +130,51 @@ class TestErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
+
+
+class TestLogging:
+    def test_depth_cap_warning_lines(self, tmp_path, capsys):
+        """Each in-process run prints its one depth-cap warning once, with
+        level and logger, and leaves no handler behind."""
+        handlers = list(logging.getLogger("breather").handlers)
+        args = ["spectrum", "--delta0", "--t-schedule", "101"]
+        for name in ("a", "b"):
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert re.match(r"WARNING breather\.pencil: contour .* depth cap",
+                            lines[0])
+            assert logging.getLogger("breather").handlers == handlers
+
+
+    def test_no_second_copy_through_root(self, tmp_path, capsys):
+        """A caller's root handler does not print the warnings again, and
+        the logger's propagation is restored afterwards."""
+        records = []
+        collect = logging.Handler()
+        collect.emit = records.append
+        root, logger = logging.getLogger(), logging.getLogger("breather")
+        root.addHandler(collect)
+        try:
+            assert main(["spectrum", "--delta0", "--t-schedule", "101",
+                         "--out", str(tmp_path)]) == 0
+        finally:
+            root.removeHandler(collect)
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert records == []
+        assert logger.propagate
+
+
+class TestImportFootprint:
+    def test_cli_skips_sparse_and_signal(self):
+        """Neither scipy.sparse nor scipy.signal is loaded by the CLI; each
+        costs start-up time and resident memory on every verb."""
+        src = os.path.dirname(os.path.dirname(breather.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys, breather.cli; print(sorted(m for m in "
+                "('scipy.sparse', 'scipy.signal') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

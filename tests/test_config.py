@@ -39,6 +39,10 @@ class TestBundledExample:
 
 
 class TestValidation:
+    def test_unknown_key_kept_and_ignored(self):
+        cfg = config_from_dict({**base_dict(), "threads": 4})
+        assert cfg.raw["threads"] == 4 and not hasattr(cfg, "threads")
+
     def test_odd_grid_means_node_count(self):
         cfg = config_from_dict({**base_dict(), "grid": {"d": 40.0, "N": 2001}})
         assert cfg.grid_n == 2000

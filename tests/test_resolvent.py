@@ -12,7 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
+from breather import resolvent
+from breather.errors import ResolventViolation, SingularSystem
 from breather.pencil import eigenfunction, spectral_quantities
 from breather.resolvent import (
     SampledRHS,
@@ -22,6 +26,7 @@ from breather.resolvent import (
     solve_analytic,
     solve_fd,
 )
+from breather.series import build_series
 
 
 def bump(A, c, s):
@@ -197,3 +202,92 @@ class TestConvergenceStudy:
         assert -2.4 < study["slope"] < -1.6
         errsq = [e for _, e in study["table"]]
         assert errsq == sorted(errsq, reverse=True)
+
+
+def bump_rhs(grid):
+    f1, _, _ = bump(1.0 + 0.5j, -15.0, 2.0)
+    f2, _, _ = bump(0.7 - 0.3j, 12.0, 2.5)
+    return SampledRHS.from_sides(grid, (f1, f2), (f1, f2))
+
+
+def captured_solve(monkeypatch):
+    """Record every band assembler whose system gets solved."""
+    seen = []
+    solve = resolvent._BandAssembler.solve
+
+    def spy(self):
+        seen.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(resolvent._BandAssembler, "solve", spy)
+    return seen
+
+
+class TestBandedSolve:
+    """The interleaved banded LU against a general sparse LU of the same
+    equilibrated system in its natural row and column order."""
+
+    @pytest.mark.parametrize("N", [4, 8, 400])
+    @pytest.mark.parametrize("n, nu, bands", [(1, 2, (5, 3)), (0, 2, (2, 2))])
+    def test_matches_sparse_lu(self, ctx, monkeypatch, N, n, nu, bands):
+        seen = captured_solve(monkeypatch)
+        g = StaggeredGrid(40.0, N)
+        sol = solve_fd(ctx, n, nu, bump_rhs(g), g)
+        (asm,) = seen
+        kl, ku = asm.kl, asm.ku
+        assert (kl, ku) == bands
+        assert np.any(asm.op[0]) and np.any(asm.op[-1])   # both used
+
+        size = asm.b.size
+        row_of = np.argsort(asm.prow)       # banded row -> natural row
+        col_of = np.argsort(asm.pcol)       # banded column -> natural column
+        band_row, col = np.nonzero(asm.op)
+        i = band_row - ku + col
+        A = csr_matrix((asm.op[band_row, col], (row_of[i], col_of[col])),
+                       shape=(size, size))
+        z_ref = spsolve(A, asm.b[asm.prow])
+        z = sol.V if n == 0 else np.concatenate((sol.U, sol.V))
+        assert np.max(np.abs(z - z_ref)) <= 1e-10 * np.max(np.abs(z_ref))
+        assert sol.residual < 1e-12
+
+    def test_zero_pivot_names_harmonic(self, ctx, monkeypatch):
+        solve = resolvent._BandAssembler.solve
+
+        def singular(self):
+            self.op[:, 3] = 0.0         # an empty column: exact zero pivot
+            return solve(self)
+
+        monkeypatch.setattr(resolvent._BandAssembler, "solve", singular)
+        g = StaggeredGrid(40.0, 400)
+        with pytest.raises(SingularSystem, match="zero pivot"):
+            solve_fd(ctx, 1, 2, bump_rhs(g), g)
+        with pytest.raises(ResolventViolation) as info:
+            build_series(ctx, g, eps=0.5, nu_max=2, solver="fd")
+        assert (info.value.n, info.value.nu) == (0, 2)
+        assert "zero pivot" in str(info.value)
+
+
+def loop_sweep(f, c, backward):
+    """Reference: the cumulative recurrences as plain Python loops."""
+    n = f.size
+    y = np.zeros(n + 1, dtype=complex)
+    if backward:
+        for j in range(n - 1, -1, -1):
+            y[j] = f[j] + c * y[j + 1]
+    else:
+        for j in range(n):
+            y[j + 1] = c * y[j] + f[j]
+    return y
+
+
+class TestDecaySweep:
+    @pytest.mark.parametrize("backward", [True, False])
+    @pytest.mark.parametrize("c", [0.9995 * np.exp(0.3j), 0.25 - 0.6j, 0j])
+    def test_matches_loop(self, backward, c):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 1000):
+            f = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ref = loop_sweep(f, c, backward)
+            got = resolvent._decay_sweep(f, c, backward)
+            assert got.shape == (n + 1,)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

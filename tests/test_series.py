@@ -224,15 +224,6 @@ class TestDecayAndSolvers:
             gap = max(np.max(np.abs(a.U - b.U)), np.max(np.abs(a.V - b.V)))
             assert gap < 10.0 * h**2 * sc
 
-    def test_threaded_build_matches_serial(self, ctx):
-        g = StaggeredGrid(40.0, 400)
-        t1 = build_series(ctx, g, eps=0.5, nu_max=4, solver="fd", threads=1)
-        t2 = build_series(ctx, g, eps=0.5, nu_max=4, solver="fd", threads=4)
-        for key, gf in t1.entries.items():
-            other = t2.entries[key]
-            assert np.array_equal(gf.U, other.U)
-            assert np.array_equal(gf.V, other.V)
-
     def test_zero_amplitude(self, ctx):
         g = StaggeredGrid(40.0, 400)
         t0 = build_series(ctx, g, eps=0.0, nu_max=3, solver="fd")
