@@ -9,12 +9,12 @@ Warnings of the ``breather`` loggers go to stderr as
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .checks import (
     drude_truncation_demo,
     gamma_bound_sweep,
 )
-from .config import load_config
+from .config import load_config, seed_root
 from .errors import BreatherError, ConfigError, ResolventViolation
 from .pencil import (
     ContourRectangle,
@@ -74,33 +74,29 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
+# Rows per write: bounds the text held at once, whatever the file size.
+_CSV_BLOCK = 256
 
 
-def _write_csv(path, header, rows):
+def _cells(column):
+    """CSV cells of one column: each float as its repr (the shortest
+    string that reads back to the same double), each integer as an int.
+    A column already given as a list of strings is returned as is, so a
+    column shared by several files is formatted once."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
+    return list(map(repr, np.asarray(column).tolist()))
+
+
+def _write_csv(path, header, columns):
+    """Header row, then row i from cell i of every (equal-length) column,
+    comma-separated with ``\r\n`` line ends as ``csv.writer`` writes
+    them (no cell here needs quoting)."""
+    rows = map(",".join, zip(*map(_cells, columns)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
-
-
-def _shallow_root(probe):
-    """Shallowest decaying right-half-plane untruncated eigenvalue."""
-    roots = [
-        r for r in untruncated_eigenvalues(probe, 1)
-        if r.real > 0 and r.imag < 0
-    ]
-    if not roots:
-        raise ConfigError(
-            "no decaying untruncated eigenvalue with positive real part"
-        )
-    return max(roots, key=lambda r: r.imag)
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, _CSV_BLOCK)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def _t_schedule(cfg, spec):
@@ -139,9 +135,9 @@ def cmd_spectrum(cfg, out, args):
     _write_csv(
         os.path.join(out, "untruncated_roots.csv"),
         ["re", "im"],
-        [(r.real, r.imag) for r in roots],
+        [[r.real for r in roots], [r.imag for r in roots]],
     )
-    omega_inf = _shallow_root(probe)
+    omega_inf = seed_root(probe)
 
     rows = []
     if cfg.T is not None:
@@ -151,7 +147,7 @@ def cmd_spectrum(cfg, out, args):
         _write_csv(
             os.path.join(out, "eigenvalues.csv"),
             ["j", "T", "re", "im", "err_vs_untruncated"],
-            rows,
+            zip(*rows),
         )
         plot = LinePlot(
             title="eigenvalue error vs memory window",
@@ -193,7 +189,8 @@ def cmd_spectrum(cfg, out, args):
             d0 = delta0_search(probe, 1, T, a=args.delta0_halfwidth)
             drows.append((j, T, d0))
         _write_csv(
-            os.path.join(out, "delta0.csv"), ["j", "T", "delta0"], drows
+            os.path.join(out, "delta0.csv"), ["j", "T", "delta0"],
+            zip(*drows),
         )
         plot = LinePlot(
             title="contour depth margin vs memory window",
@@ -221,13 +218,8 @@ def cmd_eigen(cfg, out, args):
         os.path.join(out, "eigenfunction.csv"),
         ["x", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
          "re_phi3", "im_phi3"],
-        [
-            (float(x[i]),) + tuple(
-                float(f(vals[c, i])) for c in range(3) for f in (np.real,
-                                                                 np.imag)
-            )
-            for i in range(x.size)
-        ],
+        [x] + [part for c in range(3)
+               for part in (vals[c].real, vals[c].imag)],
     )
     plot = LinePlot(title="surface mode profile", xlabel="x",
                     ylabel="Re phi")
@@ -255,30 +247,29 @@ def cmd_breather(cfg, out, args):
 
     modes_dir = os.path.join(out, "modes")
     os.makedirs(modes_dir, exist_ok=True)
-    files = []
-    x = grid.x  # a property that rebuilds the array on every access
-    for (n, nu) in sorted(table.entries):
+    files, zero_modes = [], []
+    x = grid.x
+    x_cells = _cells(x)
+    cone = sorted((n, nu) for nu in range(1, table.nu_max + 1)
+                  for n in range(nu + 1))
+    for (n, nu) in cone:
+        # n + nu odd: zero for any couplings, since the quadratic and
+        # cubic sums preserve the parity of n - nu
+        if (n + nu) % 2:
+            zero_modes.append([n, nu])
+            continue
         gf = table.entries[(n, nu)]
         name = f"mode_n{n}_nu{nu}.csv"
-        u1 = gf.eval_u1(x)
-        u2 = gf.eval_u2(x)
-        u3 = (gf.eval_u3(x) if gf.W is not None
-              else np.zeros_like(u1))
+        u1, u2, u3 = gf.eval_u1(x), gf.eval_u2(x), gf.eval_u3(x)
         _write_csv(
             os.path.join(modes_dir, name),
             ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"],
-            [
-                (float(x[i]),
-                 float(u1[i].real), float(u1[i].imag),
-                 float(u2[i].real), float(u2[i].imag),
-                 float(u3[i].real), float(u3[i].imag))
-                for i in range(x.size)
-            ],
+            [x_cells, u1.real, u1.imag, u2.real, u2.imag, u3.real, u3.imag],
         )
         files.append(os.path.join("modes", name))
 
     decay = decay_profile(table)
-    _write_csv(os.path.join(out, "decay.csv"), ["nu", "norm"], decay)
+    _write_csv(os.path.join(out, "decay.csv"), ["nu", "norm"], zip(*decay))
     plot = LinePlot(title="per-level norms", xlabel="nu", ylabel="||u^nu||",
                     logy=True)
     plot.add([d[0] for d in decay], [d[1] for d in decay],
@@ -310,6 +301,7 @@ def cmd_breather(cfg, out, args):
             "grid": {"d": cfg.grid_d, "N": cfg.grid_n},
             "norms": {str(nu): val for nu, val in decay},
             "mode_files": files,
+            "zero_modes": zero_modes,
             "params": {k: v for k, v in sorted(cfg.raw.items())
                        if not k.startswith("_")},
         },
@@ -323,7 +315,7 @@ def cmd_breather(cfg, out, args):
 def cmd_check(cfg, out, args):
     ctx = cfg.context()
     probe = PencilContext(cfg.interface, cfg.k, None)
-    omega_inf = _shallow_root(probe)
+    omega_inf = seed_root(probe)
 
     report = check_B(ctx, omega_inf, coupling=args.coupling)
     cone = check_A6_cone(ctx, cfg.nu_max)
@@ -428,7 +420,7 @@ def cmd_converge(cfg, out, args):
     study = fd_convergence_study(ctx, 1, 2, rhs, Ns, d=cfg.grid_d)
     _write_csv(
         os.path.join(out, "fd_convergence.csv"), ["N", "error"],
-        [(int(N), float(e)) for N, e in study["table"]],
+        zip(*study["table"]),
     )
     plot = LinePlot(title="grid refinement", xlabel="N",
                     ylabel="error vs fine reference", logx=True, logy=True)
@@ -442,14 +434,14 @@ def cmd_converge(cfg, out, args):
 
     if cfg.T is not None:
         probe = PencilContext(cfg.interface, cfg.k, None)
-        omega_inf = _shallow_root(probe)
+        omega_inf = seed_root(probe)
         rows = []
         for j, T in _t_schedule(cfg, args.t_schedule):
             w = newton_eigenvalue(probe, 1, T, omega_inf)
             rows.append((j, T, abs(w - omega_inf)))
         _write_csv(
             os.path.join(out, "eigenvalue_convergence.csv"),
-            ["j", "T", "err"], rows,
+            ["j", "T", "err"], zip(*rows),
         )
         plot = LinePlot(title="eigenvalue error vs memory window",
                         xlabel="T", ylabel="|omega(T) - omega_inf|",

@@ -33,7 +33,13 @@ from .susceptibility import (
     UntruncatedLorentz,
 )
 
-__all__ = ["RunConfig", "load_config", "config_from_dict", "default_config_path"]
+__all__ = [
+    "RunConfig",
+    "load_config",
+    "config_from_dict",
+    "default_config_path",
+    "seed_root",
+]
 
 
 def default_config_path():
@@ -68,6 +74,21 @@ def _coupling_tensor(value, shape, name):
     return arr
 
 
+def seed_root(probe):
+    """Shallowest decaying right-half-plane root of the untruncated n = 1
+    dispersion: the seed every eigenvalue refinement starts from."""
+    roots = [
+        r for r in untruncated_eigenvalues(probe, 1)
+        if r.real > 0 and r.imag < 0
+    ]
+    if not roots:
+        raise ConfigError(
+            "config: no decaying untruncated eigenvalue with "
+            "positive real part to seed from"
+        )
+    return max(roots, key=lambda r: r.imag)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters plus the constructed material interface."""
@@ -95,16 +116,7 @@ class RunConfig:
         if self.omega0 is not None:
             seed = complex(self.omega0)
         else:
-            roots = [
-                r for r in untruncated_eigenvalues(probe, 1)
-                if r.real > 0 and r.imag < 0
-            ]
-            if not roots:
-                raise ConfigError(
-                    "config: no decaying untruncated eigenvalue with "
-                    "positive real part to seed from"
-                )
-            seed = max(roots, key=lambda r: r.imag)
+            seed = seed_root(probe)
         if refine and self.T is not None:
             seed = newton_eigenvalue(probe, 1, self.T, seed, tol=tol)
         return PencilContext(self.interface, self.k, seed)

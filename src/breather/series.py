@@ -62,7 +62,6 @@ __all__ = [
     "assemble_h",
     "build_series",
     "synthesize",
-    "reconstruct_fields",
     "d_field_modal",
     "divergence_residual",
     "maxwell_residual",
@@ -525,36 +524,6 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     D1_right += -h2_.h1_right / omega
     D2 += -h2_.h2 / omega
     return D1, D2, D1_right, D2_if
-
-
-def reconstruct_fields(table, point, M=None):
-    """(E, H, D) of the truncated series at point = (x, y, t).
-
-    E = mu0 (psi1, psi2, 0), H = (0, 0, psi3); D from the modal operator
-    identity, real by conjugate symmetry.
-    """
-    ctx = table.ctx
-    x, y, t = point
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = _synthesize_complex(table, x, y, t, M)
-    mu0 = ctx.interface.mu0
-    E = np.stack([mu0 * psi[0].real, mu0 * psi[1].real,
-                  np.zeros_like(psi[0].real)])
-    H = np.stack([np.zeros_like(psi[2].real), np.zeros_like(psi[2].real),
-                  psi[2].real])
-    M_ = table.nu_max if M is None else min(M, table.nu_max)
-    D = np.zeros((3,) + x.shape, dtype=complex)
-    for nu in range(1, M_ + 1):
-        damp = math.exp(nu * ctx.omega_I * t)
-        for n in range(-nu, nu + 1):
-            gf = table.get(n, nu)
-            if gf is None:
-                continue
-            D1, D2, D1r, D2i = d_field_modal(ctx, table, n, nu)
-            phase = np.exp(-1j * n * (ctx.omega_R * t - ctx.k * y)) * damp
-            D[0] += phase * _interp_int(table.grid, D1, D1r, x)
-            D[1] += phase * _interp_half(table.grid, D2, D2i, x)
-    return E, H, D.real
 
 
 def _interp_int(grid, arr, right_val, x):

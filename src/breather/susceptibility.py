@@ -23,10 +23,9 @@ import numpy as np
 
 from ._expalg import g_window, simplex_transform, triangle_transform
 from ._scaled import ScaledComplex
-from .errors import ConfigError, DomainError, ModelError, PoleError
+from .errors import ConfigError, DomainError, PoleError
 
 __all__ = [
-    "ExpSumKernel",
     "LinearSusceptibility",
     "TruncatedLorentz",
     "UntruncatedLorentz",
@@ -47,36 +46,6 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Time-domain kernels
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpSumKernel:
-    """Causal kernel t -> sum_j a_j e^{lambda_j t} supported on [0, T_cut].
-
-    terms : tuple of (amplitude, rate) complex pairs
-    T_cut : float, may be math.inf for untruncated kernels
-
-    Physical (real-valued) kernels have terms in conjugate pairs, so the
-    imaginary part of the evaluation is discarded only by the caller.
-    """
-
-    terms: tuple
-    T_cut: float = math.inf
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        support = (t >= 0) & (t <= self.T_cut)
-        ts = t[support]
-        acc = np.zeros(ts.shape, dtype=complex)
-        for a, lam in self.terms:
-            acc += a * np.exp(lam * ts)
-        out[support] = acc
-        return out if out.shape else complex(out)
-
-
-# ----------------------------------------------------------------------
 # Linear susceptibilities
 # ----------------------------------------------------------------------
 
@@ -89,10 +58,6 @@ class LinearSusceptibility:
     def ft_scaled(self, omega):
         """Transform as a ScaledComplex (overflow-safe); default wraps ft."""
         return ScaledComplex.from_complex(self.ft(omega))
-
-    def time_kernel(self):
-        """The kernel as an ExpSumKernel, when one exists."""
-        raise NotImplementedError
 
 
 def _lorentz_denominator(omega, gamma, omega_star):
@@ -123,14 +88,6 @@ class UntruncatedLorentz(LinearSusceptibility):
                 f"Im omega > {-self.gamma}; got {omega.imag}"
             )
         return -self.c_L / _lorentz_denominator(omega, self.gamma, self.omega_star)
-
-    def time_kernel(self):
-        cs = self.c_star
-        a = self.c_L / (2j * cs)
-        return ExpSumKernel(
-            terms=((a, -self.gamma + 1j * cs), (-a, -self.gamma - 1j * cs)),
-            T_cut=math.inf,
-        )
 
 
 @dataclass(frozen=True)
@@ -173,14 +130,6 @@ class TruncatedLorentz(LinearSusceptibility):
         factor = 1.0 + expo * self._bracket(omega)
         return factor * (-self.c_L) / denom
 
-    def time_kernel(self):
-        cs = self.c_star
-        a = self.c_L / (2j * cs)
-        return ExpSumKernel(
-            terms=((a, -self.gamma + 1j * cs), (-a, -self.gamma - 1j * cs)),
-            T_cut=self.T,
-        )
-
 
 @dataclass(frozen=True)
 class UntruncatedDrude(LinearSusceptibility):
@@ -200,10 +149,6 @@ class UntruncatedDrude(LinearSusceptibility):
                 "untruncated Drude transform converges only for Im omega > 0"
             )
         return -self.c_D / (omega * omega + 1j * self.gamma * omega)
-
-    def time_kernel(self):
-        a = self.c_D / self.gamma
-        return ExpSumKernel(terms=((a, 0.0), (-a, -self.gamma)), T_cut=math.inf)
 
 
 @dataclass(frozen=True)
@@ -226,10 +171,6 @@ class TruncatedDrude(LinearSusceptibility):
         )
         return -self.c_D / denom * window
 
-    def time_kernel(self):
-        a = self.c_D / self.gamma
-        return ExpSumKernel(terms=((a, 0.0), (-a, -self.gamma)), T_cut=self.T)
-
 
 @dataclass(frozen=True)
 class Constant(LinearSusceptibility):
@@ -243,9 +184,6 @@ class Constant(LinearSusceptibility):
 
     def ft(self, omega):
         return complex(self.alpha)
-
-    def time_kernel(self):
-        raise ModelError("constant susceptibility has no exponential-sum kernel")
 
 
 def ft_chi1(model, omega):
@@ -312,15 +250,6 @@ class NonlinearSusceptibility:
     @property
     def c_tilde(self):
         return math.sqrt(self.omega_star_tilde**2 - self.gamma_tilde**2)
-
-    def oscillator_kernel(self):
-        """D(t) = e^{-gamma_tilde t} sin(c_tilde t)/c_tilde for t >= 0."""
-        ct = self.c_tilde
-        a = 1.0 / (2j * ct)
-        return ExpSumKernel(
-            terms=((a, -self.gamma_tilde + 1j * ct), (-a, -self.gamma_tilde - 1j * ct)),
-            T_cut=math.inf,
-        )
 
     def d_hat(self, omega):
         """Oscillator transfer function -1/(omega^2 + 2i gt omega - ost^2)."""

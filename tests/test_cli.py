@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import os
@@ -9,10 +10,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import breather
-from breather.cli import main
+from breather.cli import _cells, _write_csv, main
 
 from conftest import OMEGA0_REF
 
@@ -20,6 +22,65 @@ from conftest import OMEGA0_REF
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _row_cell(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return int(v)
+    return v
+
+
+def _row_write_csv(path, header, rows):
+    """The per-cell row writer the column writer replaced: the oracle."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_row_cell(v) for v in row])
+
+
+class TestWriteCsv:
+    FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1,
+                       -1.0 / 3.0, 2.0])
+    HEADER = ["j", "N", "a", "b", "c"]
+
+    def columns(self, count):
+        floats = self.FLOATS[:count]
+        return [
+            list(range(99, 99 + count)),            # Python ints
+            np.arange(-4, count - 4) * 25,          # numpy ints
+            floats,                                 # numpy float64
+            [-float(v) for v in floats],            # Python floats
+            floats[::-1].copy(),
+        ]
+
+    @pytest.mark.parametrize("count", [0, 1, len(FLOATS)])
+    def test_same_bytes_as_row_writer(self, tmp_path, count):
+        cols = self.columns(count)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_csv(str(new), self.HEADER, cols)
+        _row_write_csv(str(old), self.HEADER, list(zip(*cols)))
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_bytes().count(b"\r\n") == count + 1
+
+    def test_preformatted_column(self, tmp_path):
+        """A column passed as its cells (a shared x column) writes the
+        same bytes as the values, and integers print without a '.0'."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cols = self.columns(len(self.FLOATS))
+        _write_csv(str(a), self.HEADER, cols)
+        _write_csv(str(b), self.HEADER, [_cells(c) for c in cols])
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[1].startswith("99,-100,nan,")
+
+    def test_rows_across_blocks(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 1001)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_csv(str(new), ["x", "y"], [x, np.sin(x)])
+        _row_write_csv(str(old), ["x", "y"], list(zip(x, np.sin(x))))
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestSpectrum:
@@ -61,6 +122,21 @@ class TestBreather:
         assert set(man["norms"]) == {"1", "2", "3"}
         for rel in man["mode_files"]:
             assert os.path.exists(os.path.join(out, rel))
+        written = {
+            tuple(int(v) for v in re.fullmatch(
+                r"mode_n(\d+)_nu(\d+)\.csv", os.path.basename(rel)).groups())
+            for rel in man["mode_files"]
+        }
+        zero = {tuple(p) for p in man["zero_modes"]}
+        assert all((n + nu) % 2 == 0 for n, nu in written)
+        assert all((n + nu) % 2 == 1 for n, nu in zero)
+        assert not written & zero
+        assert written | zero == {(n, nu) for nu in range(1, 4)
+                                  for n in range(nu + 1)}
+        assert len(os.listdir(os.path.join(out, "modes"))) == len(written)
+        for n, nu in zero:
+            assert not os.path.exists(
+                os.path.join(out, "modes", f"mode_n{n}_nu{nu}.csv"))
         for name in ("decay.csv", "decay.svg", "overlay_psi1.svg",
                      "overlay_psi2.svg", "overlay_psi3.svg"):
             assert os.path.exists(os.path.join(out, name))
