@@ -81,18 +81,23 @@ _CSV_BLOCK = 256
 def _cells(column):
     """CSV cells of one column: each float as its repr (the shortest
     string that reads back to the same double), each integer as an int.
-    A column already given as a list of strings is returned as is, so a
-    column shared by several files is formatted once."""
-    if isinstance(column, list) and column and isinstance(column[0], str):
-        return column
-    return list(map(repr, np.asarray(column).tolist()))
+    A float column of +0.0 only (the n + nu odd harmonics, zero for any
+    couplings) skips the per-value repr."""
+    values = np.asarray(column)
+    if (values.dtype.kind == "f" and not values.any()
+            and not np.signbit(values).any()):
+        return ["0.0"] * values.size
+    return list(map(repr, values.tolist()))
 
 
-def _write_csv(path, header, columns):
+def _write_csv(path, header, columns, lead=None):
     """Header row, then row i from cell i of every (equal-length) column,
     comma-separated with ``\r\n`` line ends as ``csv.writer`` writes
-    them (no cell here needs quoting)."""
-    rows = map(",".join, zip(*map(_cells, columns)))
+    them (no cell here needs quoting).  ``lead``, when given, is a first
+    column already formatted by ``_cells``: the x column that all mode
+    files share is formatted once."""
+    cells = ([] if lead is None else [lead]) + list(map(_cells, columns))
+    rows = map(",".join, zip(*cells))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         while block := list(islice(rows, _CSV_BLOCK)):
@@ -247,24 +252,18 @@ def cmd_breather(cfg, out, args):
 
     modes_dir = os.path.join(out, "modes")
     os.makedirs(modes_dir, exist_ok=True)
-    files, zero_modes = [], []
+    files = []
     x = grid.x
     x_cells = _cells(x)
-    cone = sorted((n, nu) for nu in range(1, table.nu_max + 1)
-                  for n in range(nu + 1))
-    for (n, nu) in cone:
-        # n + nu odd: zero for any couplings, since the quadratic and
-        # cubic sums preserve the parity of n - nu
-        if (n + nu) % 2:
-            zero_modes.append([n, nu])
-            continue
+    for (n, nu) in sorted(table.entries):
         gf = table.entries[(n, nu)]
         name = f"mode_n{n}_nu{nu}.csv"
         u1, u2, u3 = gf.eval_u1(x), gf.eval_u2(x), gf.eval_u3(x)
         _write_csv(
             os.path.join(modes_dir, name),
             ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"],
-            [x_cells, u1.real, u1.imag, u2.real, u2.imag, u3.real, u3.imag],
+            [u1.real, u1.imag, u2.real, u2.imag, u3.real, u3.imag],
+            lead=x_cells,
         )
         files.append(os.path.join("modes", name))
 
@@ -301,7 +300,6 @@ def cmd_breather(cfg, out, args):
             "grid": {"d": cfg.grid_d, "N": cfg.grid_n},
             "norms": {str(nu): val for nu, val in decay},
             "mode_files": files,
-            "zero_modes": zero_modes,
             "params": {k: v for k, v in sorted(cfg.raw.items())
                        if not k.startswith("_")},
         },

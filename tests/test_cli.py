@@ -65,15 +65,31 @@ class TestWriteCsv:
         assert new.read_bytes() == old.read_bytes()
         assert new.read_bytes().count(b"\r\n") == count + 1
 
-    def test_preformatted_column(self, tmp_path):
-        """A column passed as its cells (a shared x column) writes the
-        same bytes as the values, and integers print without a '.0'."""
+    def test_lead_column(self, tmp_path):
+        """A first column passed formatted (the shared x column) writes
+        the same bytes as its values, and integers print without a '.0'."""
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cols = self.columns(len(self.FLOATS))
         _write_csv(str(a), self.HEADER, cols)
-        _write_csv(str(b), self.HEADER, [_cells(c) for c in cols])
+        _write_csv(str(b), self.HEADER, cols[1:], lead=_cells(cols[0]))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[1].startswith("99,-100,nan,")
+
+    @pytest.mark.parametrize("zeros", [
+        [0.0, 0.0, 0.0],
+        [-0.0, -0.0, -0.0],
+        [0.0, -0.0, 0.0],
+        [0.0, 0.0, 5e-324],
+        [0.0, np.nan, 0.0],
+    ])
+    def test_zero_columns(self, tmp_path, zeros):
+        """The all-+0.0 shortcut gives the row writer's bytes, and any
+        -0.0, subnormal or nan keeps the per-value repr."""
+        cols = [np.array(zeros), np.zeros(3), [0, 0, 0]]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_csv(str(new), ["a", "b", "c"], cols)
+        _row_write_csv(str(old), ["a", "b", "c"], list(zip(*cols)))
+        assert new.read_bytes() == old.read_bytes()
 
     def test_rows_across_blocks(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 1001)
@@ -127,16 +143,16 @@ class TestBreather:
                 r"mode_n(\d+)_nu(\d+)\.csv", os.path.basename(rel)).groups())
             for rel in man["mode_files"]
         }
-        zero = {tuple(p) for p in man["zero_modes"]}
-        assert all((n + nu) % 2 == 0 for n, nu in written)
-        assert all((n + nu) % 2 == 1 for n, nu in zero)
-        assert not written & zero
-        assert written | zero == {(n, nu) for nu in range(1, 4)
-                                  for n in range(nu + 1)}
+        # the n >= 0 cone, less (0, 1), which level 1 never stores
+        assert written == {(n, nu) for nu in range(1, 4)
+                           for n in range(nu + 1)} - {(0, 1)}
         assert len(os.listdir(os.path.join(out, "modes"))) == len(written)
-        for n, nu in zero:
-            assert not os.path.exists(
-                os.path.join(out, "modes", f"mode_n{n}_nu{nu}.csv"))
+        # n + nu odd: zero for any couplings (the quadratic and cubic
+        # sums preserve the parity of n - nu); n + nu even: not zero
+        for n, nu in written:
+            path = os.path.join(out, "modes", f"mode_n{n}_nu{nu}.csv")
+            data = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
+            assert np.any(data) == ((n + nu) % 2 == 0), (n, nu)
         for name in ("decay.csv", "decay.svg", "overlay_psi1.svg",
                      "overlay_psi2.svg", "overlay_psi3.svg"):
             assert os.path.exists(os.path.join(out, name))
