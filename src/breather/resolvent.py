@@ -20,19 +20,37 @@ The component equations on each half line are
     i u3'   - V u2                = r2
     i u2'   + nk u1 + omega u3    = r3   (r3 = 0 for the FD scheme)
 
-with V = V_+- (n, nu).  Minus-side coefficients can carry magnitudes far
-outside double range deep in the index cone; rows are assembled through
-log-scaled arithmetic and equilibrated, one scale per row or stencil
-block, before a banded LU solve (LAPACK ``zgbsv``).
+with V = V_+- (n, nu).  With r3 = 0, u3 = -(i u2' + nk u1)/omega leaves
 
-The staggered system is a narrow band once its unknowns are interleaved
-as U_0, V_0, U_1, V_1, ..., U_m, V*, V_m, U_{m+1}, V_{m+1}, ..., U_N
-(m = N/2, V* = u2(0)), with the first-equation row of node j placed at
-U_j, the second-equation row of half node j at V_j and the interface
-jump row at V*.  The one-sided interface stencils then reach five
-places below and three above the diagonal: (kl, ku) = (5, 3).  For
-n = 0 only V is solved for, ordered V_0, ..., V_{m-1}, V*, V_m, ...,
-with the continuity row of u2' at V*: (kl, ku) = (2, 2).
+    u2' + c1 u1 = f1,       c1 = -i (V omega/nk + nk),  f1 = (i omega/nk) r1
+    -u2'' + i nk u1' + c2 u2 = f2,   c2 = V omega,      f2 = -omega r2
+
+(n = 0: V u1 = -r1 and the u2 equation alone).  The staggered scheme
+takes the first equation at the integer nodes, with U_j = u1(x_j) and
+the derivative (V_j - V_{j-1})/h, and the second at the half nodes.
+At the walls u2(+-d) = 0 gives 2 V_0/h and -2 V_{N-1}/h; at the
+interface node (m = N/2, V* = V[N] = u2(0)) the one-sided derivatives
+
+    D_- V = (8 V* - 9 V_{m-1} + V_{m-2}) / 3h,   u2'(0-)
+    D_+ V = (-8 V* + 9 V_m - V_{m+1}) / 3h,      u2'(0+)
+
+enter the node's first equation (left limit, U_m) and the jump row,
+which is the first equation at 0+ with u1(0+) = U_m + i (D_-V - D_+V)/nk
+from the continuity of u3.  The half nodes next to the interface take
+u2'' as (D_-V - (V_{m-1} - V_{m-2})/h)/h and ((V_{m+1} - V_m)/h - D_+V)/h,
+and the right-adjacent one reads u1(0+) in u1'.
+
+Every first-equation row is local in U, so ``solve_fd`` never assembles
+the 2N+2 unknowns: U_j = (f1_j - (D V)_j)/c1 is substituted into the
+second-equation rows, u1(0+) = (f1(0+) - D_+V)/c1_+ into the
+right-adjacent one, and U_m into the jump row.  What is left is N+1
+equations in V, ordered V_0, ..., V_{m-1}, V*, V_m, ..., V_{N-1} with
+the jump row at V* (for n = 0, the continuity row of u2' instead): a
+(2, 2) band, tridiagonal but for the jump row.  Minus-side coefficients
+can carry magnitudes far outside double range deep in the index cone;
+they are formed in log-scaled arithmetic and equilibrated, one scale
+per side and one for the jump row, before a banded LU solve (LAPACK
+``zgbsv``).  U and u1(0+) then follow pointwise.
 """
 
 import math
@@ -292,72 +310,82 @@ def _to_complex_soft(t):
     return z
 
 
-class _BandAssembler:
-    """Collects equilibrated rows straight into LAPACK band storage.
+def _row_scale(coeffs):
+    """Log of the largest coefficient magnitude: the row's one scale."""
+    L = max(_logabs(t) for t in coeffs)
+    if math.isinf(L):
+        raise SingularSystem("empty row")
+    return L
 
-    Each row, or block of rows sharing a stencil, is scaled by the
-    magnitude of its largest coefficient before conversion to doubles.
-    Callers index rows and unknowns in their natural order; ``prow`` and
-    ``pcol`` give their places in the banded order, where entry (i, j)
-    of the matrix sits at op[ku + i - j, j].
+
+def _band_matvec(op, z):
+    """The (2, 2) band operator in LAPACK storage applied to z."""
+    n = z.size
+    out = op[2] * z
+    for k in (1, 2):                       # k = column - row
+        out[: n - k] += op[2 - k, k:] * z[k:]
+        out[k:] += op[2 + k, : n - k] * z[: n - k]
+    return out
+
+
+def _solve_v_band(grid, sides, f2, df1, star, star_rhs):
+    """Assemble and solve the equilibrated (2, 2) band system in u2.
+
+    The unknowns are ordered V_0, ..., V_{m-1}, V*, V_m, ..., V_{N-1}
+    (V* = u2(0)); the second-equation row of half node j sits at V_j and
+    the interface row at V*.  ``sides[s] = (off, c2, e)`` gives the
+    coefficients of side s: the second-equation row of half node j reads
+
+        -off S_j V + c2 V_j = f2_j - e (f1_{j+1} - f1_j) = f2_j - e df1_j
+
+    with S_j the weights of -h^2 u2'': (-1, 2, -1) inside, (3, -1) on
+    (V_j, neighbour) at the walls, and (4, -4/3, -8/3) on (V_j, far
+    neighbour, V*) next to the interface.  All rows of a side share one
+    scale, and each diagonal is formed from the descaled off: the weights
+    of a row come from one rounded value, as the stencil's do.  ``star`` holds the interface
+    row's coefficients on (V_{m-2}, V_{m-1}, V*, V_m, V_{m+1}) and
+    ``star_rhs`` its right side as (coefficient, value) pairs.
+
+    Returns V in the GridFunction layout (V[N] = u2(0)) and the relative
+    residual of the equilibrated system.
     """
+    N, m = grid.N, grid.mid
+    op = np.zeros((5, N + 1), dtype=complex)   # entry (i, j) at op[2 + i - j, j]
+    b = np.empty(N + 1, dtype=complex)
+    # band positions: minus rows 0..m-1, interface row m, plus rows m+1..N
+    for s, rows, cells, wall, adj, far in (
+        ("minus", slice(0, m), slice(0, m), 0, m - 1, (3, m - 2)),
+        ("plus", slice(m + 1, N + 1), slice(m, N), N, m + 1, (1, m + 2)),
+    ):
+        off, c2, e = sides[s]
+        L = _row_scale((off, c2))
+        off, c2 = _descale(off, L), _descale(c2, L)
+        b[rows] = f2[cells] * math.exp(min(-L, 700.0))
+        if df1 is not None:
+            b[rows] -= _descale(e, L) * df1[cells]
+        op[2, rows] = -2.0 * off + c2
+        op[2, wall] = -3.0 * off + c2
+        op[2, adj] = -4.0 * off + c2
+        op[1, rows.start + 1: rows.stop] = off     # (p, p+1)
+        op[3, rows.start: rows.stop - 1] = off     # (p, p-1)
+        # the interface-adjacent row: one-sided second difference via V*
+        op[2 + adj - m, m] = (8.0 / 3.0) * off
+        op[far] = (4.0 / 3.0) * off
+    L = _row_scale(star)
+    for k, t in zip((-2, -1, 0, 1, 2), star):
+        op[2 - k, m + k] = _descale(t, L)
+    b[m] = sum(_descale(c, L) * v for c, v in star_rhs)
 
-    def __init__(self, prow, pcol, kl, ku):
-        self.prow, self.pcol = prow, pcol
-        self.kl, self.ku = kl, ku
-        self.op = np.zeros((kl + ku + 1, len(pcol)), dtype=complex)
-        self.b = np.zeros(len(prow), dtype=complex)
-
-    def _put(self, ridx, cols, v):
-        i, j = self.prow[ridx], self.pcol[cols]
-        off = i - j
-        if off.size and (off.max() > self.kl or off.min() < -self.ku):
-            raise ValueError("coefficient outside the band")
-        self.op[self.ku + off, j] += v
-
-    def add_row(self, ridx, terms, rhs):
-        """terms: list of (col, coeff) with coeff complex or ScaledComplex."""
-        L = max(_logabs(t) for _, t in terms)
-        if math.isinf(L):
-            raise SingularSystem(f"empty row {ridx}")
-        for c, t in terms:
-            self._put(ridx, c, _descale(t, L))
-        self.b[self.prow[ridx]] = _descale(rhs, L)
-
-    def add_block(self, ridx, cols_vals, rhs):
-        """Vectorized rows sharing a stencil: cols_vals is a list of
-        (col_array, coeff) pairs, rhs an array; coefficients may be
-        ScaledComplex.  All rows in the block get a common scale."""
-        L = max(_logabs(t) for _, t in cols_vals)
-        for cols, t in cols_vals:
-            self._put(ridx, cols, _descale(t, L))
-        self.b[self.prow[ridx]] = np.asarray(rhs) * math.exp(min(-L, 700.0))
-
-    def matvec(self, z):
-        """The banded operator applied to z (banded order)."""
-        n = z.size
-        out = np.zeros(n, dtype=complex)
-        for k in range(-self.kl, self.ku + 1):     # k = column - row
-            diag = self.op[self.ku - k]
-            if k >= 0:
-                out[: n - k] += diag[k:] * z[k:]
-            else:
-                out[-k:] += diag[: n + k] * z[: n + k]
-        return out
-
-    def solve(self):
-        """Banded LU solve; the solution in the natural unknown order and
-        the relative residual of the equilibrated system."""
-        z = spsolve(self.op, self.b, self.kl, self.ku)
-        if not np.all(np.isfinite(z.view(float))):
-            raise SingularSystem("direct solve produced non-finite entries")
-        bnorm = float(np.linalg.norm(self.b))
-        res = float(np.linalg.norm(self.matvec(z) - self.b)) / max(bnorm, 1e-300)
-        if bnorm > 0 and res > 1e-8:
-            raise SingularSystem(
-                f"equilibrated residual {res:.2e} indicates spectral proximity"
-            )
-        return z[self.pcol], res
+    z = spsolve(op, b, 2, 2)
+    if not np.all(np.isfinite(z.view(float))):
+        raise SingularSystem("direct solve produced non-finite entries")
+    bnorm = float(np.linalg.norm(b))
+    res = float(np.linalg.norm(_band_matvec(op, z) - b)) / max(bnorm, 1e-300)
+    if bnorm > 0 and res > 1e-8:
+        raise SingularSystem(
+            f"equilibrated residual {res:.2e} indicates spectral proximity"
+        )
+    return np.concatenate((z[:m], z[m + 1:], z[m: m + 1])), res
 
 
 def spsolve(op, b, kl, ku):
@@ -384,11 +412,13 @@ def spsolve(op, b, kl, ku):
 # ----------------------------------------------------------------------
 
 def solve_fd(ctx, n, nu, r, grid=None):
-    """Staggered-grid banded LU solve of the interface system.
+    """Staggered-grid solve of the interface system, reduced to u2.
 
-    ``r`` is a SampledRHS with r3 = 0.  Returns a GridFunction with the
-    2N+2 unknowns (U at integer nodes, V at half nodes plus V[N] =
-    u2(0)) and the right interface limit of u1.
+    ``r`` is a SampledRHS with r3 = 0.  U is eliminated row by row
+    through the first equation, the N+1 unknowns in V are found from one
+    (2, 2) banded LU, and U and the right interface limit of u1 follow
+    pointwise.  Returns a GridFunction (U at integer nodes, V at half
+    nodes plus V[N] = u2(0)) with the right limit of u1.
     """
     if grid is None:
         grid = r.grid
@@ -403,125 +433,51 @@ def solve_fd(ctx, n, nu, r, grid=None):
     if nk == 0:
         return _solve_fd_n0(ctx, nu, r, grid, omega, sV)
 
-    # coefficients of the effective first-order/second-order system
-    c1 = {s: (sV[s] * (omega / nk) + nk) * (-1j) for s in sV}   # on u1
-    c2 = {s: sV[s] * omega for s in sV}                          # on u2
-    f1 = (1j * omega / nk) * r.r1            # rhs of the u2'/u1 relation
+    # first equation u2' + c1 u1 = f1 at integer nodes, second equation
+    # -u2'' + i nk u1' + c2 u2 = f2 at half nodes
+    c1, inv_c1 = {}, {}
+    for s in sV:
+        a = sV[s] * (omega / nk)
+        c1[s] = (a + nk) * (-1j)
+        if c1[s].log_mag < max(a.log_mag, math.log(abs(nk))) - 30.0:
+            raise SingularSystem(
+                f"c1 = -i (V omega/nk + nk) vanishes on the {s} side "
+                f"(mu_{'-' if s == 'minus' else '+'} = 0)"
+            )
+        inv_c1[s] = _to_complex_soft(1.0 / c1[s])
+    c2 = {s: sV[s] * omega for s in sV}
+    f1 = (1j * omega / nk) * r.r1
     f1_right = (1j * omega / nk) * r.r1_right
-    f2 = -omega * r.r2                       # rhs of the second-order eq
+    f2 = -omega * r.r2
 
-    colU = np.arange(N + 1)
-    colV = N + 1 + np.arange(N + 1)
-    # banded order: U_0, V_0, ..., U_m, V*, V_m, U_{m+1}, V_{m+1}, ..., U_N
-    j = np.arange(N + 1)
-    pcol = np.concatenate((np.where(j <= m, 2 * j, 2 * j + 1),
-                           np.where(j[:N] < m, 2 * j[:N] + 1, 2 * j[:N] + 2),
-                           [2 * m + 1]))
-    # eq-1 row j at U_j, jump row N+1 at V*, eq-2 row N+2+j at V_j
-    prow = np.concatenate((pcol[: N + 1], [2 * m + 1], pcol[N + 1: 2 * N + 1]))
-    asm = _BandAssembler(prow, pcol, kl=5, ku=3)
-
-    # -- first equation at integer nodes (rows 0..N, row N+1 = 0+ limit)
+    # U_j = (f1_j - (D V)_j) / c1 turns i nk (U_{j+1} - U_j)/h into
+    # e (f1_{j+1} - f1_j) - g (V_{j-1} - 2 V_j + V_{j+1}), with
+    # e = i nk/(h c1) and g = e/h: the weight of V_{j+-1} is -1/h^2 - g
     inv_h = 1.0 / h
-    for s, sl in (("minus", np.arange(1, m)), ("plus", np.arange(m + 1, N))):
-        asm.add_block(
-            sl,
-            [(colV[sl], inv_h), (colV[sl - 1], -inv_h), (colU[sl], c1[s])],
-            f1[sl],
-        )
-    asm.add_row(0, [(colV[0], 2.0 * inv_h), (colU[0], c1["minus"])], f1[0])
-    asm.add_row(N, [(colV[N - 1], -2.0 * inv_h), (colU[N], c1["plus"])], f1[N])
-    # left limit at the interface node: one-sided 3-point derivative
-    asm.add_row(
-        m,
-        [
-            (colV[N], 8.0 / (3.0 * h)),
-            (colV[m - 1], -3.0 * inv_h),
-            (colV[m - 2], 1.0 / (3.0 * h)),
-            (colU[m], c1["minus"]),
-        ],
-        f1[m],
-    )
-    # right limit: u1(0+) is eliminated through the jump of i nk u1 - u2'
-    kap = 1j / (3.0 * h * nk)
-    c1p = c1["plus"]
-    asm.add_row(
-        N + 1,
-        [
-            (colU[m], c1p),
-            (colV[m - 2], c1p * kap),
-            (colV[m - 1], c1p * (-9.0 * kap)),
-            (colV[N], c1p * (16.0 * kap) + (-8.0 / (3.0 * h))),
-            (colV[m], c1p * (-9.0 * kap) + 3.0 * inv_h),
-            (colV[m + 1], c1p * kap + (-1.0 / (3.0 * h))),
-        ],
-        f1_right,
-    )
-
-    # -- second equation at half nodes (rows N+2 .. 2N+1)
-    row2 = N + 2 + np.arange(N)
-    ih2 = 1.0 / h**2
     dk = 1j * nk * inv_h
-    for s, sl in (("minus", np.arange(1, m - 1)), ("plus", np.arange(m + 1, N - 1))):
-        asm.add_block(
-            row2[sl],
-            [
-                (colV[sl], 2.0 * ih2 + 0j),
-                (colV[sl - 1], -ih2),
-                (colV[sl + 1], -ih2),
-                (colU[sl + 1], dk),
-                (colU[sl], -dk),
-                (colV[sl], c2[s]),
-            ],
-            f2[sl],
-        )
-    asm.add_row(
-        row2[0],
-        [(colV[0], 3.0 * ih2 + 0j), (colV[1], -ih2),
-         (colU[1], dk), (colU[0], -dk), (colV[0], c2["minus"])],
-        f2[0],
-    )
-    asm.add_row(
-        row2[N - 1],
-        [(colV[N - 1], 3.0 * ih2 + 0j), (colV[N - 2], -ih2),
-         (colU[N], dk), (colU[N - 1], -dk), (colV[N - 1], c2["plus"])],
-        f2[N - 1],
-    )
-    # half nodes adjacent to the interface: one-sided second derivatives
-    asm.add_row(
-        row2[m - 1],
-        [
-            (colV[N], -8.0 / (3.0 * h**2)),
-            (colV[m - 1], 4.0 * ih2 + 0j),
-            (colV[m - 2], -4.0 / (3.0 * h**2)),
-            (colU[m], dk),
-            (colU[m - 1], -dk),
-            (colV[m - 1], c2["minus"]),
-        ],
-        f2[m - 1],
-    )
-    # right-adjacent: u1' uses the eliminated right limit u1(0+)
-    asm.add_row(
-        row2[m],
-        [
-            (colV[N], -8.0 / (3.0 * h**2) - dk * 16.0 * kap),
-            (colV[m], 4.0 * ih2 + 9.0 * dk * kap),
-            (colV[m + 1], -4.0 / (3.0 * h**2) - dk * kap),
-            (colU[m + 1], dk),
-            (colU[m], -dk),
-            (colV[m - 2], -dk * kap),
-            (colV[m - 1], 9.0 * dk * kap),
-            (colV[m], c2["plus"]),
-        ],
-        f2[m],
-    )
+    sides = {}
+    for s in sV:
+        e = dk / c1[s]
+        sides[s] = (-(inv_h * inv_h) - e * inv_h, c2[s], e)
+    df1 = np.diff(f1)
+    df1[m] = f1[m + 1] - f1_right           # the plus side starts at u1(0+)
 
-    z, res = asm.solve()
-    U = z[: N + 1]
-    V = z[N + 1:]
-    u1_right = U[m] + kap * (
-        V[m - 2] - 9.0 * V[m - 1] + 16.0 * V[N] - 9.0 * V[m] + V[m + 1]
-    )
+    # jump row c1_+ u1(0+) + D_+V = f1(0+) with u1(0+) = U_m +
+    # i (D_-V - D_+V)/nk and U_m = (f1_m - D_-V)/c1_-; t = i c1_+/(3h nk)
+    t = c1["plus"] * (1j / (3.0 * h * nk))
+    q = c1["plus"] / c1["minus"]
+    ih3 = 1.0 / (3.0 * h)
+    tq = t - q * ih3
+    star = (tq, tq * (-9.0), t * 16.0 - (q + 1.0) * (8.0 * ih3),
+            t * (-9.0) + 9.0 * ih3, t - ih3)
+    V, res = _solve_v_band(grid, sides, f2, df1, star,
+                           ((1.0, f1_right), (-q, f1[m])))
+
+    du = _u2_prime_at_nodes(V, grid)
+    U = np.empty(N + 1, dtype=complex)
+    U[: m + 1] = (f1[: m + 1] - du[: m + 1]) * inv_c1["minus"]
+    U[m + 1:] = (f1[m + 1:] - du[m + 1:]) * inv_c1["plus"]
+    u1_right = (f1_right - _u2_prime_right(V, grid)) * inv_c1["plus"]
     return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
 
 
@@ -535,44 +491,10 @@ def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
     U[m + 1:] = -r.r1[m + 1:] * inv_Vp
     u1_right = -r.r1_right * inv_Vp
 
-    c2 = {s: sV[s] * omega for s in sV}
-    f2 = -omega * r.r2
-    ih2 = 1.0 / h**2
-    colV = np.arange(N + 1)
-    # banded order V_0, ..., V_{m-1}, V*, V_m, ...; the continuity row at V*
-    pcol = np.concatenate((np.where(colV[:N] < m, colV[:N], colV[:N] + 1), [m]))
-    asm = _BandAssembler(pcol, pcol, kl=2, ku=2)
-    for s, sl in (("minus", np.arange(1, m - 1)), ("plus", np.arange(m + 1, N - 1))):
-        asm.add_block(
-            sl,
-            [(colV[sl], 2.0 * ih2 + 0j), (colV[sl - 1], -ih2),
-             (colV[sl + 1], -ih2), (colV[sl], c2[s])],
-            f2[sl],
-        )
-    asm.add_row(0, [(colV[0], 3.0 * ih2 + 0j), (colV[1], -ih2),
-                    (colV[0], c2["minus"])], f2[0])
-    asm.add_row(N - 1, [(colV[N - 1], 3.0 * ih2 + 0j), (colV[N - 2], -ih2),
-                        (colV[N - 1], c2["plus"])], f2[N - 1])
-    asm.add_row(
-        m - 1,
-        [(colV[N], -8.0 / (3.0 * h**2)), (colV[m - 1], 4.0 * ih2 + 0j),
-         (colV[m - 2], -4.0 / (3.0 * h**2)), (colV[m - 1], c2["minus"])],
-        f2[m - 1],
-    )
-    asm.add_row(
-        m,
-        [(colV[N], -8.0 / (3.0 * h**2)), (colV[m], 4.0 * ih2 + 0j),
-         (colV[m + 1], -4.0 / (3.0 * h**2)), (colV[m], c2["plus"])],
-        f2[m],
-    )
+    sides = {s: (-1.0 / h**2, sV[s] * omega, 0.0) for s in sV}
     # continuity of u2' across the interface closes the system
-    asm.add_row(
-        N,
-        [(colV[N], -16.0 + 0j), (colV[m], 9.0 + 0j), (colV[m + 1], -1.0 + 0j),
-         (colV[m - 1], 9.0 + 0j), (colV[m - 2], -1.0 + 0j)],
-        0j,
-    )
-    V, res = asm.solve()
+    star = (-1.0, 9.0, -16.0, 9.0, -1.0)
+    V, res = _solve_v_band(grid, sides, -omega * r.r2, None, star, ())
     return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
 
 

@@ -439,7 +439,7 @@ def _synthesize_complex(table, x, y, t, M=None):
     psi = np.zeros((3,) + x.shape, dtype=complex)
     for nu in range(1, M + 1):
         damp = math.exp(nu * ctx.omega_I * t)
-        for n in range(-nu, nu + 1):
+        for n in range(-nu, nu + 1, 2):      # n + nu odd entries are zero
             gf = table.get(n, nu)
             if gf is None:
                 continue
@@ -586,7 +586,7 @@ def maxwell_residual(ctx, table, sample_points, M=None):
 
     modes = []
     for nu in range(1, M_ + 1):
-        for n in range(-nu, nu + 1):
+        for n in range(-nu, nu + 1, 2):      # n + nu odd entries are zero
             gf = table.get(n, nu)
             if gf is None:
                 continue

@@ -332,7 +332,55 @@ class TestModelGuards:
             dispersion_G(ctx, 1, 1.0 - 0.1j, 10.0)
 
 
+def _scaled_complex():
+    """Complex numbers with parts 0 or of magnitude 1e-100 .. 1e91."""
+    part = st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, m, e: sign * m * 10.0**e,
+                  st.sampled_from((-1.0, 1.0)), st.floats(1.0, 10.0),
+                  st.integers(-100, 90)),
+    )
+    return st.builds(complex, part, part)
+
+
+def _close(got, want, scale):
+    """|got - want| within 1e-12 of the operands' magnitude."""
+    return abs(got - want) <= 1e-12 * scale + 1e-300
+
+
 class TestScaledArithmetic:
+    @given(_scaled_complex(), _scaled_complex())
+    @settings(max_examples=200, deadline=None)
+    def test_add_sub_consistency(self, z1, z2):
+        s1, s2 = ScaledComplex.from_complex(z1), ScaledComplex.from_complex(z2)
+        scale = max(abs(z1), abs(z2))
+        assert _close((s1 + s2).to_complex(), z1 + z2, scale)
+        assert _close((s1 - s2).to_complex(), z1 - z2, scale)
+        # mixed operands coerce the plain complex
+        assert _close((s1 + z2).to_complex(), z1 + z2, scale)
+        assert _close((z1 - s2).to_complex(), z1 - z2, scale)
+
+    @given(_scaled_complex(), _scaled_complex())
+    @settings(max_examples=200, deadline=None)
+    def test_div_consistency(self, z1, z2):
+        if z2 == 0:
+            with pytest.raises(ZeroDivisionError):
+                ScaledComplex.from_complex(z1) / ScaledComplex.from_complex(z2)
+            return
+        want = z1 / z2
+        s = ScaledComplex.from_complex(z1) / ScaledComplex.from_complex(z2)
+        assert _close(s.to_complex(), want, abs(want))
+        assert _close((z1 / ScaledComplex.from_complex(z2)).to_complex(),
+                      want, abs(want))
+
+    @given(_scaled_complex())
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_consistency(self, z):
+        want = cmath.sqrt(z)
+        s = ScaledComplex.from_complex(z).sqrt().to_complex()
+        assert _close(s, want, abs(want))
+        assert s.real >= 0.0
+
     @given(
         st.floats(-50, 50), st.floats(-50, 50),
         st.floats(-50, 50), st.floats(-50, 50),

@@ -8,6 +8,7 @@ agree with each other far below the scheme error.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from breather import resolvent
+from breather._scaled import ScaledComplex
 from breather.errors import ResolventViolation, SingularSystem
 from breather.pencil import eigenfunction, spectral_quantities
 from breather.resolvent import (
@@ -210,54 +212,161 @@ def bump_rhs(grid):
     return SampledRHS.from_sides(grid, (f1, f2), (f1, f2))
 
 
-def captured_solve(monkeypatch):
-    """Record every band assembler whose system gets solved."""
+def random_rhs(grid, seed=7):
+    """Unstructured data, with r1 jumping across the interface."""
+    rng = np.random.default_rng(seed)
+    z = lambda size: rng.normal(size=size) + 1j * rng.normal(size=size)
+    return SampledRHS(grid, z(grid.N + 1), z(grid.N), r1_right=complex(z(1)[0]))
+
+
+def captured_spsolve(monkeypatch):
+    """Record the (op, b, kl, ku) of every banded LU solve."""
     seen = []
-    solve = resolvent._BandAssembler.solve
+    solve = resolvent.spsolve
 
-    def spy(self):
-        seen.append(self)
-        return solve(self)
+    def spy(op, b, kl, ku):
+        seen.append((op.copy(), b.copy(), kl, ku))
+        return solve(op, b, kl, ku)
 
-    monkeypatch.setattr(resolvent._BandAssembler, "solve", spy)
+    monkeypatch.setattr(resolvent, "spsolve", spy)
     return seen
 
 
+def full_system(ctx, n, nu, r):
+    """The unreduced staggered system of the module docstring.
+
+    Unknowns in natural order: U_0..U_N, then V_0..V_{N-1}, V* = u2(0).
+    Rows: the first equation at each integer node (n = 0: V u1 = -r1),
+    the jump row (n = 0: continuity of u2'), the second equation at each
+    half node.  Each row is scaled by its largest coefficient.  Returns
+    the CSR matrix, the right side, and a map from a solution to
+    (U, V, u1_right).
+    """
+    g = r.grid
+    N, h, m = g.N, g.h, g.mid
+    om = ctx.omega(n, nu)
+    nk = n * ctx.k
+    V_p, V_m, _, _ = spectral_quantities(ctx, n, nu).as_complex(strict=True)
+    Vs = {"minus": V_m, "plus": V_p}
+    side = lambda j: "minus" if j <= m else "plus"
+    U = lambda j: j
+    V = lambda j: N + 1 + j              # V(N) is V*
+    Dm = {V(N): 8 / (3 * h), V(m - 1): -9 / (3 * h), V(m - 2): 1 / (3 * h)}
+    Dp = {V(N): -8 / (3 * h), V(m): 9 / (3 * h), V(m + 1): -1 / (3 * h)}
+    if nk:
+        c1 = {s: -1j * (Vs[s] * om / nk + nk) for s in Vs}
+        f1 = (1j * om / nk) * r.r1
+        f1_right = (1j * om / nk) * r.r1_right
+        # u1(0+) = U_m + i (D_- V - D_+ V) / nk
+        u1p = {U(m): 1.0}
+        for col, w in Dm.items():
+            u1p[col] = u1p.get(col, 0) + 1j * w / nk
+        for col, w in Dp.items():
+            u1p[col] = u1p.get(col, 0) - 1j * w / nk
+    rows, rhs = [], []
+
+    def add(terms, b):
+        row = {}
+        for col, w in terms:
+            row[col] = row.get(col, 0) + w
+        scale = max(abs(w) for w in row.values())
+        rows.append({col: w / scale for col, w in row.items()})
+        rhs.append(b / scale)
+
+    for j in range(N + 1):
+        s = side(j)
+        if not nk:
+            add([(U(j), Vs[s])], -r.r1[j])
+            continue
+        if j == 0:
+            du = [(V(0), 2 / h)]
+        elif j == N:
+            du = [(V(N - 1), -2 / h)]
+        elif j == m:
+            du = list(Dm.items())
+        else:
+            du = [(V(j), 1 / h), (V(j - 1), -1 / h)]
+        add(du + [(U(j), c1[s])], f1[j])
+    if nk:
+        add(list(Dp.items()) + [(c, c1["plus"] * w) for c, w in u1p.items()],
+            f1_right)
+    else:
+        add([(c, -w) for c, w in Dm.items()] + list(Dp.items()), 0.0)
+    for j in range(N):
+        s = "minus" if j < m else "plus"
+        if j == 0:
+            d2 = [(V(0), -3), (V(1), 1)]
+        elif j == N - 1:
+            d2 = [(V(N - 1), -3), (V(N - 2), 1)]
+        elif j == m - 1:
+            d2 = [(V(N), 8 / 3), (V(m - 1), -4), (V(m - 2), 4 / 3)]
+        elif j == m:
+            d2 = [(V(N), 8 / 3), (V(m), -4), (V(m + 1), 4 / 3)]
+        else:
+            d2 = [(V(j - 1), 1), (V(j), -2), (V(j + 1), 1)]
+        terms = [(c, -w / h**2) for c, w in d2] + [(V(j), Vs[s] * om)]
+        if nk:
+            left = list(u1p.items()) if j == m else [(U(j), 1.0)]
+            terms += [(U(j + 1), 1j * nk / h)]
+            terms += [(c, -1j * nk / h * w) for c, w in left]
+        add(terms, -om * r.r2[j])
+
+    size = 2 * N + 2
+    ri = [i for i, row in enumerate(rows) for _ in row]
+    ci = [c for row in rows for c in row]
+    vals = [w for row in rows for w in row.values()]
+    A = csr_matrix((vals, (ri, ci)), shape=(size, size), dtype=complex)
+
+    def fields(z):
+        Uz, Vz = z[: N + 1], z[N + 1:]
+        if nk:
+            u1_right = sum(w * z[c] for c, w in u1p.items())
+        else:
+            u1_right = -r.r1_right / V_p
+        return Uz, Vz, u1_right
+
+    return A, np.array(rhs), fields
+
+
+def relerr(a, ref):
+    a, ref = np.atleast_1d(a), np.atleast_1d(ref)
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
 class TestBandedSolve:
-    """The interleaved banded LU against a general sparse LU of the same
-    equilibrated system in its natural row and column order."""
+    """The (2, 2) band in u2 against a general sparse LU of the full
+    staggered system in U and V."""
 
     @pytest.mark.parametrize("N", [4, 8, 400])
-    @pytest.mark.parametrize("n, nu, bands", [(1, 2, (5, 3)), (0, 2, (2, 2))])
+    @pytest.mark.parametrize("n, nu, bands", [
+        (1, 2, (2, 2)), (0, 2, (2, 2)), (2, 2, (2, 2)), (1, 5, (2, 2)),
+    ])
     def test_matches_sparse_lu(self, ctx, monkeypatch, N, n, nu, bands):
-        seen = captured_solve(monkeypatch)
+        seen = captured_spsolve(monkeypatch)
         g = StaggeredGrid(40.0, N)
-        sol = solve_fd(ctx, n, nu, bump_rhs(g), g)
-        (asm,) = seen
-        kl, ku = asm.kl, asm.ku
+        r = random_rhs(g)
+        sol = solve_fd(ctx, n, nu, r, g)
+        ((op, b, kl, ku),) = seen
         assert (kl, ku) == bands
-        assert np.any(asm.op[0]) and np.any(asm.op[-1])   # both used
+        assert op.shape == (5, N + 1) and b.shape == (N + 1,)
+        assert np.any(op[0]) and np.any(op[-1])   # the jump row reaches both
 
-        size = asm.b.size
-        row_of = np.argsort(asm.prow)       # banded row -> natural row
-        col_of = np.argsort(asm.pcol)       # banded column -> natural column
-        band_row, col = np.nonzero(asm.op)
-        i = band_row - ku + col
-        A = csr_matrix((asm.op[band_row, col], (row_of[i], col_of[col])),
-                       shape=(size, size))
-        z_ref = spsolve(A, asm.b[asm.prow])
-        z = sol.V if n == 0 else np.concatenate((sol.U, sol.V))
-        assert np.max(np.abs(z - z_ref)) <= 1e-10 * np.max(np.abs(z_ref))
+        A, rhs, fields = full_system(ctx, n, nu, r)
+        U, V, u1_right = fields(spsolve(A, rhs))
+        assert relerr(sol.U, U) <= 1e-10
+        assert relerr(sol.V, V) <= 1e-10
+        assert relerr(sol.u1_right, u1_right) <= 1e-10
         assert sol.residual < 1e-12
 
     def test_zero_pivot_names_harmonic(self, ctx, monkeypatch):
-        solve = resolvent._BandAssembler.solve
+        solve = resolvent.spsolve
 
-        def singular(self):
-            self.op[:, 3] = 0.0         # an empty column: exact zero pivot
-            return solve(self)
+        def singular(op, b, kl, ku):
+            op = op.copy()
+            op[:, 3] = 0.0              # an empty column: exact zero pivot
+            return solve(op, b, kl, ku)
 
-        monkeypatch.setattr(resolvent._BandAssembler, "solve", singular)
+        monkeypatch.setattr(resolvent, "spsolve", singular)
         g = StaggeredGrid(40.0, 400)
         with pytest.raises(SingularSystem, match="zero pivot"):
             solve_fd(ctx, 1, 2, bump_rhs(g), g)
@@ -265,6 +374,69 @@ class TestBandedSolve:
             build_series(ctx, g, eps=0.5, nu_max=2, solver="fd")
         assert (info.value.n, info.value.nu) == (0, 2)
         assert "zero pivot" in str(info.value)
+
+
+class TestVanishingC1:
+    """c1 = -i (V omega/nk + nk) vanishes exactly when mu = 0."""
+
+    @staticmethod
+    def patch(ctx, monkeypatch, side, at):
+        real = resolvent.spectral_quantities
+
+        def fake(ctx_, n, nu):
+            sq = real(ctx_, n, nu)
+            if (n, nu) != at:
+                return sq
+            V = ScaledComplex.from_complex(-(n * ctx.k) ** 2 / ctx.omega(n, nu))
+            return dataclasses.replace(sq, **{f"V_{side}": V})
+
+        monkeypatch.setattr(resolvent, "spectral_quantities", fake)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_raises_naming_side(self, ctx, monkeypatch, side):
+        self.patch(ctx, monkeypatch, side, (1, 2))
+        g = StaggeredGrid(40.0, 400)
+        with pytest.raises(SingularSystem, match=f"{side} side"):
+            solve_fd(ctx, 1, 2, bump_rhs(g), g)
+
+    def test_build_series_names_harmonic(self, ctx, monkeypatch):
+        self.patch(ctx, monkeypatch, "plus", (2, 2))
+        g = StaggeredGrid(40.0, 400)
+        with pytest.raises(ResolventViolation) as info:
+            build_series(ctx, g, eps=0.5, nu_max=2, solver="fd")
+        assert (info.value.n, info.value.nu) == (2, 2)
+        assert "plus side" in str(info.value)
+
+
+class TestFullEquationResidual:
+    """The solution of the reduced system satisfies both staggered
+    equations in plain complex arithmetic at the interior nodes."""
+
+    @pytest.mark.parametrize("n, nu", [(1, 2), (1, 3), (2, 2)])
+    def test_fine_grid(self, ctx, n, nu):
+        g = StaggeredGrid(40.0, 128000)
+        r = bump_rhs(g)
+        sol = solve_fd(ctx, n, nu, r, g)
+        N, h, m = g.N, g.h, g.mid
+        om, nk = ctx.omega(n, nu), n * ctx.k
+        V_p, V_m, _, _ = spectral_quantities(ctx, n, nu).as_complex(strict=True)
+        U, V = sol.U, sol.V
+        res1, rhs1, res2, rhs2 = [], [], [], []
+        for Vs, j1, j2 in ((V_m, np.arange(1, m), np.arange(1, m - 1)),
+                           (V_p, np.arange(m + 1, N), np.arange(m + 1, N - 1))):
+            c1 = -1j * (Vs * om / nk + nk)
+            f1 = (1j * om / nk) * r.r1[j1]
+            res1.append((V[j1] - V[j1 - 1]) / h + c1 * U[j1] - f1)
+            rhs1.append(f1)
+            f2 = -om * r.r2[j2]
+            d2 = (V[j2 - 1] - 2.0 * V[j2] + V[j2 + 1]) / h**2
+            res2.append(-d2 + 1j * nk * (U[j2 + 1] - U[j2]) / h
+                        + Vs * om * V[j2] - f2)
+            rhs2.append(f2)
+        for res, rhs in ((res1, rhs1), (res2, rhs2)):
+            rel = (np.linalg.norm(np.concatenate(res))
+                   / np.linalg.norm(np.concatenate(rhs)))
+            assert rel < 5e-10
 
 
 def loop_sweep(f, c, backward):
