@@ -39,7 +39,9 @@ class ScaledComplex:
         z = complex(z)
         if z == 0:
             return cls.zero()
-        return cls(math.log(abs(z)), cmath.phase(z))
+        # not cmath.phase: it raises OverflowError when the phase
+        # underflows (2 + 5e-324j); atan2 gives 0.0 and agrees elsewhere
+        return cls(math.log(abs(z)), math.atan2(z.imag, z.real))
 
     @classmethod
     def exp(cls, w):
@@ -111,7 +113,7 @@ class ScaledComplex:
         if rest == 0:
             return ScaledComplex.zero()
         return ScaledComplex(
-            big.log_mag + math.log(abs(rest)), cmath.phase(rest)
+            big.log_mag + math.log(abs(rest)), math.atan2(rest.imag, rest.real)
         )
 
     __radd__ = __add__

@@ -28,6 +28,7 @@ from .errors import ConfigError, DegenerateError, QuadratureNotConverged, ZeroOn
 from .pencil import (
     ContourRectangle,
     TolerancePack,
+    _oscillator_quartic,
     coefficient_scale,
     dispersion_G_inf,
     dispersion_G_inf_deriv,
@@ -103,7 +104,8 @@ class AssumptionReport:
 # Non-degeneracy quantities of the untruncated model
 # ----------------------------------------------------------------------
 
-def _denominator(cstar2, gamma, wR, wI, n, nu):
+def _denominator(ws, gamma, wR, wI, n, nu):
+    cstar2 = ws * ws - gamma * gamma
     a = cstar2 + (gamma + nu * wI) ** 2 - (n * wR) ** 2
     return a * a + 4.0 * (n * wR) ** 2 * (gamma + nu * wI) ** 2
 
@@ -113,33 +115,38 @@ def admittance_inf(ctx, omega0_inf, n, nu, c_L=None):
 
     Evaluated for the untruncated oscillator model on the dispersive side,
     written out with real/imaginary parts separated so the formula stays
-    meaningful arbitrarily deep in the lower half plane.  ``c_L`` overrides
-    the oscillator coupling of the material when given.
+    meaningful arbitrarily deep in the lower half plane, below
+    Im omega = -gamma, where ``UntruncatedLorentz.ft`` raises
+    ``DomainError``.  ``c_L`` overrides the oscillator coupling of the
+    material when given.
     """
     m = ctx.interface.minus
     gamma, ws = m.gamma, m.omega_star
     if c_L is None:
         c_L = m.c_L
-    cstar2 = ws * ws - gamma * gamma
     eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
     c0inv2 = eps0 * mu0
     wR, wI = omega0_inf.real, omega0_inf.imag
     alpha = n * wR * (ws * ws - (n * wR) ** 2 - (nu * wI) ** 2)
     beta = ((n * wR) ** 2 + (nu * wI) ** 2) * (2.0 * gamma + nu * wI) \
         + ws * ws * nu * wI
-    den = _denominator(cstar2, gamma, wR, wI, n, nu)
+    den = _denominator(ws, gamma, wR, wI, n, nu)
     return -c0inv2 * (
         n * wR + 1j * nu * wI + c_L * (alpha + 1j * beta) / den
     )
 
 
 def transverse_rate_sq_inf(ctx, omega0_inf, n, nu, c_L=None):
-    """Closed-form mu_-^2 at the cone frequency for the untruncated model."""
+    """Closed-form mu_-^2 at the cone frequency for the untruncated model.
+
+    Written out like ``admittance_inf`` to continue the Lorentz
+    permittivity below Im omega = -gamma, where ``UntruncatedLorentz.ft``
+    raises ``DomainError``.
+    """
     m = ctx.interface.minus
     gamma, ws = m.gamma, m.omega_star
     if c_L is None:
         c_L = m.c_L
-    cstar2 = ws * ws - gamma * gamma
     eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
     c0inv2 = eps0 * mu0
     wR, wI = omega0_inf.real, omega0_inf.imag
@@ -148,7 +155,7 @@ def transverse_rate_sq_inf(ctx, omega0_inf, n, nu, c_L=None):
     alpha_t = -(a2 + b2) * (a2 + b2 + 2.0 * gamma * nu * wI) \
         - ws * ws * (b2 - a2)
     beta_t = 2.0 * n * wR * (gamma * (a2 + b2) + ws * ws * nu * wI)
-    den = _denominator(cstar2, gamma, wR, wI, n, nu)
+    den = _denominator(ws, gamma, wR, wI, n, nu)
     return (
         (n * ctx.k) ** 2
         - c0inv2 * (a2 - b2 + 2j * n * wR * nu * wI)
@@ -290,7 +297,6 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
 
     # -- truncation-window grid form -----------------------------------
     T = getattr(m, "T", None)
-    cstar = math.sqrt(m.omega_star**2 - gamma**2)
     if T is None:
         results.append(CheckResult(
             name="B6", status="unverifiable", margin=0.0,
@@ -298,7 +304,7 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
         ))
         frac = 0.0
     else:
-        j = T * cstar / math.pi
+        j = T * m.c_star / math.pi
         j_odd = 2.0 * round((j - 1.0) / 2.0) + 1.0
         off = abs(j - j_odd)
         results.append(CheckResult(
@@ -460,27 +466,28 @@ class DrudeParams:
 
 
 def _drude_quartic(p):
-    """Coefficients of the polynomial part of the Drude dispersion.
+    """The oscillator quartic with the Drude mapping gamma_L = gamma/2,
+    omega_*^2 = 0, c_L = c_D:
 
     P(w) = (w^2 + i gamma w) (k^2 eps_+/eps0 + k^2 - mu0 eps_+ w^2)
            - c_D (k^2 - mu0 eps_+ w^2);
     its roots in the strip -gamma < Im w < 0 are the untruncated
     eigenvalue candidates.
     """
-    eps_plus = p.eps0 * (1.0 + p.alpha)
-    A = p.mu0 * eps_plus
-    e = p.k**2 * eps_plus / p.eps0 + p.k**2
-    return np.array(
-        [-A, -1j * p.gamma * A, e + p.c_D * A, 1j * p.gamma * e,
-         -p.c_D * p.k**2],
-        dtype=complex,
-    )
+    return _oscillator_quartic(p.k**2, p.eps0 * (1.0 + p.alpha), p.eps0,
+                               p.mu0, 0.5 * p.gamma, 0.0, p.c_D)
 
 
 def _drude_F(p, T, omega):
     """Truncated Drude dispersion function and its derivative.
 
-    Vectorized over ``omega`` (scalars and arrays both work).
+    F = e^{-i omega T} G, with G = P + e^{i omega T} phi in the form
+    ``pencil.dispersion_G`` uses for Lorentz.  The extra factor keeps
+    log|F| flat on the contour: log|G| varies by T times the rectangle
+    height, about 42 at T = 200 and 210 at T = 1000 on the default Drude
+    rectangle, past the 27.6 dip at which the zero probe of
+    ``winding_count_function`` rejects a contour.  Vectorized over
+    ``omega`` (scalars and arrays both work).
     """
     omega = np.asarray(omega, dtype=complex)
     eps_plus = p.eps0 * (1.0 + p.alpha)

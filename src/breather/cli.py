@@ -38,8 +38,14 @@ from .pencil import (
     untruncated_eigenvalues,
     winding_count,
 )
-from .resolvent import SampledRHS, StaggeredGrid, fd_convergence_study
+from .resolvent import (
+    SampledRHS,
+    StaggeredGrid,
+    _loglog_slope,
+    fd_convergence_study,
+)
 from .series import build_series, decay_profile, synthesize
+from .susceptibility import window_T
 
 __all__ = ["main"]
 
@@ -111,21 +117,13 @@ def _t_schedule(cfg, spec):
         raise ConfigError(
             "a window schedule in j needs the two-pole dispersive model"
         )
-    cstar = math.sqrt(minus.omega_star**2 - minus.gamma**2)
     out = []
     for tok in spec.split(","):
         j = int(tok)
         if j < 1 or j % 2 == 0:
             raise ConfigError(f"schedule entries must be positive odd, got {j}")
-        out.append((j, j * math.pi / cstar))
+        out.append((j, window_T(j, minus.gamma, minus.omega_star)))
     return out
-
-
-def _loglog_slope(xs, ys):
-    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0]
-    if len(pts) < 2:
-        return float("nan")
-    return float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])
 
 
 # ----------------------------------------------------------------------

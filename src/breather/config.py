@@ -31,6 +31,7 @@ from .susceptibility import (
     TruncatedLorentz,
     UntruncatedDrude,
     UntruncatedLorentz,
+    window_T,
 )
 
 __all__ = [
@@ -159,8 +160,7 @@ def config_from_dict(data, **overrides):
             raise ConfigError(
                 f"config: need omega_star > gamma, got {omega_star} <= {gamma}"
             )
-        cstar = math.sqrt(omega_star**2 - gamma**2)
-        T = j * math.pi / cstar
+        T = window_T(j, gamma, omega_star)
     elif T is not None:
         T = float(T)
 

@@ -71,11 +71,6 @@ class PencilContext:
     def omega_I(self):
         return self.omega0.imag
 
-    @property
-    def physically_decaying(self):
-        """Solutions decay in time iff omega_I <= 0."""
-        return self.omega0 is not None and self.omega_I <= 0
-
     def omega(self, n, nu):
         """Mixed multiple omega^{(n,nu)} = n omega_R + i nu omega_I."""
         return n * self.omega_R + 1j * nu * self.omega_I
@@ -202,10 +197,14 @@ def _lorentz_params(ctx):
 
 
 def _dispersion_pieces(ctx, n, omega, T):
-    """(polynomial part P, window prefactor -c_L*R*B, exponent (i*omega-gamma)T).
+    """(polynomial part P, window prefactor W = -c_L*R*B, exponent
+    (i*omega-gamma)T, deriv), with
 
-    G_n(omega, T) = P(omega) + e^{(i omega - gamma) T} * (-c_L R(omega) B(omega)).
-    Vectorized over omega.
+        G_n(omega, T) = P(omega) + e^{(i omega - gamma) T} * W(omega).
+
+    deriv() returns (dP/domega, dW/domega) from the same den_L, A, B and
+    R, so only callers that need the derivative pay for it.  Vectorized
+    over omega.
     """
     m, eps_plus = _lorentz_params(ctx)
     eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
@@ -214,30 +213,18 @@ def _dispersion_pieces(ctx, n, omega, T):
     den_L = omega * omega + 2j * m.gamma * omega - m.omega_star**2
     A = (K / eps0 - omega * omega * mu0) * eps_plus + K
     B = K - omega * omega * mu0 * eps_plus
+    cs = m.c_star
+    R = (1j * omega - m.gamma) / cs * math.sin(cs * T) - math.cos(cs * T)
     P = A * den_L - m.c_L * B
-    cs = m.c_star
-    R = (1j * omega - m.gamma) / cs * math.sin(cs * T) - math.cos(cs * T)
-    return P, -m.c_L * R * B, (1j * omega - m.gamma) * T
 
+    def deriv():
+        dden = 2 * omega + 2j * m.gamma
+        dB = -2 * omega * mu0 * eps_plus        # = dA
+        dP = dB * den_L + A * dden - m.c_L * dB
+        dR = 1j / cs * math.sin(cs * T)
+        return dP, -m.c_L * (dR * B + R * dB)
 
-def _dispersion_pieces_deriv(ctx, n, omega, T):
-    """d/d omega of (P, -c_L R B) and of the exponent."""
-    m, eps_plus = _lorentz_params(ctx)
-    eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
-    K = (n * ctx.k) ** 2
-    omega = np.asarray(omega, dtype=complex) if np.ndim(omega) else complex(omega)
-    den_L = omega * omega + 2j * m.gamma * omega - m.omega_star**2
-    dden = 2 * omega + 2j * m.gamma
-    A = (K / eps0 - omega * omega * mu0) * eps_plus + K
-    dA = -2 * omega * mu0 * eps_plus
-    B = K - omega * omega * mu0 * eps_plus
-    dB = -2 * omega * mu0 * eps_plus
-    dP = dA * den_L + A * dden - m.c_L * dB
-    cs = m.c_star
-    R = (1j * omega - m.gamma) / cs * math.sin(cs * T) - math.cos(cs * T)
-    dR = 1j / cs * math.sin(cs * T)
-    dW = -m.c_L * (dR * B + R * dB)
-    return dP, dW, -m.c_L * R * B
+    return P, -m.c_L * R * B, (1j * omega - m.gamma) * T, deriv
 
 
 def dispersion_G(ctx, n, omega, T):
@@ -246,20 +233,20 @@ def dispersion_G(ctx, n, omega, T):
     Its zeros (outside the singular set Omega_0) are exactly the
     eigenvalues of the truncated interface pencil.
     """
-    P, W, expo = _dispersion_pieces(ctx, n, omega, T)
+    P, W, expo, _ = _dispersion_pieces(ctx, n, omega, T)
     return P + cmath.exp(expo) * W
 
 
 def dispersion_G_scaled(ctx, n, omega, T):
     """G_n(omega, T) in scaled arithmetic, valid arbitrarily deep in Im omega."""
-    P, W, expo = _dispersion_pieces(ctx, n, omega, T)
+    P, W, expo, _ = _dispersion_pieces(ctx, n, omega, T)
     return ScaledComplex.from_complex(P) + ScaledComplex.exp(expo) * W
 
 
 def dispersion_G_deriv(ctx, n, omega, T):
     """Analytic derivative d G_n/d omega (closed form, no finite differences)."""
-    P, W, expo = _dispersion_pieces(ctx, n, omega, T)
-    dP, dW, _ = _dispersion_pieces_deriv(ctx, n, omega, T)
+    _, W, expo, deriv = _dispersion_pieces(ctx, n, omega, T)
+    dP, dW = deriv()
     return dP + cmath.exp(expo) * (dW + 1j * T * W)
 
 def dispersion_logderiv(ctx, n, omega, T):
@@ -271,8 +258,8 @@ def dispersion_logderiv(ctx, n, omega, T):
     """
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
-    P, W, expo = _dispersion_pieces(ctx, n, omega, T)
-    dP, dW, _ = _dispersion_pieces_deriv(ctx, n, omega, T)
+    P, W, expo, deriv = _dispersion_pieces(ctx, n, omega, T)
+    dP, dW = deriv()
     out = np.empty(omega.shape, dtype=complex)
     safe = np.real(expo) < 600.0
     if safe.any():
@@ -288,23 +275,34 @@ def dispersion_logderiv(ctx, n, omega, T):
     return complex(out[0]) if scalar else out
 
 
-def _quartic_coeffs(ctx, n):
-    m, eps_plus = _lorentz_params(ctx)
-    eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
-    K = (n * ctx.k) ** 2
+def _oscillator_quartic(K, eps_plus, eps0, mu0, gamma, omega_star_sq, c):
+    """Coefficients, highest power first, of the polynomial dispersion
+
+        (w^2 + 2i gamma w - omega_*^2) (K eps_+/eps0 + K - mu0 eps_+ w^2)
+            - c (K - mu0 eps_+ w^2)
+
+    of a one-oscillator side against a constant one.  Lorentz: gamma,
+    omega_*^2 and c = c_L as given; Drude: gamma/2, 0 and c = c_D.
+    """
     q2 = mu0 * eps_plus
     q0 = K * (eps_plus / eps0 + 1.0)
-    gamma, ws2 = m.gamma, m.omega_star**2
     return np.array(
         [
             -q2,
             -2j * gamma * q2,
-            q0 + q2 * ws2 + m.c_L * mu0 * eps_plus,
+            q0 + q2 * omega_star_sq + c * mu0 * eps_plus,
             2j * gamma * q0,
-            -q0 * ws2 - m.c_L * K,
+            -q0 * omega_star_sq - c * K,
         ],
         dtype=complex,
     )
+
+
+def _quartic_coeffs(ctx, n):
+    m, eps_plus = _lorentz_params(ctx)
+    itf = ctx.interface
+    return _oscillator_quartic((n * ctx.k) ** 2, eps_plus, itf.eps0, itf.mu0,
+                               m.gamma, m.omega_star**2, m.c_L)
 
 
 def dispersion_G_inf(ctx, n, omega):

@@ -51,6 +51,13 @@ can carry magnitudes far outside double range deep in the index cone;
 they are formed in log-scaled arithmetic and equilibrated, one scale
 per side and one for the jump row, before a banded LU solve (LAPACK
 ``zgbsv``).  U and u1(0+) then follow pointwise.
+
+``solve_analytic`` returns u3 with its samples; after ``solve_fd``,
+``reconstruct_u3`` forms u3 and its right interface limit from u1 and
+u2' with the same interface stencils.  Every staggered field, here and
+in ``series``, is evaluated between its samples by ``_interp_sides``:
+linear interpolation of x < 0 on the minus-side knots and of x >= 0 on
+the plus-side knots, each side carrying its own limit at x = 0.
 """
 
 import math
@@ -67,11 +74,9 @@ __all__ = [
     "StaggeredGrid",
     "GridFunction",
     "SampledRHS",
-    "ResolventPieces",
     "solve_fd",
     "solve_analytic",
     "reconstruct_u3",
-    "interface_u3_right",
     "fd_convergence_study",
 ]
 
@@ -164,45 +169,46 @@ class GridFunction:
 
     # -- pointwise evaluation (side-aware linear interpolation) ---------
     def eval_u1(self, x):
-        g = self.grid
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        neg = x < 0
-        m = g.mid
-        out[neg] = np.interp(x[neg], g.x[: m + 1], self.U[: m + 1])
-        xp = np.concatenate(([0.0], g.x[m + 1:]))
-        fp = np.concatenate(([self.u1_right], self.U[m + 1:]))
-        out[~neg] = np.interp(x[~neg], xp, fp)
-        return out
+        return _interp_sides(x, *_node_knots(self.grid, self.U, self.u1_right))
 
     def eval_u2(self, x):
-        g = self.grid
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        neg = x < 0
-        m = g.mid
-        xm = np.concatenate(([-g.d], g.x_half[:m], [0.0]))
-        fm = np.concatenate(([0.0], self.V[:m], [self.V[g.N]]))
-        out[neg] = np.interp(x[neg], xm, fm)
-        xp = np.concatenate(([0.0], g.x_half[m:], [g.d]))
-        fp = np.concatenate(([self.V[g.N]], self.V[m: g.N], [0.0]))
-        out[~neg] = np.interp(x[~neg], xp, fp)
-        return out
+        g, m, N = self.grid, self.grid.mid, self.grid.N
+        V = self.V
+        return _interp_sides(
+            x,
+            np.concatenate(([-g.d], g.x_half[:m], [0.0])),
+            np.concatenate(([0.0], V[:m], [V[N]])),
+            np.concatenate(([0.0], g.x_half[m:], [g.d])),
+            np.concatenate(([V[N]], V[m:N], [0.0])),
+        )
 
     def eval_u3(self, x):
+        """u3 by interpolation; without ``w_right`` the left limit W[m]
+        serves both sides."""
         if self.W is None:
             raise ValueError("u3 samples not attached; run reconstruct_u3")
-        g = self.grid
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        neg = x < 0
-        m = g.mid
-        out[neg] = np.interp(x[neg], g.x[: m + 1], self.W[: m + 1])
-        w_right = self.W[m] if self.w_right is None else self.w_right
-        xp = np.concatenate(([0.0], g.x[m + 1:]))
-        fp = np.concatenate(([w_right], self.W[m + 1:]))
-        out[~neg] = np.interp(x[~neg], xp, fp)
-        return out
+        w_right = self.W[self.grid.mid] if self.w_right is None else self.w_right
+        return _interp_sides(x, *_node_knots(self.grid, self.W, w_right))
+
+
+def _interp_sides(x, xm, fm, xp, fp):
+    """Linear interpolation of x < 0 on the knots (xm, fm) and of x >= 0
+    on (xp, fp); each side's knots carry that side's limits at x = 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    neg = x < 0
+    out[neg] = np.interp(x[neg], xm, fm)
+    out[~neg] = np.interp(x[~neg], xp, fp)
+    return out
+
+
+def _node_knots(grid, f, f_right):
+    """Knots of integer-node samples f (left limit f[m] at the interface)
+    with the right limit f_right, for ``_interp_sides``."""
+    m = grid.mid
+    return (grid.x[: m + 1], f[: m + 1],
+            np.concatenate(([0.0], grid.x[m + 1:])),
+            np.concatenate(([f_right], f[m + 1:])))
 
 
 @dataclass
@@ -268,18 +274,6 @@ class SampledRHS:
         # the first plus-side cell must use the right interface limit
         out[m] = 0.5 * (self.r1_right + self.r1[m + 1])
         return out
-
-
-@dataclass
-class ResolventPieces:
-    """Constituents of the variation-of-constants solution."""
-
-    C_plus: complex
-    C_minus: complex
-    rho1_plus: np.ndarray
-    rho2_plus: np.ndarray
-    rho1_minus: np.ndarray
-    rho2_minus: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -473,11 +467,11 @@ def solve_fd(ctx, n, nu, r, grid=None):
     V, res = _solve_v_band(grid, sides, f2, df1, star,
                            ((1.0, f1_right), (-q, f1[m])))
 
-    du = _u2_prime_at_nodes(V, grid)
+    du, du_right = _u2_prime(V, grid)
     U = np.empty(N + 1, dtype=complex)
     U[: m + 1] = (f1[: m + 1] - du[: m + 1]) * inv_c1["minus"]
     U[m + 1:] = (f1[m + 1:] - du[m + 1:]) * inv_c1["plus"]
-    u1_right = (f1_right - _u2_prime_right(V, grid)) * inv_c1["plus"]
+    u1_right = (f1_right - du_right) * inv_c1["plus"]
     return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
 
 
@@ -502,42 +496,31 @@ def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
 # u3 reconstruction
 # ----------------------------------------------------------------------
 
-def _u2_prime_at_nodes(V, grid):
-    """u2' at integer nodes (left-limit convention at the interface)."""
+def _u2_prime(V, grid):
+    """u2' at the integer nodes (left limit at the interface node) and
+    its right interface limit, with the solver's stencils."""
     N, h, m = grid.N, grid.h, grid.mid
     du = np.empty(N + 1, dtype=complex)
     du[1:N] = (V[1:N] - V[0: N - 1]) / h
     du[0] = 2.0 * V[0] / h
     du[N] = -2.0 * V[N - 1] / h
     du[m] = (8.0 * V[N] - 9.0 * V[m - 1] + V[m - 2]) / (3.0 * h)
-    return du
+    return du, (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h)
 
 
-def _u2_prime_right(V, grid):
-    N, h, m = grid.N, grid.h, grid.mid
-    return (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h)
+def reconstruct_u3(ctx, n, nu, gf):
+    """u3 = (u2' - i nk u1)/(i omega) from the solved u1 and u2.
 
-
-def reconstruct_u3(ctx, n, nu, U, V, grid):
-    """u3 = (u2' - i nk u1)/(i omega) at integer nodes.
-
-    Uses the same one-sided stencils near the interface as the solver;
-    the returned array follows the left-limit convention at node N/2.
+    Uses the same one-sided stencils near the interface as the solver.
+    Returns (W, w_right): W at the integer nodes with the left-limit
+    convention at node N/2, and the right interface limit.
     """
     omega = ctx.omega(n, nu)
     if omega == 0:
         raise ZeroFrequency("u3 reconstruction needs omega != 0")
-    du = _u2_prime_at_nodes(np.asarray(V, dtype=complex), grid)
-    return (du - 1j * n * ctx.k * np.asarray(U, dtype=complex)) / (1j * omega)
-
-
-def interface_u3_right(ctx, n, nu, gf):
-    """Right interface limit of the reconstructed u3."""
-    omega = ctx.omega(n, nu)
-    if omega == 0:
-        raise ZeroFrequency("u3 reconstruction needs omega != 0")
-    du = _u2_prime_right(gf.V, gf.grid)
-    return (du - 1j * n * ctx.k * gf.u1_right) / (1j * omega)
+    du, du_right = _u2_prime(gf.V, gf.grid)
+    return ((du - 1j * n * ctx.k * gf.U) / (1j * omega),
+            (du_right - 1j * n * ctx.k * gf.u1_right) / (1j * omega))
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +553,8 @@ def solve_analytic(ctx, n, nu, r):
     factor is ever materialized; each recurrence is one bidiagonal band
     solve.  u1 follows algebraically per side.
 
-    Returns (GridFunction, ResolventPieces).
+    Returns a GridFunction carrying U, V, the right limit of u1, and u3
+    (W with its right limit).
     """
     grid = r.grid
     N, h, m = grid.N, grid.h, grid.mid
@@ -673,14 +657,8 @@ def solve_analytic(ctx, n, nu, r):
     U[m + 1:] = (nk * u3[m + 1:] - r.r1[m + 1:]) * inv_Vp
     u1_right = (nk * u3_right - r.r1_right) * inv_Vp
 
-    gf = GridFunction(grid, U, Vfull, u1_right=u1_right,
-                      W=u3, w_right=u3_right)
-    pieces = ResolventPieces(
-        C_plus=C_plus, C_minus=C_minus,
-        rho1_plus=rho1_p, rho2_plus=rho2_p,
-        rho1_minus=rho1_m, rho2_minus=rho2_m,
-    )
-    return gf, pieces
+    return GridFunction(grid, U, Vfull, u1_right=u1_right,
+                        W=u3, w_right=u3_right)
 
 
 def _decay_sweep(f, c, backward):
@@ -759,9 +737,14 @@ def fd_convergence_study(ctx, n, nu, rhs, N_list, reference=None,
             continue
         sol = solve_fd(ctx, n, nu, rhs(g), g)
         table.append((N, _grid_error(sol, reference)))
-    pts = [(math.log(N), math.log(e)) for N, e in table if e > 0]
-    slope = float("nan")
-    if len(pts) >= 2:
-        slope = float(np.polyfit([p[0] for p in pts],
-                                 [p[1] for p in pts], 1)[0])
-    return {"table": table, "slope": slope}
+    return {"table": table,
+            "slope": _loglog_slope([N for N, _ in table], [e for _, e in table])}
+
+
+def _loglog_slope(xs, ys):
+    """Least-squares slope of log y against log x over the points with
+    y > 0; nan with fewer than two."""
+    pts = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > 0]
+    if len(pts) < 2:
+        return float("nan")
+    return float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])

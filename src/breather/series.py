@@ -46,9 +46,9 @@ from .pencil import eigenfunction, spectral_quantities
 from .resolvent import (
     GridFunction,
     SampledRHS,
-    _u2_prime_at_nodes,
-    _u2_prime_right,
-    interface_u3_right,
+    _interp_sides,
+    _node_knots,
+    _u2_prime,
     reconstruct_u3,
     solve_analytic,
     solve_fd,
@@ -101,11 +101,6 @@ class NonlinearRHS:
         """The (-n, nu) source: h^{-n,nu} = -conj(h^{n,nu})."""
         return NonlinearRHS(self.grid, -np.conj(self.h1), -np.conj(self.h2),
                             -np.conj(self.h1_right))
-
-    def max_abs(self):
-        m1 = float(np.max(np.abs(self.h1))) if self.h1.size else 0.0
-        m2 = float(np.max(np.abs(self.h2))) if self.h2.size else 0.0
-        return max(m1, m2, abs(self.h1_right))
 
 
 @dataclass
@@ -390,7 +385,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
             if solver == "fd":
                 gf = solve_fd(ctx, n, nu, r, grid)
             else:
-                gf, _ = solve_analytic(ctx, n, nu, r)
+                gf = solve_analytic(ctx, n, nu, r)
         except SingularSystem as exc:
             raise ResolventViolation(n, nu, str(exc)) from exc
         except OverflowGuard as exc:
@@ -398,8 +393,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
         except (ValueError, ArithmeticError) as exc:
             raise SolverError(f"solve failed at ({n},{nu}): {exc}") from exc
         if gf.W is None:
-            gf.W = reconstruct_u3(ctx, n, nu, gf.U, gf.V, grid)
-            gf.w_right = interface_u3_right(ctx, n, nu, gf)
+            gf.W, gf.w_right = reconstruct_u3(ctx, n, nu, gf)
         return h, gf
 
     growth = 0
@@ -460,7 +454,11 @@ def synthesize(table, x, y, t, M=None):
 
 def d_field_modal(ctx, table, n, nu, route="operator"):
     """Modal displacement field (D1 at integer nodes, D2 at half nodes,
-    D1 right limit, D2 interface value).
+    D1 right limit, D2 left and right interface limits).
+
+    D2 jumps at x = 0 with the permittivity; its right limit takes the
+    nonlinear part h2(0+) extrapolated from the first two plus-side
+    half nodes.
 
     route='operator': D = -(B u_E + h)/omega^{(n,nu)} using the stored
     nonlinear source.  route='convolution': the explicit polarization
@@ -474,12 +472,11 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     grid = table.grid
     if gf is None:
         z = np.zeros(grid.N + 1, dtype=complex)
-        return z, z[: grid.N], 0j, 0j
+        return z, z[: grid.N], 0j, 0j, 0j
     h = table.get_h(n, nu)
     if h is None:
         h = NonlinearRHS.zero(grid)
     m = grid.mid
-    sides = _side_samples(gf)
     itf = ctx.interface
 
     if route == "operator":
@@ -498,8 +495,12 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
         D1_right = -(Vp * gf.u1_right + h.h1_right) / omega
         D2[:m] = -(Vm * gf.V[:m] + h.h2[:m]) / omega
         D2[m:] = -(Vp * gf.V[m: grid.N] + h.h2[m:]) / omega
-        D2_if = -(Vm * gf.V[grid.N]) / omega
-        return D1, D2, D1_right, D2_if
+        D2_left = -(Vm * gf.V[grid.N]) / omega
+        # h2 is sampled at the half nodes only: its right interface
+        # limit is extrapolated from the first two plus-side ones
+        h2_right = 1.5 * h.h2[m] - 0.5 * h.h2[m + 1]
+        D2_right = -(Vp * gf.V[grid.N] + h2_right) / omega
+        return D1, D2, D1_right, D2_left, D2_right
 
     if route != "convolution":
         raise ValueError("route must be 'operator' or 'convolution'")
@@ -516,40 +517,16 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     D1_right = itf.mu0 * eps_p * gf.u1_right
     D2[:m] = itf.mu0 * eps_m * gf.V[:m]
     D2[m:] = itf.mu0 * eps_p * gf.V[m: grid.N]
-    D2_if = itf.mu0 * eps_m * gf.V[grid.N]
+    D2_left = itf.mu0 * eps_m * gf.V[grid.N]
+    D2_right = itf.mu0 * eps_p * gf.V[grid.N]
 
     # quadratic + cubic polarization sums = -h/omega, reassembled fresh
     h2_ = assemble_h(ctx, table, n, nu)
     D1 += -h2_.h1 / omega
     D1_right += -h2_.h1_right / omega
     D2 += -h2_.h2 / omega
-    return D1, D2, D1_right, D2_if
-
-
-def _interp_int(grid, arr, right_val, x):
-    """Integer-family interpolation with the left/right limit split."""
-    m = grid.mid
-    out = np.empty(x.shape, dtype=complex)
-    neg = x < 0
-    out[neg] = np.interp(x[neg], grid.x[: m + 1], arr[: m + 1])
-    xp = np.concatenate(([0.0], grid.x[m + 1:]))
-    fp = np.concatenate(([right_val], arr[m + 1:]))
-    out[~neg] = np.interp(x[~neg], xp, fp)
-    return out
-
-
-def _interp_half(grid, arr, interface_val, x):
-    """Half-family interpolation with the shared interface value."""
-    m, N = grid.mid, grid.N
-    out = np.empty(x.shape, dtype=complex)
-    neg = x < 0
-    xm = np.concatenate((grid.x_half[:m], [0.0]))
-    fm = np.concatenate((arr[:m], [interface_val]))
-    out[neg] = np.interp(x[neg], xm, fm)
-    xp = np.concatenate(([0.0], grid.x_half[m:]))
-    fp = np.concatenate(([interface_val], arr[m:]))
-    out[~neg] = np.interp(x[~neg], xp, fp)
-    return out
+    D2_right += -(1.5 * h2_.h2[m] - 0.5 * h2_.h2[m + 1]) / omega
+    return D1, D2, D1_right, D2_left, D2_right
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +540,7 @@ def divergence_residual(ctx, table, n, nu):
     fields are divergence free); the discrete value is O(h^2) * ||u||.
     """
     grid = table.grid
-    D1, D2, D1r, _ = d_field_modal(ctx, table, n, nu, route="operator")
+    D1, D2, D1r, _, _ = d_field_modal(ctx, table, n, nu, route="operator")
     h, m, N = grid.h, grid.mid, grid.N
     dD1 = np.empty(N, dtype=complex)
     dD1[:] = (D1[1:] - D1[:-1]) / h
@@ -582,7 +559,7 @@ def maxwell_residual(ctx, table, sample_points, M=None):
     """
     grid = table.grid
     M_ = table.nu_max if M is None else min(M, table.nu_max)
-    h, m, N = grid.h, grid.mid, grid.N
+    h, m, xh = grid.h, grid.mid, grid.x_half
 
     modes = []
     for nu in range(1, M_ + 1):
@@ -590,28 +567,35 @@ def maxwell_residual(ctx, table, sample_points, M=None):
             gf = table.get(n, nu)
             if gf is None:
                 continue
-            D1, D2, D1r, D2i = d_field_modal(ctx, table, n, nu)
+            D1, D2, D1r, D2m, D2p = d_field_modal(ctx, table, n, nu)
             du3 = (gf.W[1:] - gf.W[:-1]) / h
             du3[m] = (gf.W[m + 1] - gf.w_right) / h
-            du2 = _u2_prime_at_nodes(gf.V, grid)
-            du2_r = _u2_prime_right(gf.V, grid)
-            modes.append((n, nu, gf, D1, D2, D1r, D2i, du3, du2, du2_r))
+            du2, du2_r = _u2_prime(gf.V, grid)
+            knots = (
+                _node_knots(grid, D1, D1r),
+                # D2 on the half nodes, each side ending at its own limit
+                (np.concatenate((xh[:m], [0.0])),
+                 np.concatenate((D2[:m], [D2m])),
+                 np.concatenate(([0.0], xh[m:])),
+                 np.concatenate(([D2p], D2[m:]))),
+                # d_x u3 on the half nodes, with no interface value
+                (xh[:m], du3[:m], xh[m:], du3[m:]),
+                _node_knots(grid, du2, du2_r),
+            )
+            modes.append((n, nu, gf, knots))
 
     worst = 0.0
     for (xs, ys, ts) in sample_points:
         x = np.atleast_1d(float(xs))
         R = np.zeros(3, dtype=complex)
         scale = 0.0
-        for (n, nu, gf, D1, D2, D1r, D2i, du3, du2, du2_r) in modes:
+        for (n, nu, gf, knots) in modes:
             om = ctx.omega(n, nu)
             ph = complex(np.exp(-1j * n * (ctx.omega_R * ts - ctx.k * ys))
                          * math.exp(nu * ctx.omega_I * ts))
-            u1 = _interp_int(grid, gf.U, gf.u1_right, x)[0]
-            u3 = _interp_int(grid, gf.W, gf.w_right, x)[0]
-            d1 = _interp_int(grid, D1, D1r, x)[0]
-            d2 = _interp_half(grid, D2, D2i, x)[0]
-            dxu3 = _interp_half_noif(grid, du3, x)[0]
-            dxu2 = _interp_int(grid, du2, du2_r, x)[0]
+            u1 = gf.eval_u1(x)[0]
+            u3 = gf.eval_u3(x)[0]
+            d1, d2, dxu3, dxu2 = (_interp_sides(x, *k)[0] for k in knots)
             # -d_y psi3 + d_t D1 ; d_x psi3 + d_t D2 ;
             # -d_y psi1 + d_x psi2 + d_t psi3
             R[0] += ph * (-1j * n * ctx.k * u3 - 1j * om * d1)
@@ -622,17 +606,6 @@ def maxwell_residual(ctx, table, sample_points, M=None):
         if scale > 0:
             worst = max(worst, float(np.max(np.abs(R))) / scale)
     return worst
-
-
-def _interp_half_noif(grid, arr, x):
-    """Half-family interpolation without an interface value (one-sided
-    nearest-cell extension across x = 0)."""
-    m, N = grid.mid, grid.N
-    out = np.empty(x.shape, dtype=complex)
-    neg = x < 0
-    out[neg] = np.interp(x[neg], grid.x_half[:m], arr[:m])
-    out[~neg] = np.interp(x[~neg], grid.x_half[m:], arr[m:])
-    return out
 
 
 def decay_profile(table, weight="period"):

@@ -34,11 +34,8 @@ __all__ = [
     "Constant",
     "NonlinearSusceptibility",
     "MaterialInterface",
+    "window_T",
     "ft_chi1",
-    "ft_chi1_scaled",
-    "permittivity",
-    "permittivity_scaled",
-    "d_hat",
     "ft_chi2_untruncated",
     "ft_chi2_truncated",
     "ft_chi3_truncated",
@@ -64,6 +61,16 @@ def _lorentz_denominator(omega, gamma, omega_star):
     return omega * omega + 2j * gamma * omega - omega_star * omega_star
 
 
+def _c_star(gamma, omega_star):
+    """c_* = sqrt(omega_*^2 - gamma^2), the damped oscillation frequency."""
+    return math.sqrt(omega_star**2 - gamma**2)
+
+
+def window_T(j, gamma, omega_star):
+    """Memory window T = j pi / c_* of the window index j."""
+    return j * math.pi / _c_star(gamma, omega_star)
+
+
 @dataclass(frozen=True)
 class UntruncatedLorentz(LinearSusceptibility):
     """chi^(1)(omega) = -c_L / (omega^2 + 2 i gamma omega - omega_*^2)."""
@@ -78,7 +85,7 @@ class UntruncatedLorentz(LinearSusceptibility):
 
     @property
     def c_star(self):
-        return math.sqrt(self.omega_star**2 - self.gamma**2)
+        return _c_star(self.gamma, self.omega_star)
 
     def ft(self, omega):
         omega = complex(omega)
@@ -106,9 +113,7 @@ class TruncatedLorentz(LinearSusceptibility):
                 "c_L > 0, T > 0"
             )
 
-    @property
-    def c_star(self):
-        return math.sqrt(self.omega_star**2 - self.gamma**2)
+    c_star = UntruncatedLorentz.c_star
 
     def _bracket(self, omega):
         """The window factor multiplying the untruncated transform."""
@@ -189,11 +194,6 @@ class Constant(LinearSusceptibility):
 def ft_chi1(model, omega):
     """Closed-form Fourier-Laplace transform chi^(1)(omega) of the model."""
     return model.ft(omega)
-
-
-def ft_chi1_scaled(model, omega):
-    """Same as ft_chi1 but in overflow-safe log-polar representation."""
-    return model.ft_scaled(omega)
 
 
 # ----------------------------------------------------------------------
@@ -377,11 +377,6 @@ def _cache_key(ws):
     return tuple(sorted(ws, key=lambda w: (w.real, w.imag)))
 
 
-def d_hat(nl, omega):
-    """Oscillator transfer function of the nonlinear model at omega."""
-    return nl.d_hat(omega)
-
-
 def ft_chi2_untruncated(nl, omega1, omega2):
     """c^(2)_{jpq} D(omega1) D(omega2) D(omega1+omega2), componentwise."""
     scalar = nl.d_hat(omega1) * nl.d_hat(omega2) * nl.d_hat(omega1 + omega2)
@@ -451,13 +446,3 @@ class MaterialInterface:
 
     def permittivity_scaled(self, side, omega):
         return self.eps0 * (1.0 + self.side_model(side).ft_scaled(omega))
-
-
-def permittivity(interface, side, omega):
-    """eps_side(omega) = eps0 (1 + chi^(1)_side(omega))."""
-    return interface.permittivity(side, omega)
-
-
-def permittivity_scaled(interface, side, omega):
-    """Overflow-safe permittivity in log-polar representation."""
-    return interface.permittivity_scaled(side, omega)

@@ -10,6 +10,7 @@ import pytest
 
 from breather.checks import (
     DrudeParams,
+    _drude_quartic,
     admittance_inf,
     check_A6_cone,
     check_B,
@@ -146,6 +147,27 @@ class TestDrudeDemo:
         counts = dict(demo["counts"])
         assert counts[50.0] >= 1
         assert counts[1000.0] == 0
+
+    def test_quartic_is_the_drude_expansion(self):
+        """The shared oscillator quartic under the Drude mapping against
+        (w^2 + i gamma w)(k^2 eps_+/eps0 + k^2 - mu0 eps_+ w^2)
+        - c_D (k^2 - mu0 eps_+ w^2) written out directly."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p = DrudeParams(c_D=rng.uniform(0.1, 10.0),
+                            gamma=rng.uniform(0.05, 3.0),
+                            alpha=rng.uniform(-0.9, 5.0),
+                            k=rng.uniform(0.1, 5.0),
+                            eps0=rng.uniform(0.5, 2.0),
+                            mu0=rng.uniform(0.5, 2.0))
+            eps_p = p.eps0 * (1.0 + p.alpha)
+            w = rng.normal(size=8) + 1j * rng.normal(size=8)
+            q = p.k**2 - p.mu0 * eps_p * w * w
+            direct = ((w * w + 1j * p.gamma * w)
+                      * (p.k**2 * eps_p / p.eps0 + q) - p.c_D * q)
+            got = np.polyval(_drude_quartic(p), w)
+            scale = np.polyval(np.abs(_drude_quartic(p)), np.abs(w))
+            assert np.all(np.abs(got - direct) <= 1e-13 * scale)
 
     def test_untruncated_roots_in_strip(self):
         p = DrudeParams(c_D=4.0, gamma=0.5, alpha=2.0, k=3.0)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import logging
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -270,3 +272,13 @@ class TestImportFootprint:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize(
+        "module", sorted(m.name for m in pkgutil.iter_modules(breather.__path__)))
+    def test_all_names_resolve(self, module):
+        """A deleted function cannot leave a stale export behind."""
+        mod = importlib.import_module(f"breather.{module}")
+        names = getattr(mod, "__all__", [])
+        assert [n for n in names if not hasattr(mod, n)] == []

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from breather._scaled import ScaledComplex
@@ -386,6 +386,7 @@ class TestScaledArithmetic:
         st.floats(-50, 50), st.floats(-50, 50),
     )
     @settings(max_examples=80, deadline=None)
+    @example(0.0, 0.0, 2.0, 5e-324)     # phase underflows to 0
     def test_product_consistency(self, a, b, c, d):
         z1, z2 = complex(a, b), complex(c, d)
         s = ScaledComplex.from_complex(z1) * ScaledComplex.from_complex(z2)
@@ -399,6 +400,13 @@ class TestScaledArithmetic:
     def test_exp_log_roundtrip(self, re, im):
         s = ScaledComplex.exp(complex(re, im))
         assert math.isclose(s.log_mag, re, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_underflowing_phase(self):
+        # arg(2 + 5e-324j) underflows: cmath.phase raises OverflowError
+        assert ScaledComplex.from_complex(2 + 5e-324j).phase == 0.0
+        # 1 + e^{i 5e-324} adds up to the same number
+        s = ScaledComplex(0.0, 0.0) + ScaledComplex(0.0, 5e-324)
+        assert s.phase == 0.0 and s.to_complex() == 2.0
 
     def test_overflow_safe_magnitudes(self):
         big = ScaledComplex.exp(5000.0 + 1.0j)

@@ -21,6 +21,7 @@ from breather._scaled import ScaledComplex
 from breather.errors import ResolventViolation, SingularSystem
 from breather.pencil import eigenfunction, spectral_quantities
 from breather.resolvent import (
+    GridFunction,
     SampledRHS,
     StaggeredGrid,
     fd_convergence_study,
@@ -107,7 +108,7 @@ class TestManufacturedOracle:
         errors = []
         for N in (1000, 2000):
             g = StaggeredGrid(40.0, N)
-            sol, _ = solve_analytic(
+            sol = solve_analytic(
                 ctx, 1, 2, SampledRHS.from_sides(g, rm, rp)
             )
             eU, eV = errs(g, sol, wm, wp)
@@ -119,7 +120,7 @@ class TestManufacturedOracle:
         rm, rp, wm, wp = manufactured(ctx, 1, 2)
         rhs = SampledRHS.from_sides(g, rm, rp)
         sol = solve_fd(ctx, 1, 2, rhs, g)
-        sola, _ = solve_analytic(ctx, 1, 2, rhs)
+        sola = solve_analytic(ctx, 1, 2, rhs)
         gap = math.sqrt(
             g.h * (np.sum(np.abs(sol.U - sola.U) ** 2)
                    + np.sum(np.abs(sol.V - sola.V) ** 2))
@@ -140,7 +141,7 @@ class TestManufacturedOracle:
     def test_zero_rhs_gives_zero(self, ctx, grid_small):
         z = solve_fd(ctx, 1, 2, SampledRHS.zero(grid_small), grid_small)
         assert np.max(np.abs(z.U)) == 0.0 and np.max(np.abs(z.V)) == 0.0
-        za, _ = solve_analytic(ctx, 1, 2, SampledRHS.zero(grid_small))
+        za = solve_analytic(ctx, 1, 2, SampledRHS.zero(grid_small))
         assert np.max(np.abs(za.U)) == 0.0 and np.max(np.abs(za.V)) == 0.0
 
 
@@ -186,11 +187,69 @@ class TestReconstruction:
         V = np.empty(g.N + 1, dtype=complex)
         V[: g.N] = phi(xh)[1]
         V[g.N] = phi.value_at_interface
-        u3 = reconstruct_u3(ctx, 1, 1, U, V, g)
+        ratio = phi.mu_minus / phi.mu_plus
+        gf = GridFunction(g, U, V, u1_right=1j * ctx.k * ratio)
+        u3, u3_right = reconstruct_u3(ctx, 1, 1, gf)
         phi3 = vals[2].copy()
         phi3[m] = -1j * phi.V_minus
         rel = np.max(np.abs(u3 - phi3)) / np.max(np.abs(phi3))
         assert rel < 1e-3
+        phi3_right = 1j * ratio * phi.V_plus
+        assert abs(u3_right - phi3_right) < 1e-3 * np.max(np.abs(phi3))
+
+
+class TestEvaluation:
+    """Side-aware linear interpolation of the staggered samples."""
+
+    @staticmethod
+    def random_gf(w_right=True):
+        g = StaggeredGrid(4.0, 8)
+        rng = np.random.default_rng(3)
+        z = lambda: rng.normal(size=g.N + 1) + 1j * rng.normal(size=g.N + 1)
+        return GridFunction(g, z(), z(), u1_right=2.5 - 1.5j, W=z(),
+                            w_right=-0.5 + 3j if w_right else None)
+
+    def test_u1_limits_at_interface(self):
+        gf = self.random_gf()
+        g, m = gf.grid, gf.grid.mid
+        assert gf.eval_u1(0.0)[()] == gf.u1_right
+        # x < 0 interpolates towards the left limit U[m]
+        assert gf.eval_u1(-0.5 * g.h)[()] == pytest.approx(
+            0.5 * (gf.U[m - 1] + gf.U[m]), rel=1e-15)
+        assert gf.eval_u1(0.5 * g.h)[()] == pytest.approx(
+            0.5 * (gf.u1_right + gf.U[m + 1]), rel=1e-15)
+
+    def test_u2_walls_and_interface(self):
+        gf = self.random_gf()
+        g = gf.grid
+        assert np.all(gf.eval_u2(np.array([-g.d, g.d])) == 0.0)
+        assert gf.eval_u2(0.0)[()] == gf.V[g.N]
+
+    def test_u3_falls_back_to_left_limit(self):
+        gf = self.random_gf(w_right=False)
+        m = gf.grid.mid
+        assert gf.eval_u3(0.0)[()] == gf.W[m]
+        assert self.random_gf().eval_u3(0.0)[()] == -0.5 + 3j
+
+    def test_midpoints_are_averages(self):
+        gf = self.random_gf()
+        g, m, N = gf.grid, gf.grid.mid, gf.grid.N
+        # integer-node cells away from the interface
+        cells = np.array([j for j in range(N) if j not in (m - 1, m)])
+        xm = g.x[cells] + 0.5 * g.h
+        for ev, arr in ((gf.eval_u1, gf.U), (gf.eval_u3, gf.W)):
+            np.testing.assert_allclose(
+                ev(xm), 0.5 * (arr[cells] + arr[cells + 1]), rtol=1e-14)
+        # half-node cells, the wall and interface end cells included
+        xh = g.x_half
+        knots_m = np.concatenate(([-g.d], xh[:m], [0.0]))
+        vals_m = np.concatenate(([0.0], gf.V[:m], [gf.V[N]]))
+        knots_p = np.concatenate(([0.0], xh[m:], [g.d]))
+        vals_p = np.concatenate(([gf.V[N]], gf.V[m:N], [0.0]))
+        for knots, vals in ((knots_m, vals_m), (knots_p, vals_p)):
+            mid = 0.5 * (knots[:-1] + knots[1:])
+            np.testing.assert_allclose(
+                gf.eval_u2(mid), 0.5 * (vals[:-1] + vals[1:]), rtol=1e-14)
 
 
 class TestConvergenceStudy:

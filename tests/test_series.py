@@ -206,6 +206,16 @@ class TestFieldDiagnostics:
         mr = maxwell_residual(ctx, table, pts, M=5)
         assert mr < 10.0 * table.grid.h**2 + 1e-3
 
+    def test_maxwell_residual_right_of_interface(self, ctx):
+        # D2 jumps with the permittivity at x = 0: the x >= 0 side must
+        # interpolate towards its right limit, not the left one
+        res = []
+        for N in (2000, 8000):
+            g = StaggeredGrid(40.0, N)
+            t = build_series(ctx, g, eps=0.5, nu_max=3, solver="fd")
+            res.append(maxwell_residual(ctx, t, [(0.25 * g.h, 0.3, 0.8)]))
+        assert res[0] / res[1] >= 3.0
+
 
 class TestDecayAndSolvers:
     def test_decay_profile_monotone_tail(self, table):
