@@ -12,160 +12,68 @@ g[b, a+b], and the integral of e^{a u1 + b u2 + c u3} over the ordered
 simplex {0 <= u1 <= u2 <= u3 <= T} is the second divided difference
 g[c, b+c, a+b+c].
 
-Near-confluent nodes are handled by switching to limit formulas
-(Taylor/Hermite-Genocchi) instead of the cancellation-prone difference
-quotients.  All functions are vectorized over numpy arrays of complex
-nodes.
+All of them come from one kernel through the Opitz identity
+
+    g[x_1, ..., x_m] = T^m exp[0, x_1 T, ..., x_m T],
+
+whose right side is the corner entry of exp of the upper bidiagonal matrix
+with diagonal (0, x_1 T, ..., x_m T) and unit superdiagonal (McCurdy, Ng &
+Parlett, Math. Comp. 1984).  That exponential is taken by scaling and
+squaring (Al-Mohy & Higham, SIMAX 2009), so confluent and near-confluent
+nodes need no special case.  All functions are vectorized over numpy
+arrays of complex nodes.
 """
 
 import numpy as np
 
-# Relative node separation below which difference quotients switch to the
-# confluent limit formulas.
-_CONFLUENT_TOL = 1e-3
-
-# Degree-5 quadrature on the unit triangle {t1, t2 >= 0, t1 + t2 <= 1}
-# (barycentric-symmetric 7-point rule; weights sum to 1, measure 1/2).
-_TRI7_W = np.array(
-    [0.225]
-    + [0.13239415278850618] * 3
-    + [0.12593918054482715] * 3
-)
-_a1, _b1 = 0.059715871789769820, 0.47014206410511508
-_a2, _b2 = 0.79742698535308731, 0.10128650732345633
-_TRI7_P = np.array(
-    [
-        (1.0 / 3.0, 1.0 / 3.0),
-        (_a1, _b1), (_b1, _a1), (_b1, _b1),
-        (_a2, _b2), (_b2, _a2), (_b2, _b2),
-    ]
-)
+# Taylor degree for nodes of modulus <= 1/2: the first dropped term of an
+# m-th divided difference is (1/2)^(18-m)/(18-m)! relative, below 3e-17
+# for m <= 3.
+_TAYLOR_DEGREE = 17
 
 
-def _psi_series(w, m, n_terms=40):
-    """psi_m(w) = integral_0^1 s^m e^{w s} ds via its Taylor series.
+def _exp_divided_difference(w):
+    """exp[0, w_1, ..., w_m] for nodes stacked on the leading axis of w.
 
-    Accurate (no cancellation) for moderate |w|; used below a switch radius.
-    """
-    out = np.zeros_like(w)
-    term = np.ones_like(w)  # w^k / k!
-    for k in range(n_terms):
-        out = out + term / (k + m + 1)
-        term = term * w / (k + 1)
-    return out
-
-
-def _psi(w, m):
-    """psi_m(w) = integral_0^1 s^m e^{w s} ds, stable for all complex w.
-
-    Small |w|: series.  Large |w|: upward recursion
-    psi_m = (e^w - m psi_{m-1})/w starting from psi_0 = (e^w - 1)/w.
+    Each element is scaled by its own power of two 2^-s, so that its nodes
+    have modulus <= 1/2, and squared back s times; elements never mix, and
+    a batch gives the same bits as its members one at a time.
     """
     w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 4.0
-    out = np.empty_like(w)
-    if small.any():
-        out[small] = _psi_series(w[small], m)
-    big = ~small
-    if big.any():
-        wb = w[big]
-        ew = np.exp(wb)
-        val = (ew - 1.0) / wb
-        for j in range(1, m + 1):
-            val = (ew - j * val) / wb
-        out[big] = val
-    return out
+    s = np.maximum(np.frexp(2.0 * np.abs(w).max(axis=0))[1], 0)
+    c = np.ldexp(1.0, -s)
+    v = np.concatenate([np.zeros_like(w[:1]), w * c])
+    n = len(v)
+    # X = exp(B), B = diag(v) + c * superdiagonal, is upper triangular and
+    # kept as its diagonals, x[d][i] = X[i, i+d].  Horner on sum_k B^k/k!
+    # updates (B X)[i, j] = v_i X[i, j] + c X[i+1, j].
+    x = [np.ones_like(v)] + [np.zeros_like(v[d:]) for d in range(1, n)]
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        vk, ck = v / k, c / k
+        x = [1.0 + vk * x[0]] + [vk[:n - d] * x[d] + ck * x[d - 1][1:]
+                                 for d in range(1, n)]
+    for r in range(1, s.max(initial=0) + 1):
+        sq = [sum(x[e][:n - d] * x[d - e][e:e + n - d] for e in range(d + 1))
+              for d in range(n)]
+        x = [np.where(r <= s, new, old) for new, old in zip(sq, x)]
+    return x[-1][0]
 
 
-def g_window(z, T, deriv=0):
-    """m-th derivative of g(z) = integral_0^T e^{zt} dt, vectorized.
-
-    g^{(m)}(z) = integral_0^T t^m e^{zt} dt = T^{m+1} psi_m(zT).
-    """
+def g_window(z, T):
+    """g(z) = integral_0^T e^{zt} dt = (e^{zT} - 1)/z, vectorized."""
     z = np.asarray(z, dtype=complex)
-    return T ** (deriv + 1) * _psi(z * T, deriv)
-
-
-def _node_scale(*nodes):
-    s = np.full(np.broadcast(*nodes).shape, 1.0)
-    for x in nodes:
-        s = np.maximum(s, np.abs(x))
-    return s
-
-
-def divided_difference_1(x, y, T):
-    """First divided difference g[x, y] of the window integral.
-
-    Equals the integral of e^{a u1 + b u2} over {0 <= u1 <= u2 <= T} when
-    called as g[b, a+b].  Near-confluent pairs use the midpoint Taylor
-    limit g[x, y] = g'(m) + (y-x)^2 g'''(m)/24 + O((y-x)^4).
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    x, y = np.broadcast_arrays(x, y)
-    sep = np.abs(y - x)
-    close = sep < _CONFLUENT_TOL * _node_scale(x, y)
-    out = np.empty(x.shape, dtype=complex)
-    far = ~close
-    if far.any():
-        out[far] = (g_window(y[far], T) - g_window(x[far], T)) / (y[far] - x[far])
-    if close.any():
-        m = 0.5 * (x[close] + y[close])
-        d2 = (y[close] - x[close]) ** 2
-        out[close] = g_window(m, T, 1) + d2 / 24.0 * g_window(m, T, 3)
-    return out
-
-
-def divided_difference_2(x, y, z, T):
-    """Second divided difference g[x, y, z] (symmetric in its nodes).
-
-    Equals the integral of e^{a u1 + b u2 + c u3} over the ordered simplex
-    {0 <= u1 <= u2 <= u3 <= T} when called as g[c, b+c, a+b+c].
-
-    Well-separated triples use the difference of first divided differences,
-    dividing by the largest pairwise gap.  Clustered triples integrate g''
-    over the Hermite-Genocchi simplex with a degree-5 rule.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    x, y, z = np.broadcast_arrays(x, y, z)
-    scale = _node_scale(x, y, z)
-    nodes = np.stack([x, y, z])
-
-    # Reorder each triple so the first/last nodes realize the largest gap.
-    seps = np.stack(
-        [np.abs(y - x), np.abs(z - y), np.abs(z - x)]
-    )  # gaps (x,y), (y,z), (x,z)
-    widest = np.argmax(seps, axis=0)
-    first = np.choose(widest, [x, y, x])
-    last = np.choose(widest, [y, z, z])
-    mid = np.choose(widest, [z, x, y])
-
-    out = np.empty(x.shape, dtype=complex)
-    clustered = np.max(seps, axis=0) < _CONFLUENT_TOL * scale
-    ok = ~clustered
-    if ok.any():
-        f, m, l = first[ok], mid[ok], last[ok]
-        out[ok] = (
-            divided_difference_1(m, l, T) - divided_difference_1(f, m, T)
-        ) / (l - f)
-    if clustered.any():
-        base = nodes[:, clustered]
-        acc = np.zeros(base.shape[1], dtype=complex)
-        for (t1, t2), w in zip(_TRI7_P, _TRI7_W):
-            arg = base[0] + t1 * (base[1] - base[0]) + t2 * (base[2] - base[0])
-            acc += w * g_window(arg, T, 2)
-        out[clustered] = 0.5 * acc
-    return out
+    return T * _exp_divided_difference(z[None] * T)
 
 
 def triangle_transform(a, b, T):
     """Integral of e^{a u1 + b u2} over {0 <= u1 <= u2 <= T}."""
-    return divided_difference_1(np.asarray(b, dtype=complex), a + b, T)
+    b = np.asarray(b, dtype=complex)
+    nodes = np.stack(np.broadcast_arrays(b, a + b))
+    return T**2 * _exp_divided_difference(nodes * T)
 
 
 def simplex_transform(a, b, c, T):
     """Integral of e^{a u1 + b u2 + c u3} over {0 <= u1 <= u2 <= u3 <= T}."""
     c = np.asarray(c, dtype=complex)
-    return divided_difference_2(c, b + c, a + b + c, T)
+    nodes = np.stack(np.broadcast_arrays(c, b + c, a + b + c))
+    return T**3 * _exp_divided_difference(nodes * T)

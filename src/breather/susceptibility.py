@@ -200,9 +200,10 @@ def ft_chi1(model, omega):
 # Nonlinear susceptibility
 # ----------------------------------------------------------------------
 
-# Tuples per kernel call.  A chi3 tuple spans 16 nodes and the divided
-# differences hold a few dozen node arrays at once, so this caps the
-# temporaries of one call at a few MiB.
+# Tuples per kernel call.  A chi3 tuple spans 16 rate combinations, and
+# for each the divided-difference kernel holds the 10 upper-triangle
+# entries of a 4x4 matrix exponential (twice while squaring), so this caps
+# the temporaries of one call at a few MiB.
 _MAX_BATCH = 256
 
 

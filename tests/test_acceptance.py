@@ -306,7 +306,7 @@ def test_criterion_11_susceptibility_oracles(nl):
                  for _ in range(3)]
             ref = oracle.quad_chi3_scalar(nl.T_N, *w, n=10)
             assert abs(nl._scalar_chi3_truncated(*w) - ref) \
-                < 1e-8 * abs(ref)
+                < 1e-9 * abs(ref)
         # support bound: |chi2| <= mass * exp(T_N (|Im w1| + |Im w2|))
         mass = abs(oracle.quad_chi2_scalar(nl.T_N, 0.0, 0.0, n=16)) * 4.0
         for _ in range(40):

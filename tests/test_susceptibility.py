@@ -2,18 +2,22 @@
 
 Every truncated transform in the package is exponential-sum algebra; here
 each one is checked against direct Gauss-Legendre integration of its
-time-domain kernel, which shares no code with the implementation.
+time-domain kernel, which shares no code with the implementation.  The
+window divided differences underneath are checked against 50-digit
+mpmath references.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breather._expalg import g_window, simplex_transform, triangle_transform
 from breather.errors import ConfigError, DomainError, PoleError
 from breather.susceptibility import (
     Constant,
@@ -114,6 +118,87 @@ class TestLinearTransforms:
         lhs = ft_chi1(model, -w.conjugate())
         rhs = ft_chi1(model, w).conjugate()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+# ----------------------------------------------------------------------
+# Window divided differences (_expalg) against 50-digit references
+# ----------------------------------------------------------------------
+
+def mp_divided_difference(nodes, T):
+    """g[x_1, ..., x_m] of g(z) = (e^{zT} - 1)/z at 50 digits.
+
+    Distinct nodes use the Lagrange form sum_i g(x_i) / prod_{j != i}
+    (x_i - x_j), whose cancellation the working precision absorbs; m > 1
+    equal nodes use g^{(m-1)}(x)/(m-1)!, the moment
+    integral_0^T t^{m-1} e^{xt} dt / (m-1)!.
+    """
+    with mpmath.workdps(50):
+        x = [mpmath.mpc(complex(v)) for v in nodes]
+        T = mpmath.mpf(T)
+        m = len(x)
+        if m > 1 and all(v == x[0] for v in x):
+            moment = mpmath.quad(lambda t: t ** (m - 1) * mpmath.exp(x[0] * t),
+                                 mpmath.linspace(0, T, 9))
+            return complex(moment / mpmath.factorial(m - 1))
+
+        def g(z):
+            return T if z == 0 else mpmath.expm1(z * T) / z
+
+        return complex(mpmath.fsum(
+            g(xi) / mpmath.fprod(xi - xj for j, xj in enumerate(x) if j != i)
+            for i, xi in enumerate(x)
+        ))
+
+
+class TestWindowDividedDifferences:
+    """g_window, triangle_transform and simplex_transform against
+    mp_divided_difference: |zT| up to 50 with both signs of Re z, nodes from
+    1e-6 apart (relative) to well separated, exactly confluent nodes and a
+    zero node."""
+
+    T = 0.7
+    SEPARATIONS = (1e-6, 1e-4, 1.2e-3, 1e-2, 1.0)
+    # |zT| of the cluster centre; 0.49 and 31.9 scale to just below the
+    # Taylor radius 1/2, where the truncation error is largest.
+    RADII = (0.3, 0.49, 4.0, 31.9, 50.0)
+
+    def _cases(self):
+        rng = np.random.default_rng(20261018)
+        for sep in self.SEPARATIONS:
+            for radius in self.RADII:
+                for sign in (1.0, -1.0):
+                    phase = rng.uniform(-0.45, 0.45) * math.pi
+                    centre = sign * radius / self.T * complex(
+                        math.cos(phase), math.sin(phase))
+                    yield [centre * (1.0 + sep * complex(*rng.normal(size=2)))
+                           for _ in range(3)]
+
+    def check(self, value, nodes):
+        ref = mp_divided_difference(nodes, self.T)
+        assert abs(complex(value) - ref) <= 1e-12 * abs(ref), (nodes, value)
+
+    def test_window_integral(self):
+        T = self.T
+        assert g_window(0.0, T) == T
+        for x1, _, _ in self._cases():
+            self.check(g_window(x1, T), [x1])
+
+    def test_triangle(self):
+        T = self.T
+        for x1, x2, _ in self._cases():
+            a, b = x2 - x1, x1
+            self.check(triangle_transform(a, b, T), [b, a + b])
+        self.check(triangle_transform(2.0 - 1.0j, 0.0, T), [0.0, 2.0 - 1.0j])
+
+    def test_simplex(self):
+        T = self.T
+        for x1, x2, x3 in self._cases():
+            a, b, c = x3 - x2, x2 - x1, x1
+            self.check(simplex_transform(a, b, c, T), [c, b + c, a + b + c])
+        for x in (0.0, 1.5 - 0.5j, -40.0 + 30.0j, 60.0 - 20.0j):
+            self.check(simplex_transform(0.0, 0.0, x, T), [x, x, x])
+        self.check(simplex_transform(1.0, -2.0j, 0.0, T),
+                   [0.0, -2.0j, 1.0 - 2.0j])
 
 
 # ----------------------------------------------------------------------
@@ -298,43 +383,39 @@ class TestNonlinearTransforms:
     def test_batched_kernel_matches_single_calls(self, monkeypatch):
         """One batch of mixed tuples gives the same bits as K = 1 calls.
 
-        The tuples straddle every masked branch of _expalg in the same
-        kernel call: near-confluent first divided differences on both
-        sides of _CONFLUENT_TOL (gap i w1 against |node| ~ 3), triples
-        clustered at the oscillator poles (Hermite-Genocchi branch), and
-        |zT| on both sides of the _psi switch radius.
+        The batch mixes near-confluent pairs and triples, triples at the
+        oscillator pole, kernel elements whose nodes all have |zT| < 0.1
+        (no squaring) and elements with |zT| > 40 (seven squarings).  Each
+        element is scaled by its own power of two, so a scale shared
+        across the batch would change the bits.
         """
         from breather import _expalg
 
-        pole = make_nl(0.8).c_tilde + 1j   # i w + lambda = 0 here
+        # The oscillator pole: i w + lambda = 0 for lambda = -1 - i c~.
+        pole = make_nl(0.8).c_tilde - 1j
         pairs = [
             (1e-3, 0.0), (5e-3, 0.0), (2e-3, 1.5 - 0.2j),
             (0.3 + 0.1j, -0.4), (9.0 - 0.3j, -7.5 + 0.2j),
+            (pole + 0.1, 55.0 - 0.5j),
         ]
         triples = [
             (pole, -pole, 0.7), (pole + 1e-4, -pole, -1.2 + 0.3j),
             (pole + 0.05, -pole, 0.7), (0.4 - 0.1j, 1e-3, -0.6),
             (8.0, -6.5 + 0.4j, 5.0 - 0.2j),
+            (pole + 0.1, pole - 0.2j, 60.0), (-55.0 + 0.3j, pole, 0.2),
         ]
-        seen = {"derivs": set(), "small": 0, "big": 0}
-        g_window, psi = _expalg.g_window, _expalg._psi
+        node_max = []
+        kernel = _expalg._exp_divided_difference
 
-        def spy_g(z, T, deriv=0):
-            seen["derivs"].add(deriv)
-            return g_window(z, T, deriv)
+        def spy(w):
+            node_max.append(np.abs(w).max(axis=0).ravel())
+            return kernel(w)
 
-        def spy_psi(w, m):
-            small = int(np.sum(np.abs(w) < 4.0))
-            seen["small"] += small
-            seen["big"] += np.size(w) - small
-            return psi(w, m)
-
-        monkeypatch.setattr(_expalg, "g_window", spy_g)
-        monkeypatch.setattr(_expalg, "_psi", spy_psi)
+        monkeypatch.setattr(_expalg, "_exp_divided_difference", spy)
         batched = make_nl(0.8)
         batched.fill_cache(pairs + triples)
-        assert {1, 2, 3} <= seen["derivs"]   # close pairs, clustered triples
-        assert seen["small"] > 0 and seen["big"] > 0
+        zT = np.concatenate(node_max)
+        assert zT.min() < 0.1 and zT.max() > 40.0
         single = make_nl(0.8)
         for w in pairs:
             assert (batched._scalar_chi2_truncated(*w)
