@@ -405,18 +405,20 @@ def gamma_bound_sweep(ctx, nl, nu_max):
     c3max = float(np.max(np.abs(nl.c3)))
     cone = [(n, nu) for nu in range(1, nu_max) for n in range(-nu, nu + 1)]
 
-    # (n, nu, frequency tuple) of every sampled coefficient
+    # (n, nu, frequency tuple) of every sampled coefficient, one per
+    # multiset of cone factors: the transforms are symmetric in their
+    # arguments, so every ordering has the same magnitude
     pairs = [
         (m_ + l_, mu + lam, (ctx.omega(m_, mu), ctx.omega(l_, lam)))
-        for m_, mu in cone for l_, lam in cone if mu + lam <= nu_max
+        for i, (m_, mu) in enumerate(cone)
+        for l_, lam in cone[i:] if mu + lam <= nu_max
     ]
     triples = [
         (m_ + l_ + p_, mu + lam + rho,
          (ctx.omega(m_, mu), ctx.omega(l_, lam), ctx.omega(p_, rho)))
         for i, (m_, mu) in enumerate(cone)
-        for l_, lam in cone[i:]         # chi3 is symmetric in its arguments
-        if mu + lam < nu_max
-        for p_, rho in cone if mu + lam + rho <= nu_max
+        for j, (l_, lam) in enumerate(cone[i:], i) if mu + lam < nu_max
+        for p_, rho in cone[j:] if mu + lam + rho <= nu_max
     ]
     nl.fill_cache(ws for _, _, ws in pairs + triples)
 

@@ -11,10 +11,18 @@ enforces u^{-n,nu} = conj(u^{n,nu}) exactly.
 Seeded at (1, 1), the quadratic and cubic sums preserve the parity of
 n - nu, so every harmonic with n + nu odd vanishes identically.  The
 sources skip every term with such a factor and return zero for those
-harmonics outright; the table still stores their (zero) entries.  Before
-each level, the distinct chi2/chi3 frequency tuples its sources need are
-evaluated in one batch per transform order, and the assembly then reads
-them from the transform cache.
+harmonics outright; the table still stores their (zero) entries.
+
+The chi2/chi3 transforms are a coupling tensor times a scalar transform
+that is symmetric in its frequency arguments, and every ordering of a
+term's factors lies in the cone with it.  So each source is summed once
+per multiset of factors: its multiplicity times the scalar transform
+times the coupling tensor averaged over its field indices, restricted to
+the in-plane components and to its nonzero entries (two product chains
+per term for diagonal tensors).  This is exact for any coupling tensor.
+Before each level, the distinct chi2/chi3 frequency tuples its sources
+need are evaluated in one batch per transform order, and the assembly
+then reads them from the transform cache.
 
 The physical fields are partial sums
 
@@ -27,9 +35,11 @@ forms (operator identity vs explicit polarization sums) used to
 cross-check the assembly.
 """
 
+import functools
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +63,9 @@ from .resolvent import (
     solve_analytic,
     solve_fd,
 )
-from .susceptibility import ft_chi2_truncated, ft_chi3_truncated
+# ft_chi3_truncated is unused here but kept: perfbench/tracer.py wraps
+# both transform names in this module
+from .susceptibility import ft_chi2_truncated, ft_chi3_truncated  # noqa: F401
 
 __all__ = [
     "CoefficientTable",
@@ -222,13 +234,15 @@ def _active_sides(ctx):
 
 
 def _source_terms(n, nu):
-    """Factor indices of the nonzero terms of h^{n,nu}, in summation order.
+    """Factor indices of the ordered terms of h^{n,nu}, in summation order.
 
     Yields ((m, mu), (n-m, nu-mu)) for the quadratic sum, then
     ((m, mu), (l, lam), (n-m-l, nu-mu-lam)) for the cubic one, clipped to
     the cone.  Terms with a factor of odd parity (m + mu odd) are
     skipped: those harmonics vanish identically, and so does every
-    source with n + nu odd.
+    source with n + nu odd.  Cone membership and parity are properties
+    of each factor, so every ordering of a yielded tuple is yielded too;
+    ``_factor_multisets`` groups them.
     """
     if (n + nu) % 2:
         return
@@ -249,6 +263,45 @@ def _source_terms(n, nu):
                         yield (mm, mu), (ll, lam), (rem - ll, kap)
 
 
+@functools.cache
+def _factor_multisets(n, nu):
+    """The terms of ``_source_terms(n, nu)`` grouped by factor multiset.
+
+    Returns ((factors, number of orderings), ...), one entry per
+    multiset in order of first appearance; the multiplicities add up to
+    the number of ordered terms.  Each multiset is represented by its
+    first ordering in summation order, and the transform cache evaluates
+    it in that argument order; the choice shows in the last digits, as
+    chi3 is symmetric in its arguments only to its ~1e-11 cancellation
+    floor.
+    """
+    first = {}
+    counts = Counter()
+    for factors in _source_terms(n, nu):
+        key = tuple(sorted(factors))
+        first.setdefault(key, factors)
+        counts[key] += 1
+    return tuple((first[key], mult) for key, mult in counts.items())
+
+
+@functools.cache
+def _symmetric_couplings(shape, data):
+    """Nonzero in-plane entries (j, comps, value) of a coupling tensor
+    averaged over all permutations of its field indices (the tensor is
+    passed as its shape and bytes, so that the result can be cached)."""
+    c = np.frombuffer(data).reshape(shape)[(slice(0, 2),) * len(shape)]
+    k = len(shape) - 1
+    perms = list(itertools.permutations(range(1, k + 1)))
+    sym = sum(np.transpose(c, (0, *p)) for p in perms) / len(perms)
+    return tuple((int(idx[0]), tuple(map(int, idx[1:])), float(sym[idx]))
+                 for idx in zip(*np.nonzero(sym)))
+
+
+def _couplings(nl, order):
+    c = nl.c2 if order == 2 else nl.c3
+    return _symmetric_couplings(c.shape, c.tobytes())
+
+
 def _fill_level_cache(ctx, nu):
     """Evaluate, one batch per transform order, every chi2/chi3 tuple that
     the sources of level nu will look up."""
@@ -256,7 +309,8 @@ def _fill_level_cache(ctx, nu):
     if not nls:
         return
     tuples = [tuple(ctx.omega(*f) for f in factors)
-              for n in range(0, nu + 1) for factors in _source_terms(n, nu)]
+              for n in range(0, nu + 1)
+              for factors, _ in _factor_multisets(n, nu)]
     for nl in nls.values():
         nl.fill_cache(tuples)
 
@@ -265,8 +319,15 @@ def assemble_h(ctx, table, n, nu):
     """The nonlinear source h^{n,nu}: quadratic plus cubic convolution
     sums over the lower levels, index ranges clipped to the cone.
 
-    Needs all table entries with level < nu.  Returns a NonlinearRHS
-    (identically zero for nu = 1, |n| > nu or n + nu odd).
+    The sums run over factor multisets.  The chi2/chi3 transforms are a
+    coupling tensor times a scalar that is symmetric in its frequencies,
+    so the orderings of one multiset add up to its multiplicity times the
+    term with the coupling tensor averaged over its field indices
+    (``_symmetric_couplings``); this holds for any coupling tensor.
+
+    Needs all table entries with level < nu and raises ValueError naming
+    the first one missing.  Returns a NonlinearRHS (identically zero for
+    nu = 1, |n| > nu or n + nu odd).
     """
     grid = table.grid
     out = NonlinearRHS.zero(grid)
@@ -280,48 +341,58 @@ def assemble_h(ctx, table, n, nu):
     pref = {2: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**2,
             3: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**3}
 
+    # (h1, h2) accumulators per side: views of the output, except the
+    # plus-side integer block, which starts with the right limit h1(0+)
     acc = {}
+    if "minus" in sides:
+        acc["minus"] = (out.h1[: m_idx + 1], out.h2[:m_idx])
+    if "plus" in sides:
+        acc["plus"] = (np.zeros(grid.N - m_idx + 1, dtype=complex),
+                       out.h2[m_idx:])
+    scratch = {side: tuple(np.empty_like(a) for a in acc[side])
+               for side in sides}
+    by_nl = {}
     for side in sides:
-        n_int = (m_idx + 1) if side == "minus" else (grid.N - m_idx + 1)
-        n_half = m_idx if side == "minus" else grid.N - m_idx
-        acc[side] = (np.zeros(n_int, dtype=complex),
-                     np.zeros(n_half, dtype=complex))
+        nl = itf.nl_side(side)
+        by_nl.setdefault(id(nl), (nl, []))[1].append(side)
 
-    nls = {side: itf.nl_side(side) for side in sides}
-
-    for factors in _source_terms(n, nu):
-        gfs = [table.get(*f) for f in factors]
-        if any(gf is None for gf in gfs):
-            continue
-        samples = [_side_samples(gf) for gf in gfs]
+    for factors, mult in _factor_multisets(n, nu):
+        samples = []
+        for f in factors:
+            gf = table.get(*f)
+            if gf is None:
+                raise ValueError(
+                    f"h^({n},{nu}) needs the table entry "
+                    f"u^({f[0]},{f[1]}), which is missing")
+            samples.append(_side_samples(gf))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
-        ft = ft_chi2_truncated if order == 2 else ft_chi3_truncated
-        for side in sides:
-            chi = ft(nls[side], *ws)
-            h1s, h2s = acc[side]
+        for nl, nl_sides in by_nl.values():
+            chi = (nl._scalar_chi2_truncated if order == 2
+                   else nl._scalar_chi3_truncated)(*ws)
+            coef = pref[order] * mult * chi
             # j: source component; comps: field component of each factor
-            for j, *comps in itertools.product(range(2), repeat=order + 1):
-                c = chi[(j, *comps)]
-                if c == 0:
-                    continue
-                term = pref[order] * c
-                for s_, p in zip(samples, comps):
-                    term = term * s_[side][j][p]
-                if j == 0:
-                    h1s += term
-                else:
-                    h2s += term
+            for j, comps, c in _couplings(nl, order):
+                for side in nl_sides:
+                    term = scratch[side][j]
+                    s = [s_[side][j][p] for s_, p in zip(samples, comps)]
+                    np.multiply(s[0], s[1], out=term)
+                    for s_ in s[2:]:
+                        term *= s_
+                    term *= coef * c
+                    h = acc[side][j]
+                    h += term
 
-    if "minus" in acc:
-        h1s, h2s = acc["minus"]
-        out.h1[: m_idx + 1] = h1s
-        out.h2[:m_idx] = h2s
     if "plus" in acc:
-        h1s, h2s = acc["plus"]
+        h1s = acc["plus"][0]
         out.h1_right = complex(h1s[0])
         out.h1[m_idx + 1:] = h1s[1:]
-        out.h2[m_idx:] = h2s
+    if n == 0:
+        # h^{0,nu} = -conj(h^{0,nu}) is imaginary: drop the rounding
+        # left in its real part
+        out.h1.real = 0.0
+        out.h2.real = 0.0
+        out.h1_right = complex(0.0, out.h1_right.imag)
     return out
 
 

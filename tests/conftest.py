@@ -1,9 +1,11 @@
-"""Shared fixtures: the reference interface example and small grids."""
+"""Shared fixtures: the reference interface example, a variant with
+general coupling tensors, and small grids."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from breather.pencil import PencilContext
@@ -21,8 +23,6 @@ OMEGA0_REF = 1.8178532310080142 - 0.14883348930017135j
 
 
 def _diag(value, ndim):
-    import numpy as np
-
     t = np.zeros((3,) * ndim)
     for j in range(3):
         t[(j,) * ndim] = value
@@ -54,6 +54,26 @@ def interface(nl):
 def ctx(interface):
     """Pencil context of the reference example at its base eigenvalue."""
     return PencilContext(interface, k=3.0, omega0=OMEGA0_REF)
+
+
+@pytest.fixture(scope="session")
+def general_coupling_ctx(interface):
+    """The reference example with seeded random coupling tensors that are
+    not symmetric in their field indices, only TM compatible, and a
+    different nonlinear response on each side."""
+    rng = np.random.default_rng(2024)
+
+    def random_nl():
+        c2 = rng.uniform(-2000.0, 2000.0, (3, 3, 3))
+        c3 = rng.uniform(-1000.0, 1000.0, (3, 3, 3, 3))
+        c2[2, :2, :2] = 0.0
+        c3[2, :2, :2, :2] = 0.0
+        return NonlinearSusceptibility(c2=c2, c3=c3, gamma_tilde=1.0,
+                                       omega_star_tilde=3.0, T_N=0.12)
+
+    itf = MaterialInterface(minus=interface.minus, plus=interface.plus,
+                            nl_minus=random_nl(), nl_plus=random_nl())
+    return PencilContext(itf, k=3.0, omega0=OMEGA0_REF)
 
 
 @pytest.fixture(scope="session")

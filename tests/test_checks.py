@@ -3,6 +3,7 @@ truncation demo."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,34 @@ class TestCouplingBounds:
         short, mid, long_ = profile(0.12), profile(0.6), profile(1.2)
         for nu in short:
             assert short[nu] < mid[nu] < long_[nu]
+
+    def test_multisets_match_ordered_enumeration(self, general_coupling_ctx):
+        """Sampling one ordering per factor multiset finds the same
+        per-level maxima, bit for bit, as every ordered tuple."""
+        ctx = general_coupling_ctx
+        nl = ctx.interface.nl_minus
+        nu_max = 5
+        out = gamma_bound_sweep(ctx, nl, nu_max)
+        itf = ctx.interface
+        cone = [(n, nu) for nu in range(1, nu_max) for n in range(-nu, nu + 1)]
+
+        def profile(order, cmax, chi):
+            level = {}
+            for fs in itertools.product(cone, repeat=order):
+                n, nu = sum(f[0] for f in fs), sum(f[1] for f in fs)
+                if nu > nu_max:
+                    continue
+                mag = (abs(ctx.omega(n, nu)) * itf.eps0 * itf.mu0**order
+                       * cmax * abs(chi(*(ctx.omega(*f) for f in fs))))
+                level[nu] = max(level.get(nu, 0.0), mag)
+            return sorted(level.items())
+
+        c2max = float(np.max(np.abs(nl.c2)))
+        c3max = float(np.max(np.abs(nl.c3)))
+        assert out["beta_profile"] == profile(
+            2, c2max, nl._scalar_chi2_truncated)
+        assert out["gamma_profile"] == profile(
+            3, c3max, nl._scalar_chi3_truncated)
 
 
 class TestDrudeDemo:

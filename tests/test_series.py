@@ -3,12 +3,15 @@
 One medium-resolution series is built per session and probed for cone
 support, conjugation/parity symmetries, amplitude scaling, the exact
 divergence constraint, agreement of the two displacement-field routes,
-and the independently assembled quadratic sources.
+and the independently assembled sources: against an explicit sum over
+every ordered factor tuple, for general coupling tensors too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from breather.errors import OverflowGuard
 from breather.pencil import PencilContext
 from breather.resolvent import StaggeredGrid
 from breather.series import (
+    _factor_multisets,
     _side_samples,
+    _source_terms,
     _synthesize_complex,
     assemble_h,
     beta_coeff,
@@ -28,7 +33,12 @@ from breather.series import (
     maxwell_residual,
     synthesize,
 )
-from breather.susceptibility import MaterialInterface, NonlinearSusceptibility
+from breather.susceptibility import (
+    MaterialInterface,
+    NonlinearSusceptibility,
+    ft_chi2_truncated,
+    ft_chi3_truncated,
+)
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +166,104 @@ class TestAssembledSources:
                             direct += bc * sa[p - 1][jnode] * sb[q - 1][jnode]
             assert abs(h.h1[jnode] - direct) < 1e-10 * abs(direct)
 
+    def test_axial_sources_exactly_imaginary(self, table):
+        """h^{0,nu} = -conj(h^{0,nu}) holds exactly, not to rounding."""
+        for nu in (2, 4):
+            h = table.get_h(0, nu)
+            assert h.h1.imag.any() and h.h2.imag.any()
+            assert not (h.h1.real.any() or h.h2.real.any())
+            assert h.h1_right.real == 0.0
+
     def test_sources_outside_cone_vanish(self, ctx, table):
         assert assemble_h(ctx, table, 3, 2).is_zero
         assert table.get_h(-2, 2).h1.shape == table.get_h(2, 2).h1.shape
+
+    def test_missing_level_raises(self, ctx, table):
+        # one level past the table only needs stored entries ...
+        assert not assemble_h(ctx, table, 0, table.nu_max + 1).is_zero
+        # ... two levels past it needs a level that was never built
+        with pytest.raises(ValueError, match=r"h\^\(1,7\) .* u\^\(2,6\)"):
+            assemble_h(ctx, table, 1, table.nu_max + 2)
+
+
+def _ordered_source(ctx, table, n, nu):
+    """h^{n,nu} per side as [h1 block, h2 block], summed over every ordered
+    tuple of cone factors with the full chi2/chi3 tensors."""
+    itf = ctx.interface
+    cone = [(m, mu) for mu in range(1, nu) for m in range(-mu, mu + 1)]
+    tuples = [fs for order in (2, 3)
+              for fs in itertools.product(cone, repeat=order)
+              if sum(f[0] for f in fs) == n and sum(f[1] for f in fs) == nu]
+    out = {}
+    for side in ("minus", "plus"):
+        nl = itf.nl_side(side)
+        probe = _side_samples(table.get(1, 1))[side]
+        acc = [np.zeros_like(probe[j][0]) for j in range(2)]
+        for factors in tuples:
+            gfs = [table.get(*f) for f in factors]
+            if any(gf is None for gf in gfs):
+                # only the odd harmonic (0, 1) is not stored: it vanishes
+                assert (0, 1) in factors
+                continue
+            samples = [_side_samples(gf)[side] for gf in gfs]
+            order = len(factors)
+            ft = ft_chi2_truncated if order == 2 else ft_chi3_truncated
+            chi = ft(nl, *(ctx.omega(*f) for f in factors))
+            pref = -ctx.omega(n, nu) * itf.eps0 * itf.mu0**order
+            for j in range(2):
+                for comps in itertools.product(range(2), repeat=order):
+                    term = pref * chi[(j, *comps)]
+                    for s_, p in zip(samples, comps):
+                        term = term * s_[j][p]
+                    acc[j] = acc[j] + term
+        out[side] = acc
+    return out
+
+
+class TestGeneralCouplings:
+    def test_sources_match_ordered_sum(self, general_coupling_ctx):
+        """The multiset sum with symmetrized couplings equals the ordered
+        sum for coupling tensors without any index symmetry."""
+        ctx = general_coupling_ctx
+        assert ctx.interface.nl_minus is not ctx.interface.nl_plus
+        table = build_series(ctx, StaggeredGrid(40.0, 400), eps=0.5,
+                             nu_max=4, solver="fd")
+        m = table.grid.mid
+        for nu in range(2, table.nu_max + 1):
+            for n in range(0, nu + 1):
+                h = assemble_h(ctx, table, n, nu)
+                ref = _ordered_source(ctx, table, n, nu)
+                got = {
+                    "minus": [h.h1[: m + 1], h.h2[:m]],
+                    "plus": [np.concatenate(([h.h1_right], h.h1[m + 1:])),
+                             h.h2[m:]],
+                }
+                for side in ("minus", "plus"):
+                    for a, b in zip(got[side], ref[side]):
+                        scale = np.max(np.abs(b))
+                        assert (scale > 0) == ((n + nu) % 2 == 0)
+                        assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+def test_factor_multiplicities():
+    """Grouping the ordered terms by multiset loses and adds none."""
+    for nu in range(0, 13):
+        for n in range(-nu - 1, nu + 2):
+            ordered = list(_source_terms(n, nu))
+            groups = _factor_multisets(n, nu)
+            if (n + nu) % 2:
+                assert not ordered and not groups
+            assert sum(mult for _, mult in groups) == len(ordered)
+            assert len(set(ordered)) == len(ordered)
+            perms = set()
+            for factors, mult in groups:
+                distinct = set(itertools.permutations(factors))
+                denom = math.prod(map(math.factorial,
+                                      Counter(factors).values()))
+                assert mult == len(distinct)
+                assert mult == math.factorial(len(factors)) // denom
+                perms |= distinct
+            assert perms == set(ordered)
 
 
 class TestFieldDiagnostics:
