@@ -270,10 +270,8 @@ def _factor_multisets(n, nu):
     Returns ((factors, number of orderings), ...), one entry per
     multiset in order of first appearance; the multiplicities add up to
     the number of ordered terms.  Each multiset is represented by its
-    first ordering in summation order, and the transform cache evaluates
-    it in that argument order; the choice shows in the last digits, as
-    chi3 is symmetric in its arguments only to its ~1e-11 cancellation
-    floor.
+    first ordering in summation order; the transform cache gives every
+    ordering the same bits.
     """
     first = {}
     counts = Counter()

@@ -8,14 +8,17 @@ are entire in every frequency argument; their transforms are computed by
 exact exponential-sum algebra (see _expalg) rather than quadrature.
 
 The scalar chi2/chi3 transforms are cached per frequency tuple, under a
-key that ignores argument order.  Each order has one kernel, vectorized
-over a batch of K tuples; ``NonlinearSusceptibility.fill_cache`` sends
-all misses of a batch through it at once (the series recursion fills a
-whole level, the coupling sweep its whole scan), and a single lookup
-that misses is a batch of one.  The recursion only asks for tuples of
+key that ignores argument order and the mirror w -> -conj w (the kernels
+are real, so a mirrored tuple's transform is the conjugate).  One kernel,
+vectorized over a batch of K pairs or triples, serves both orders;
+``NonlinearSusceptibility.fill_cache`` sends all misses of a batch
+through it at once (the series recursion fills a whole level, the
+coupling sweep its whole scan), and a single lookup that misses is a
+batch of one.  The recursion only asks for tuples of
 even-parity harmonics (n + nu even), since the others vanish.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -200,10 +203,11 @@ def ft_chi1(model, omega):
 # Nonlinear susceptibility
 # ----------------------------------------------------------------------
 
-# Tuples per kernel call.  A chi3 tuple spans 16 rate combinations, and
-# for each the divided-difference kernel holds the 10 upper-triangle
-# entries of a 4x4 matrix exponential (twice while squaring), so this caps
-# the temporaries of one call at a few MiB.
+# Tuples per kernel call.  Each ordering of a chi3 tuple is one
+# divided-difference call over 8 rate combinations, which holds the 10
+# upper-triangle entries of a 4x4 matrix exponential per combination
+# (twice while squaring); taking the orderings one call at a time caps the
+# temporaries of a call at about a MiB.
 _MAX_BATCH = 256
 
 
@@ -272,39 +276,38 @@ class NonlinearSusceptibility:
     def fill_cache(self, tuples):
         """Evaluate every frequency pair/triple of ``tuples`` not yet cached.
 
-        The misses of each order go through their kernel in vectorized
-        passes of up to _MAX_BATCH tuples.  A key is evaluated in the
-        argument order it is first seen in, as the scalar path evaluates it
-        on first use, so filling ahead gives the same bits as filling on
-        demand; keys already cached are left untouched.
+        The misses of each order go through the kernel in vectorized
+        passes of up to _MAX_BATCH tuples.  Each is evaluated as its
+        canonical key (``_cache_key``), so the cached bits do not depend on
+        which ordering or mirror of a tuple comes first, nor on whether it
+        is filled ahead or on demand; keys already cached are left
+        untouched.
         """
         pending = {2: {}, 3: {}}
         for ws in tuples:
-            ws = tuple(complex(w) for w in ws)
-            key = _cache_key(ws)
-            if key not in self._cache(len(ws)):
-                pending[len(ws)].setdefault(key, ws)
+            key, _ = _cache_key(ws)
+            if key not in self._cache(len(key)):
+                pending[len(key)][key] = None
         for order, todo in pending.items():
-            keys, args = list(todo), np.array(list(todo.values()))
+            keys = list(todo)
             for lo in range(0, len(keys), _MAX_BATCH):
-                vals = self._kernel(order)(args[lo: lo + _MAX_BATCH])
-                self._cache(order).update(
-                    zip(keys[lo: lo + _MAX_BATCH], map(complex, vals)))
+                batch = keys[lo: lo + _MAX_BATCH]
+                vals = self._chi_kernel(np.array(batch))
+                for key, val in zip(batch, vals):
+                    if _is_self_mirror(key):
+                        val = val.real
+                    self._cache(order)[key] = complex(val)
 
     def _cache(self, order):
         return self._cache2 if order == 2 else self._cache3
 
-    def _kernel(self, order):
-        return self._chi2_kernel if order == 2 else self._chi3_kernel
-
     def _lookup(self, ws):
         """Cached scalar transform; a miss is filled as a batch of one."""
-        ws = tuple(complex(w) for w in ws)
-        key = _cache_key(ws)
+        key, mirrored = _cache_key(ws)
         cache = self._cache(len(ws))
         if key not in cache:
             self.fill_cache([ws])
-        return cache[key]
+        return cache[key].conjugate() if mirrored else cache[key]
 
     def _scalar_chi2_truncated(self, w1, w2):
         return self._lookup((w1, w2))
@@ -312,70 +315,71 @@ class NonlinearSusceptibility:
     def _scalar_chi3_truncated(self, w1, w2, w3):
         return self._lookup((w1, w2, w3))
 
-    def _chi2_kernel(self, w):
-        """Scalar chi2 transforms of the K frequency pairs w[:, 0:2].
+    def _chi_kernel(self, w):
+        """Scalar chi2 (m = 2) or chi3 (m = 3) transforms of the K
+        frequency tuples w[:, 0:m].
 
-        Vectorized over (K, 2, 2, 2): batch, then the rate indices of the
-        two driven factors and of the self-convolution.
+        With z_i = lam_{r_i} + i w_i for the rates r_i of the m driven
+        factors, lam_l that of the self-convolution and delta = lam_l
+        - sum_i lam_{r_i}, the transform is the sum over all rates of
+        a_{r_1} ... a_{r_m} a_l / delta times
+
+            sum over orderings s of S(z_s0 + delta, z_s1, ..., z_s(m-1))
+            - g(z_1) ... g(z_m),
+
+        S the triangle (m = 2) or simplex (m = 3) transform of the ordered
+        region of the window whose earliest argument is s0.  The last node
+        of S is a + b (+ c) = lam_l + i sum w and the others are sums of
+        z_s1, ..., z_s(m-1), so S does not depend on the rate of s0: each
+        ordering is evaluated once on (K, 2, ..., 2), over the rates of
+        s1, ..., s(m-1) and l, against the weight summed over the rate of
+        s0 (one sum serves every ordering, as delta is symmetric in the
+        driven rates).  g is evaluated once per factor, on (K, 2).
         """
         T = self.T_N
+        K, m = w.shape
         lam, amp = self._rates_amps()
-        lj = lam[None, :, None, None]
-        lk = lam[None, None, :, None]
-        ll = lam[None, None, None, :]
-        weight = amp[:, None, None] * amp[None, :, None] * amp[None, None, :]
-        iw = 1j * w[:, :, None, None, None]
-        z1 = lj + iw[:, 0]
-        z2 = lk + iw[:, 1]
-        delta = ll - lj - lk  # Re delta = gamma_tilde > 0, never confluent
-        z1b, z2b = np.broadcast_arrays(z1 + 0 * ll, z2 + 0 * ll)
-        db = np.broadcast_to(delta, z1b.shape)
-        val = (
-            triangle_transform(z1b + db, z2b, T)
-            + triangle_transform(z2b + db, z1b, T)
-            - g_window(z1b, T) * g_window(z2b, T)
-        ) / db
-        return np.sum((weight * val).reshape(len(w), -1), axis=1)
+        # weight[r_1, ..., r_m, l]; Re delta = (m - 1) gamma_tilde > 0
+        idx = np.ix_(*[range(2)] * (m + 1))
+        weight = math.prod(amp[i] for i in idx) / (
+            lam[idx[-1]] - sum(lam[i] for i in idx[:-1]))
 
-    def _chi3_kernel(self, w):
-        """Scalar chi3 transforms of the K frequency triples w[:, 0:3].
+        def axis(v, i):  # (K, 2) -> rate axis i of (K, 2, ..., 2), m axes
+            return v.reshape((K,) + (1,) * i + (2,) + (1,) * (m - 1 - i))
 
-        Vectorized over (K, 2, 2, 2, 2): batch, then the rate indices of
-        the three driven factors and of the self-convolution.
-        """
-        T = self.T_N
-        lam, amp = self._rates_amps()
-        sh = (len(w), 2, 2, 2, 2)
-        lj = lam[None, :, None, None, None]
-        lk = lam[None, None, :, None, None]
-        lp = lam[None, None, None, :, None]
-        ll = lam[None, None, None, None, :]
-        weight = (
-            amp[:, None, None, None]
-            * amp[None, :, None, None]
-            * amp[None, None, :, None]
-            * amp[None, None, None, :]
-        )
-        iw = 1j * w[:, :, None, None, None, None]
-        z = [
-            np.broadcast_to(lj + iw[:, 0], sh),
-            np.broadcast_to(lk + iw[:, 1], sh),
-            np.broadcast_to(lp + iw[:, 2], sh),
-        ]
-        delta = np.broadcast_to(ll - lj - lk - lp, sh)  # Re = 2*gamma_tilde > 0
-        acc = -g_window(z[0], T) * g_window(z[1], T) * g_window(z[2], T)
-        # One ordered simplex per assignment of which argument is smallest.
-        for s0, s1, s2 in (
-            (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
-        ):
-            acc = acc + simplex_transform(z[s0] + delta, z[s1], z[s2], T)
-        return np.sum((weight * acc / delta).reshape(len(w), -1), axis=1)
+        z = lam + 1j * w[:, :, None]
+        top = axis(lam + 1j * w.sum(axis=1, keepdims=True), m - 1)
+        ordered = triangle_transform if m == 2 else simplex_transform
+        free = weight.sum(axis=0)
+        acc = 0.0
+        for s in itertools.permutations(range(m)):
+            rest = [axis(z[:, si], i) for i, si in enumerate(s[1:])]
+            acc = acc + free * ordered(top - sum(rest), *rest, T)
+        g = math.prod(axis(g_window(z[:, i], T), i) for i in range(m))
+        return (acc.reshape(K, -1).sum(axis=1)
+                - (weight.sum(axis=-1) * g).reshape(K, -1).sum(axis=1))
 
 
 def _cache_key(ws):
-    """Order-free cache key of a frequency tuple (the transforms are
-    symmetric in their arguments)."""
-    return tuple(sorted(ws, key=lambda w: (w.real, w.imag)))
+    """Canonical cache key of a frequency tuple, and whether ws maps to it
+    through the mirror.
+
+    The transforms are symmetric in their arguments, and real kernels give
+    chi(-conj w_1, ..., -conj w_m) = conj chi(w_1, ..., w_m).  The key is
+    the smaller of the sorted tuple and its sorted mirror; a lookup
+    through the mirror conjugates the stored value.
+    """
+    key = sorted([(w.real, w.imag) for w in ws])
+    mirror = sorted([(-x, y) for x, y in key])
+    if mirror < key:
+        return tuple([complex(*p) for p in mirror]), True
+    return tuple([complex(*p) for p in key]), False
+
+
+def _is_self_mirror(key):
+    """Whether a sorted tuple is its own mirror (its transform is real)."""
+    return (sorted([(-w.real, w.imag) for w in key])
+            == [(w.real, w.imag) for w in key])
 
 
 def ft_chi2_untruncated(nl, omega1, omega2):

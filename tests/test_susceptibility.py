@@ -9,6 +9,7 @@ mpmath references.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath
@@ -255,8 +256,6 @@ def quad_chi3_scalar(T, w1, w2, w3, n=12):
     xg, wg = np.polynomial.legendre.leggauss(n)
     total = 0.0 + 0.0j
     freqs = (w1, w2, w3)
-    import itertools
-
     for perm in itertools.permutations(range(3)):
         wa, wb, wc = (freqs[perm[0]], freqs[perm[1]], freqs[perm[2]])
         # t_a <= t_b <= t_c, inner memory integral over s in [0, t_a].
@@ -281,6 +280,23 @@ def quad_chi3_scalar(T, w1, w2, w3, n=12):
                     wtc * np.exp(1j * (wa * t1 + wb * t2 + wc * tc)) * inner
                 )
     return total
+
+
+def full_rate_sum(nl, ws):
+    """chi2 or chi3 of one tuple as the sum over the rates of every driven
+    factor and of the self-convolution: 8 rate combinations x 2 orderings
+    of triangle terms for chi2, 16 x 6 of simplex terms for chi3."""
+    T = nl.T_N
+    lam, amp = nl._rates_amps()
+    m = len(ws)
+    ordered = triangle_transform if m == 2 else simplex_transform
+    rates = np.array(list(itertools.product(range(2), repeat=m + 1)))
+    z = lam[rates[:, :m]] + 1j * np.asarray(ws)
+    delta = lam[rates[:, m]] - lam[rates[:, :m]].sum(axis=1)
+    acc = -np.prod(g_window(z, T), axis=1)
+    for s in itertools.permutations(range(m)):
+        acc = acc + ordered(z[:, s[0]] + delta, *(z[:, i] for i in s[1:]), T)
+    return complex(np.sum(np.prod(amp[rates], axis=1) * acc / delta))
 
 
 class TestNonlinearTransforms:
@@ -328,7 +344,30 @@ class TestNonlinearTransforms:
         a = nl._scalar_chi2_truncated(w1, w2)
         assert a == nl._scalar_chi2_truncated(w2, w1)
         b = nl._scalar_chi2_truncated(-w1.conjugate(), -w2.conjugate())
-        assert abs(b - a.conjugate()) < 1e-14
+        assert b == a.conjugate()
+
+    def test_chi3_symmetry_and_conjugation(self):
+        """Every ordering of a triple, and every ordering of its mirror
+        (-conj w), gives the same bits (conjugated for the mirror), whichever
+        of them a fresh cache meets first."""
+        w = (1.7 - 0.2j, -0.9 - 0.6j, 0.4 - 0.1j)
+        a = make_nl(0.12)._scalar_chi3_truncated(*w)
+        for p in itertools.permutations(w):
+            assert make_nl(0.12)._scalar_chi3_truncated(*p) == a
+            mirror = [-x.conjugate() for x in p]
+            assert (make_nl(0.12)._scalar_chi3_truncated(*mirror)
+                    == a.conjugate())
+
+    def test_self_mirror_tuples_are_real(self):
+        """A tuple that is its own mirror up to order has a real transform,
+        stored with an imaginary part of exactly zero."""
+        w, y = 1.8 - 0.15j, -0.45j
+        m = -w.conjugate()
+        for ws in ((w, m), (y, 0.3j), (w, m, y), (y, -0.9j, 0.0), (m, y, w)):
+            nl = make_nl(0.12)
+            val = (nl._scalar_chi2_truncated(*ws) if len(ws) == 2
+                   else nl._scalar_chi3_truncated(*ws))
+            assert val.imag == 0.0 and val.real != 0.0, ws
 
     def test_paley_wiener_growth_bound(self, nl):
         """Compact support in [0, T_N]^2 caps the transform by
@@ -426,9 +465,10 @@ class TestNonlinearTransforms:
         assert len(batched._cache2) == len(pairs)
         assert len(batched._cache3) == len(triples)
 
-    def test_fill_keeps_first_seen_order(self):
-        """A batch evaluates each key in its first argument order, as the
-        scalar path does, and leaves cached keys untouched."""
+    def test_fill_order_is_irrelevant(self):
+        """The argument order a batch meets a key in does not matter: the
+        key gets the bits of a scalar lookup in any order, and cached keys
+        are left untouched."""
         w = (0.3 - 0.2j, -1.7 + 0.1j, 2.4)
         scalar = make_nl(0.8)
         first = scalar._scalar_chi3_truncated(*w)
@@ -438,6 +478,45 @@ class TestNonlinearTransforms:
         filled.fill_cache([(9.0, 9.0, 9.0), w[::-1]])
         assert len(filled._cache3) == 2
         assert filled._scalar_chi3_truncated(*w) == first
+
+    @pytest.mark.parametrize("T_N, rtol", [(0.8, 1e-12), (2.0, 1e-12),
+                                           (0.12, 1e-10)])
+    def test_kernel_matches_full_rate_sum(self, T_N, rtol):
+        """The kernel, with the rate of the earliest argument summed out of
+        its weights, against the sum over every rate combination."""
+        rng = np.random.default_rng(20261018)
+        for order in (2, 3):
+            nl = make_nl(T_N)
+            scalar = (nl._scalar_chi2_truncated if order == 2
+                      else nl._scalar_chi3_truncated)
+            for _ in range(24):
+                ws = rng.uniform(-8, 8, order) + 1j * rng.uniform(-1.5, 0.5,
+                                                                  order)
+                ref = full_rate_sum(nl, ws)
+                assert abs(scalar(*ws) - ref) <= rtol * abs(ref), ws
+
+    def test_kernel_element_counts(self, monkeypatch):
+        """A batch of K triples sends six simplex calls of 8K three-node
+        elements and three g_window calls of 2K; a batch of K pairs two
+        triangle calls of 4K two-node elements and two g_window calls."""
+        from breather import _expalg
+
+        calls = []
+        kernel = _expalg._exp_divided_difference
+
+        def spy(w):
+            calls.append((len(w), w[0].size))
+            return kernel(w)
+
+        monkeypatch.setattr(_expalg, "_exp_divided_difference", spy)
+        K = 5
+        rng = np.random.default_rng(7)
+        for order, transform in ((3, [(3, 8 * K)] * 6),
+                                 (2, [(2, 4 * K)] * 2)):
+            calls.clear()
+            tuples = rng.uniform(0.1, 4, (K, order)) - 0.2j
+            make_nl(0.8).fill_cache(tuples)
+            assert sorted(calls) == sorted(transform + [(1, 2 * K)] * order)
 
     def test_tm_compatibility_guard(self):
         c2 = np.zeros((3, 3, 3))
