@@ -14,7 +14,8 @@ Three groups of checks:
 * ``drude_truncation_demo`` shows that memory truncation destroys the
   point spectrum of a Drude interface: winding counts over a rectangle
   enclosing the untruncated eigenvalues drop to zero as the truncation
-  window grows.
+  window grows.  It counts with the same dispersion function as the
+  Lorentz pencil, on a context whose minus side is ``TruncatedDrude``.
 """
 
 from __future__ import annotations
@@ -24,17 +25,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, QuadratureNotConverged, ZeroOnContour
+from .errors import (
+    DegenerateError,
+    ModelError,
+    QuadratureNotConverged,
+    ZeroOnContour,
+)
 from .pencil import (
     ContourRectangle,
+    PencilContext,
     TolerancePack,
-    _oscillator_quartic,
+    _quartic_coeffs,
+    _winding_integrand,
     coefficient_scale,
     dispersion_G_inf,
     dispersion_G_inf_deriv,
     resolvent_membership,
     untruncated_eigenvalues,
     winding_count_function,
+)
+from .susceptibility import (
+    Constant,
+    MaterialInterface,
+    TruncatedDrude,
+    TruncatedLorentz,
+    UntruncatedDrude,
+    UntruncatedLorentz,
 )
 
 __all__ = [
@@ -104,66 +120,29 @@ class AssumptionReport:
 # Non-degeneracy quantities of the untruncated model
 # ----------------------------------------------------------------------
 
-def _denominator(ws, gamma, wR, wI, n, nu):
-    cstar2 = ws * ws - gamma * gamma
-    a = cstar2 + (gamma + nu * wI) ** 2 - (n * wR) ** 2
-    return a * a + 4.0 * (n * wR) ** 2 * (gamma + nu * wI) ** 2
+def admittance_inf(ctx, omega0_inf, n, nu):
+    """V_- = -eps0 mu0 omega (1 - sqrt(c_L)/den_L(omega)) at the cone
+    frequency omega = n Re omega0_inf + i nu Im omega0_inf.
 
-
-def admittance_inf(ctx, omega0_inf, n, nu, c_L=None):
-    """Closed-form -eps0 mu0 omega eps_-(omega)/eps0 at the cone frequency.
-
-    Evaluated for the untruncated oscillator model on the dispersive side,
-    written out with real/imaginary parts separated so the formula stays
-    meaningful arbitrarily deep in the lower half plane, below
-    Im omega = -gamma, where ``UntruncatedLorentz.ft`` raises
-    ``DomainError``.  ``c_L`` overrides the oscillator coupling of the
-    material when given.
-    """
-    m = ctx.interface.minus
-    gamma, ws = m.gamma, m.omega_star
-    if c_L is None:
-        c_L = m.c_L
-    eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
-    c0inv2 = eps0 * mu0
-    wR, wI = omega0_inf.real, omega0_inf.imag
-    alpha = n * wR * (ws * ws - (n * wR) ** 2 - (nu * wI) ** 2)
-    beta = ((n * wR) ** 2 + (nu * wI) ** 2) * (2.0 * gamma + nu * wI) \
-        + ws * ws * nu * wI
-    den = _denominator(ws, gamma, wR, wI, n, nu)
-    return -c0inv2 * (
-        n * wR + 1j * nu * wI + c_L * (alpha + 1j * beta) / den
-    )
-
-
-def transverse_rate_sq_inf(ctx, omega0_inf, n, nu, c_L=None):
-    """Closed-form mu_-^2 at the cone frequency for the untruncated model.
-
-    Written out like ``admittance_inf`` to continue the Lorentz
-    permittivity below Im omega = -gamma, where ``UntruncatedLorentz.ft``
+    The untruncated oscillator transform with the coupling in the
+    amplitude (plasma-frequency) convention, sqrt(c_L), continued below
+    the memory line Im omega = -gamma, where ``UntruncatedLorentz.ft``
     raises ``DomainError``.
     """
     m = ctx.interface.minus
-    gamma, ws = m.gamma, m.omega_star
-    if c_L is None:
-        c_L = m.c_L
-    eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
-    c0inv2 = eps0 * mu0
-    wR, wI = omega0_inf.real, omega0_inf.imag
-    a2 = (n * wR) ** 2
-    b2 = (nu * wI) ** 2
-    alpha_t = -(a2 + b2) * (a2 + b2 + 2.0 * gamma * nu * wI) \
-        - ws * ws * (b2 - a2)
-    beta_t = 2.0 * n * wR * (gamma * (a2 + b2) + ws * ws * nu * wI)
-    den = _denominator(ws, gamma, wR, wI, n, nu)
-    return (
-        (n * ctx.k) ** 2
-        - c0inv2 * (a2 - b2 + 2j * n * wR * nu * wI)
-        - c0inv2 * c_L * (alpha_t + 1j * beta_t) / den
-    )
+    omega = n * omega0_inf.real + 1j * nu * omega0_inf.imag
+    return -ctx.interface.eps0 * ctx.interface.mu0 * omega * (
+        1.0 - math.sqrt(m.c_L) / m.denominator(omega))
 
 
-def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
+def transverse_rate_sq_inf(ctx, omega0_inf, n, nu):
+    """mu_-^2 = (n k)^2 + omega V_- at the cone frequency, V_- from
+    ``admittance_inf``."""
+    omega = n * omega0_inf.real + 1j * nu * omega0_inf.imag
+    return (n * ctx.k) ** 2 + omega * admittance_inf(ctx, omega0_inf, n, nu)
+
+
+def check_B(ctx, omega0_inf, nu_cut=None):
     """Evaluate the non-degeneracy conditions at an untruncated eigenvalue.
 
     Parameters
@@ -177,13 +156,6 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
     nu_cut : int, optional
         Largest harmonic level to scan.  Defaults to the number of levels
         strictly above the memory line, ceil(gamma/|Im omega0_inf|).
-    coupling : {"amplitude", "strength"}
-        How the oscillator coupling enters the admittance / transverse-rate
-        closed forms: "amplitude" uses the plasma-frequency
-        parameterization (the coupling enters as sqrt(c_L)), "strength"
-        uses c_L itself.  The pass/fail verdicts (all quantities bounded
-        away from zero) agree between the two; only the reported minima
-        differ.
 
     Returns
     -------
@@ -196,10 +168,9 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
     omega0_inf = complex(omega0_inf)
     wR, wI = omega0_inf.real, omega0_inf.imag
     m = ctx.interface.minus
+    if not isinstance(m, (TruncatedLorentz, UntruncatedLorentz)):
+        raise ModelError("check_B needs a Lorentz minus side (c_L, omega_star)")
     gamma = m.gamma
-    if coupling not in ("amplitude", "strength"):
-        raise ValueError("coupling must be 'amplitude' or 'strength'")
-    c_eff = math.sqrt(m.c_L) if coupling == "amplitude" else m.c_L
     ratio = gamma / abs(wI) if wI != 0.0 else math.inf
     if nu_cut is None:
         nu_cut = int(math.ceil(ratio))
@@ -241,10 +212,10 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
     v_min, v_arg = math.inf, None
     mu_min, mu_arg = math.inf, None
     for n, nu in finite:
-        v = abs(admittance_inf(ctx, omega0_inf, n, nu, c_L=c_eff))
+        v = abs(admittance_inf(ctx, omega0_inf, n, nu))
         if v < v_min:
             v_min, v_arg = v, (n, nu)
-        mu2 = abs(transverse_rate_sq_inf(ctx, omega0_inf, n, nu, c_L=c_eff))
+        mu2 = abs(transverse_rate_sq_inf(ctx, omega0_inf, n, nu))
         if mu2 < mu_min:
             mu_min, mu_arg = mu2, (n, nu)
     results.append(CheckResult(
@@ -325,7 +296,6 @@ def check_B(ctx, omega0_inf, nu_cut=None, coupling="amplitude"):
     params = {
         "k": ctx.k,
         "c_L": m.c_L,
-        "coupling": coupling,
         "gamma": gamma,
         "omega_star": m.omega_star,
         "omega0_inf": [wR, wI],
@@ -463,50 +433,15 @@ class DrudeParams:
     mu0: float = 1.0
 
     def __post_init__(self):
-        if not (self.c_D > 0 and self.gamma > 0 and self.alpha > -1.0):
-            raise ConfigError("need c_D > 0, gamma > 0, alpha > -1")
+        self.context()  # the models reject c_D, gamma or alpha <= 0
 
-
-def _drude_quartic(p):
-    """The oscillator quartic with the Drude mapping gamma_L = gamma/2,
-    omega_*^2 = 0, c_L = c_D:
-
-    P(w) = (w^2 + i gamma w) (k^2 eps_+/eps0 + k^2 - mu0 eps_+ w^2)
-           - c_D (k^2 - mu0 eps_+ w^2);
-    its roots in the strip -gamma < Im w < 0 are the untruncated
-    eigenvalue candidates.
-    """
-    return _oscillator_quartic(p.k**2, p.eps0 * (1.0 + p.alpha), p.eps0,
-                               p.mu0, 0.5 * p.gamma, 0.0, p.c_D)
-
-
-def _drude_F(p, T, omega):
-    """Truncated Drude dispersion function and its derivative.
-
-    F = e^{-i omega T} G, with G = P + e^{i omega T} phi in the form
-    ``pencil.dispersion_G`` uses for Lorentz.  The extra factor keeps
-    log|F| flat on the contour: log|G| varies by T times the rectangle
-    height, about 42 at T = 200 and 210 at T = 1000 on the default Drude
-    rectangle, past the 27.6 dip at which the zero probe of
-    ``winding_count_function`` rejects a contour.  Vectorized over
-    ``omega`` (scalars and arrays both work).
-    """
-    omega = np.asarray(omega, dtype=complex)
-    eps_plus = p.eps0 * (1.0 + p.alpha)
-    A = p.mu0 * eps_plus
-    quart = _drude_quartic(p)
-    P = np.polyval(quart, omega)
-    dP = np.polyval(np.polyder(quart), omega)
-    s = (1.0 - math.exp(-p.gamma * T)) / p.gamma
-    q = p.k**2 - A * omega * omega
-    phi = p.c_D * (1.0 - 1j * omega * s) * q
-    dphi = p.c_D * ((-1j * s) * q + (1.0 - 1j * omega * s) * (-2.0 * A * omega))
-    # Im(omega) < 0 on the contour, so the exponential factor is < 1 and
-    # the truncated-history term never overflows.
-    E = np.exp(-1j * omega * T)
-    F = P * E + phi
-    dF = (dP - 1j * T * P) * E + dphi
-    return F, dF
+    def context(self, T=None):
+        """Pencil frame of the interface, its memory cut at T if given."""
+        minus = (UntruncatedDrude(self.c_D, self.gamma) if T is None
+                 else TruncatedDrude(self.c_D, self.gamma, T))
+        itf = MaterialInterface(minus=minus, plus=Constant(self.alpha),
+                                eps0=self.eps0, mu0=self.mu0)
+        return PencilContext(itf, self.k)
 
 
 def drude_truncation_demo(params, rect=None, T_list=(50.0, 200.0, 1000.0)):
@@ -537,7 +472,7 @@ def drude_truncation_demo(params, rect=None, T_list=(50.0, 200.0, 1000.0)):
     ``counts`` as a list of (T, count or None) pairs; ``None`` records a
     contour failure (zero on the contour) rather than a count.
     """
-    roots = np.roots(_drude_quartic(params))
+    roots = np.roots(_quartic_coeffs(params.context(), 1))
     strip = [r for r in roots if -params.gamma < r.imag < 0.0]
     if rect is None:
         if not strip:
@@ -561,15 +496,7 @@ def drude_truncation_demo(params, rect=None, T_list=(50.0, 200.0, 1000.0)):
 
     counts = []
     for T in T_list:
-        def logderiv(w, T=T):
-            F, dF = _drude_F(params, T, w)
-            return dF / F
-
-        def probe(w, T=T):
-            F, _ = _drude_F(params, T, w)
-            mag = abs(complex(F))
-            return math.log(mag) if mag > 0 else -math.inf
-
+        logderiv, probe = _winding_integrand(params.context(T), 1, T)
         try:
             count, _ = winding_count_function(logderiv, rect, zero_probe=probe)
         except (ZeroOnContour, QuadratureNotConverged):

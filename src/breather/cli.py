@@ -313,7 +313,7 @@ def cmd_check(cfg, out, args):
     probe = PencilContext(cfg.interface, cfg.k, None)
     omega_inf = seed_root(probe)
 
-    report = check_B(ctx, omega_inf, coupling=args.coupling)
+    report = check_B(ctx, omega_inf)
     cone = check_A6_cone(ctx, cfg.nu_max)
     nl = cfg.interface.nl_minus or cfg.interface.nl_plus
     sweep = gamma_bound_sweep(ctx, nl, min(cfg.nu_max, args.sweep_nu))
@@ -499,8 +499,6 @@ def _build_parser():
     p.set_defaults(func=cmd_breather)
 
     p = common(sub.add_parser("check", help="assumption report"))
-    p.add_argument("--coupling", choices=("amplitude", "strength"),
-                   default="amplitude")
     p.add_argument("--sweep-nu", type=int, default=6)
     p.add_argument("--drude-demo", action="store_true",
                    help="append the lossy-metal truncation counts")

@@ -7,6 +7,13 @@ zeros are the pencil eigenvalues, closed-form untruncated eigenvalues
 (quartic), Newton refinement for the truncated model, argument-principle
 winding counts over rectangles, spectral-set membership classification,
 and the closed-form surface-mode eigenfunction.
+
+The dispersion function is written once, for any oscillator minus side
+(Lorentz or Drude) against a constant plus side, from the family's data
+in ``susceptibility``: its quartic parameters and its memory window
+G = P + e^E W.  Array evaluation divides out the window growth
+e^{max(Re E, 0)}, so one vectorized pass gives the log-derivative, the
+zero probe of a whole contour and log|G| at any depth.
 """
 
 import cmath
@@ -25,7 +32,7 @@ from .errors import (
     QuadratureNotConverged,
     ZeroOnContour,
 )
-from .susceptibility import Constant, TruncatedLorentz, UntruncatedLorentz
+from .susceptibility import Constant, _Oscillator
 
 __all__ = [
     "PencilContext",
@@ -186,10 +193,10 @@ def spectral_quantities(ctx, n, nu):
 # Dispersion functions
 # ----------------------------------------------------------------------
 
-def _lorentz_params(ctx):
+def _oscillator_side(ctx):
     m = ctx.interface.minus
-    if not isinstance(m, (TruncatedLorentz, UntruncatedLorentz)):
-        raise ModelError("dispersion function needs a Lorentz-family minus side")
+    if not isinstance(m, _Oscillator):
+        raise ModelError("dispersion function needs an oscillator minus side")
     if not isinstance(ctx.interface.plus, Constant):
         raise ModelError("dispersion function needs a constant plus side")
     eps_plus = ctx.interface.eps0 * (1.0 + ctx.interface.plus.alpha)
@@ -197,38 +204,39 @@ def _lorentz_params(ctx):
 
 
 def _dispersion_pieces(ctx, n, omega, T):
-    """(polynomial part P, window prefactor W = -c_L*R*B, exponent
-    (i*omega-gamma)T, deriv), with
+    """(polynomial part P, window part W = -c*R*B, window exponent E,
+    deriv), with
 
-        G_n(omega, T) = P(omega) + e^{(i omega - gamma) T} * W(omega).
+        G_n(omega, T) = P(omega) + e^E * W(omega)
+                      = den (A + chi_T B),   P = A den - c B,
 
-    deriv() returns (dP/domega, dW/domega) from the same den_L, A, B and
-    R, so only callers that need the derivative pay for it.  Vectorized
-    over omega.
+    A = K (eps_+/eps0 + 1) - mu0 eps_+ omega^2, B = K - mu0 eps_+ omega^2,
+    and den, c, E and the bracket R those of the minus-side oscillator
+    family at window T.  deriv() returns (dP/domega, dW/domega), so only
+    callers that need the derivative pay for it.  Vectorized over omega.
     """
-    m, eps_plus = _lorentz_params(ctx)
+    m, eps_plus = _oscillator_side(ctx)
     eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
+    g, _, c = m.oscillator
     K = (n * ctx.k) ** 2
     omega = np.asarray(omega, dtype=complex) if np.ndim(omega) else complex(omega)
-    den_L = omega * omega + 2j * m.gamma * omega - m.omega_star**2
+    den = m.denominator(omega)
     A = (K / eps0 - omega * omega * mu0) * eps_plus + K
     B = K - omega * omega * mu0 * eps_plus
-    cs = m.c_star
-    R = (1j * omega - m.gamma) / cs * math.sin(cs * T) - math.cos(cs * T)
-    P = A * den_L - m.c_L * B
+    E, R, dR = m.window(omega, T)
+    P = A * den - c * B
 
     def deriv():
-        dden = 2 * omega + 2j * m.gamma
+        dden = 2 * omega + 2j * g
         dB = -2 * omega * mu0 * eps_plus        # = dA
-        dP = dB * den_L + A * dden - m.c_L * dB
-        dR = 1j / cs * math.sin(cs * T)
-        return dP, -m.c_L * (dR * B + R * dB)
+        dP = dB * den + A * dden - c * dB
+        return dP, -c * (dR * B + R * dB)
 
-    return P, -m.c_L * R * B, (1j * omega - m.gamma) * T, deriv
+    return P, -c * R * B, E, deriv
 
 
 def dispersion_G(ctx, n, omega, T):
-    """The truncated-Lorentz dispersion function G_n(omega, T).
+    """The truncated dispersion function G_n(omega, T).
 
     Its zeros (outside the singular set Omega_0) are exactly the
     eigenvalues of the truncated interface pencil.
@@ -237,72 +245,86 @@ def dispersion_G(ctx, n, omega, T):
     return P + cmath.exp(expo) * W
 
 
-def dispersion_G_scaled(ctx, n, omega, T):
-    """G_n(omega, T) in scaled arithmetic, valid arbitrarily deep in Im omega."""
-    P, W, expo, _ = _dispersion_pieces(ctx, n, omega, T)
-    return ScaledComplex.from_complex(P) + ScaledComplex.exp(expo) * W
-
-
 def dispersion_G_deriv(ctx, n, omega, T):
     """Analytic derivative d G_n/d omega (closed form, no finite differences)."""
     _, W, expo, deriv = _dispersion_pieces(ctx, n, omega, T)
     dP, dW = deriv()
     return dP + cmath.exp(expo) * (dW + 1j * T * W)
 
-def dispersion_logderiv(ctx, n, omega, T):
-    """G'/G, overflow-safe below Im omega = -gamma; vectorized over omega.
 
-    Inside the closed strip Im omega >= -gamma the exponential window
-    factor has modulus <= 1 and plain complex arithmetic is used; deeper
-    points fall back to scaled (log-polar) evaluation per point.
+def _dispersion_shifted(ctx, n, omega, T):
+    """(s, G e^{-s}, G' e^{-s}) on a 1-d array of omega, s = max(Re E, 0).
+
+    The shift keeps both values finite however deep the points sit below
+    the line Re E = 0 (Im omega = -gamma for Lorentz, the real axis for
+    Drude); above it s = 0 and the values are G and G' themselves.
     """
-    scalar = np.ndim(omega) == 0
-    omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     P, W, expo, deriv = _dispersion_pieces(ctx, n, omega, T)
     dP, dW = deriv()
-    out = np.empty(omega.shape, dtype=complex)
-    safe = np.real(expo) < 600.0
-    if safe.any():
-        E = np.exp(expo[safe])
-        out[safe] = (dP[safe] + E * (dW[safe] + 1j * T * W[safe])) / (
-            P[safe] + E * W[safe]
-        )
-    for i in np.nonzero(~safe)[0]:
-        E = ScaledComplex.exp(expo[i])
-        num = ScaledComplex.from_complex(dP[i]) + E * (dW[i] + 1j * T * W[i])
-        den = ScaledComplex.from_complex(P[i]) + E * W[i]
-        out[i] = (num / den).to_complex()
+    s = np.maximum(expo.real, 0.0)
+    shift = np.exp(-s)
+    E = np.exp(expo - s)
+    return (s, P * shift + E * W,
+            dP * shift + E * (dW + 1j * T * W))
+
+
+def dispersion_logderiv(ctx, n, omega, T):
+    """G'/G, vectorized over omega and finite at any depth.
+
+    G' and G are both evaluated with the window growth e^{max(Re E, 0)}
+    divided out (``_dispersion_shifted``); the factor cancels in the
+    ratio, so every point takes the same vectorized path.
+    """
+    scalar = np.ndim(omega) == 0
+    _, G, dG = _dispersion_shifted(ctx, n, np.atleast_1d(omega), T)
+    out = dG / G
     return complex(out[0]) if scalar else out
 
 
-def _oscillator_quartic(K, eps_plus, eps0, mu0, gamma, omega_star_sq, c):
-    """Coefficients, highest power first, of the polynomial dispersion
+def _log_abs_G(ctx, n, omega, T):
+    """(s, log|G e^{-s}|) on a 1-d array of omega; log|G| is their sum."""
+    s, G, _ = _dispersion_shifted(ctx, n, omega, T)
+    with np.errstate(divide="ignore"):
+        return s, np.log(np.abs(G))
 
-        (w^2 + 2i gamma w - omega_*^2) (K eps_+/eps0 + K - mu0 eps_+ w^2)
+
+def _winding_integrand(ctx, n, T):
+    """(logderiv, zero_probe) of G_n(., T) for ``winding_count_function``.
+
+    The probe is log|G e^{-s}|: with the window growth divided out it stays
+    flat along a contour whose depth varies (it is log|G| wherever s = 0),
+    so only a true near-zero makes it dip.
+    """
+    return (lambda w: dispersion_logderiv(ctx, n, w, T),
+            lambda w: _log_abs_G(ctx, n, w, T)[1])
+
+
+def _quartic_coeffs(ctx, n):
+    """Coefficients, highest power first, of the untruncated dispersion
+
+        (w^2 + 2i g w - omega_*^2) (K eps_+/eps0 + K - mu0 eps_+ w^2)
             - c (K - mu0 eps_+ w^2)
 
-    of a one-oscillator side against a constant one.  Lorentz: gamma,
-    omega_*^2 and c = c_L as given; Drude: gamma/2, 0 and c = c_D.
+    of the minus-side oscillator family (g, omega_*, c) against the
+    constant plus side, K = (n k)^2.
     """
+    m, eps_plus = _oscillator_side(ctx)
+    g, omega_star, c = m.oscillator
+    omega_star_sq = omega_star**2
+    K = (n * ctx.k) ** 2
+    eps0, mu0 = ctx.interface.eps0, ctx.interface.mu0
     q2 = mu0 * eps_plus
     q0 = K * (eps_plus / eps0 + 1.0)
     return np.array(
         [
             -q2,
-            -2j * gamma * q2,
+            -2j * g * q2,
             q0 + q2 * omega_star_sq + c * mu0 * eps_plus,
-            2j * gamma * q0,
+            2j * g * q0,
             -q0 * omega_star_sq - c * K,
         ],
         dtype=complex,
     )
-
-
-def _quartic_coeffs(ctx, n):
-    m, eps_plus = _lorentz_params(ctx)
-    itf = ctx.interface
-    return _oscillator_quartic((n * ctx.k) ** 2, eps_plus, itf.eps0, itf.mu0,
-                               m.gamma, m.omega_star**2, m.c_L)
 
 
 def dispersion_G_inf(ctx, n, omega):
@@ -459,20 +481,19 @@ def winding_count_function(logderiv, rect, zero_probe=None):
 
     logderiv(omega) must return f'(omega)/f(omega) elementwise for a flat
     array of nodes; one call receives up to 4096 nodes drawn from all four
-    edges.  zero_probe(omega), if given, is called per point and returns a
-    log-magnitude of f used to reject contours passing through a zero.
-    Panels accepted only at the quadrature depth cap are logged as one
+    edges.  zero_probe(omega), if given, receives one flat array of sample
+    points spanning the whole contour and returns a log-magnitude of f at
+    each, used to reject contours passing through a zero.  Panels accepted only at the quadrature depth cap are logged as one
     warning per contour on the ``breather.pencil`` logger.  Returns
     (count, residual); raises QuadratureNotConverged when the pre-rounding
     value sits further than 0.25 from an integer.
     """
     corners = rect.corners
     if zero_probe is not None:
-        logs = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            ts = np.linspace(0.0, 1.0, max(rect.quadrature, 16))
-            logs.extend(zero_probe(a + t * (b - a)) for t in ts)
-        logs = np.array(logs)
+        a = np.array(corners)
+        ts = np.linspace(0.0, 1.0, max(rect.quadrature, 16))
+        logs = np.asarray(zero_probe(
+            (a[:, None] + ts * (np.roll(a, -1) - a)[:, None]).ravel()))
         if np.min(logs) < np.max(logs) - 27.6:  # 1e-12 relative magnitude dip
             raise ZeroOnContour(
                 "dispersion function nearly vanishes on the contour"
@@ -500,11 +521,8 @@ def winding_count_function(logderiv, rect, zero_probe=None):
 
 def winding_count(ctx, n, T, rect):
     """Number of zeros of G_n(., T) inside the rectangle."""
-    count, _ = winding_count_function(
-        lambda w: dispersion_logderiv(ctx, n, w, T),
-        rect,
-        zero_probe=lambda w: dispersion_G_scaled(ctx, n, w, T).log_mag,
-    )
+    logderiv, probe = _winding_integrand(ctx, n, T)
+    count, _ = winding_count_function(logderiv, rect, zero_probe=probe)
     return count
 
 
@@ -605,18 +623,26 @@ def resolvent_membership(ctx, n, nu, tol_pack=TolerancePack(), T=None):
     """Classify omega^{(n,nu)}: resolvent / point_spec / essential / omega0_set.
 
     The point-spectrum proxy is a small dispersion residual relative to the
-    coefficient scale; T defaults to the minus-side memory window.
+    coefficient scale, compared in logs (log|G| = s + log|G e^{-s}|, so
+    deep cone points need no overflow guard); T defaults to the minus-side
+    memory window, and a minus side without one raises ModelError.
     """
+    if T is None:
+        T = getattr(ctx.interface.minus, "T", None)
+        if T is None:
+            raise ModelError(
+                "resolvent membership needs the memory window T of the "
+                "minus side (config 'T' or 'j'); "
+                f"{type(ctx.interface.minus).__name__} has none"
+            )
     omega = ctx.omega(n, nu)
     if in_Omega0(ctx, omega, tol_pack.omega0_tol):
         return "omega0_set"
     if essential_spectrum_membership(ctx, n, omega, tol_pack.ess_tol_im) != "none":
         return "essential"
-    if T is None:
-        T = ctx.interface.minus.T
-    g = dispersion_G_scaled(ctx, n, omega, T)
+    s, log_g = _log_abs_G(ctx, n, np.array([omega]), T)
     log_scale = math.log(coefficient_scale(ctx, n, omega))
-    if g.log_mag < log_scale + math.log(tol_pack.point_tol):
+    if s[0] + log_g[0] < log_scale + math.log(tol_pack.point_tol):
         return "point_spec"
     return "resolvent"
 

@@ -74,8 +74,91 @@ def window_T(j, gamma, omega_star):
     return j * math.pi / _c_star(gamma, omega_star)
 
 
+class _Oscillator(LinearSusceptibility):
+    """One damped-oscillator family, its dispersion data stated once.
+
+    ``oscillator`` is (g, omega_*, c): the untruncated transform is
+    chi(w) = -c / den(w), den(w) = w^2 + 2i g w - omega_*^2, convergent for
+    Im w > -a (a = ``rate``).  Cut at t = T, the kernel has the entire
+    transform
+
+        chi_T(w) = -c / den(w) * (1 + e^E R(w)),
+
+    whose exponent E = (i w - a) T, bracket R (linear in w) and dR/dw
+    ``window(w, T)`` returns, vectorized over w.  Lorentz: (gamma, omega_*,
+    c_L), a = gamma; Drude: (gamma/2, 0, c_D), a = 0.  The interface
+    dispersion function of ``pencil`` reads the same data.
+    """
+
+    def denominator(self, omega):
+        g, omega_star, _ = self.oscillator
+        return _lorentz_denominator(omega, g, omega_star)
+
+    def ft(self, omega):
+        omega = complex(omega)
+        if omega.imag <= -self.rate:
+            raise DomainError(
+                "untruncated oscillator transform converges only for "
+                f"Im omega > {-self.rate}; got {omega.imag}"
+            )
+        return -self.oscillator[2] / self.denominator(omega)
+
+
+class _Truncated(_Oscillator):
+    """chi_T of an oscillator family at its own memory window T."""
+
+    def ft(self, omega):
+        omega = complex(omega)
+        E, R, _ = self.window(omega, self.T)
+        return -self.oscillator[2] / self.denominator(omega) * (
+            1.0 + np.exp(E) * R)
+
+    def ft_scaled(self, omega):
+        omega = complex(omega)
+        E, R, _ = self.window(omega, self.T)
+        factor = 1.0 + ScaledComplex.exp(E) * R
+        return factor * (-self.oscillator[2]) / self.denominator(omega)
+
+
+class _Lorentz(_Oscillator):
+    """R(w) = (i w - gamma) sin(c_* T)/c_* - cos(c_* T)."""
+
+    @property
+    def oscillator(self):
+        return self.gamma, self.omega_star, self.c_L
+
+    @property
+    def rate(self):
+        return self.gamma
+
+    @property
+    def c_star(self):
+        return _c_star(self.gamma, self.omega_star)
+
+    def window(self, omega, T):
+        cs = self.c_star
+        return ((1j * omega - self.gamma) * T,
+                (1j * omega - self.gamma) / cs * math.sin(cs * T)
+                - math.cos(cs * T),
+                1j / cs * math.sin(cs * T))
+
+
+class _Drude(_Oscillator):
+    """R(w) = i w (1 - e^{-gamma T})/gamma - 1."""
+
+    @property
+    def oscillator(self):
+        return 0.5 * self.gamma, 0.0, self.c_D
+
+    rate = 0.0
+
+    def window(self, omega, T):
+        s = (1.0 - math.exp(-self.gamma * T)) / self.gamma
+        return 1j * omega * T, 1j * omega * s - 1.0, 1j * s
+
+
 @dataclass(frozen=True)
-class UntruncatedLorentz(LinearSusceptibility):
+class UntruncatedLorentz(_Lorentz):
     """chi^(1)(omega) = -c_L / (omega^2 + 2 i gamma omega - omega_*^2)."""
 
     c_L: float
@@ -86,22 +169,9 @@ class UntruncatedLorentz(LinearSusceptibility):
         if not (self.omega_star > self.gamma > 0 and self.c_L > 0):
             raise ConfigError("Lorentz model needs omega_star > gamma > 0, c_L > 0")
 
-    @property
-    def c_star(self):
-        return _c_star(self.gamma, self.omega_star)
-
-    def ft(self, omega):
-        omega = complex(omega)
-        if omega.imag <= -self.gamma:
-            raise DomainError(
-                "untruncated Lorentz transform converges only for "
-                f"Im omega > {-self.gamma}; got {omega.imag}"
-            )
-        return -self.c_L / _lorentz_denominator(omega, self.gamma, self.omega_star)
-
 
 @dataclass(frozen=True)
-class TruncatedLorentz(LinearSusceptibility):
+class TruncatedLorentz(_Truncated, _Lorentz):
     """Lorentz oscillator with memory cut off at t = T (entire transform)."""
 
     c_L: float
@@ -116,31 +186,9 @@ class TruncatedLorentz(LinearSusceptibility):
                 "c_L > 0, T > 0"
             )
 
-    c_star = UntruncatedLorentz.c_star
-
-    def _bracket(self, omega):
-        """The window factor multiplying the untruncated transform."""
-        cs = self.c_star
-        return (1j * omega - self.gamma) / cs * math.sin(cs * self.T) - math.cos(
-            cs * self.T
-        )
-
-    def ft(self, omega):
-        omega = complex(omega)
-        denom = _lorentz_denominator(omega, self.gamma, self.omega_star)
-        factor = 1.0 + np.exp((1j * omega - self.gamma) * self.T) * self._bracket(omega)
-        return -self.c_L / denom * factor
-
-    def ft_scaled(self, omega):
-        omega = complex(omega)
-        denom = _lorentz_denominator(omega, self.gamma, self.omega_star)
-        expo = ScaledComplex.exp((1j * omega - self.gamma) * self.T)
-        factor = 1.0 + expo * self._bracket(omega)
-        return factor * (-self.c_L) / denom
-
 
 @dataclass(frozen=True)
-class UntruncatedDrude(LinearSusceptibility):
+class UntruncatedDrude(_Drude):
     """chi^(1)(omega) = -c_D / (omega^2 + i gamma omega)."""
 
     c_D: float
@@ -150,17 +198,9 @@ class UntruncatedDrude(LinearSusceptibility):
         if not (self.gamma > 0 and self.c_D > 0):
             raise ConfigError("Drude model needs gamma > 0, c_D > 0")
 
-    def ft(self, omega):
-        omega = complex(omega)
-        if omega.imag <= 0:
-            raise DomainError(
-                "untruncated Drude transform converges only for Im omega > 0"
-            )
-        return -self.c_D / (omega * omega + 1j * self.gamma * omega)
-
 
 @dataclass(frozen=True)
-class TruncatedDrude(LinearSusceptibility):
+class TruncatedDrude(_Truncated, _Drude):
     """Drude conductor with memory cut off at t = T (entire transform)."""
 
     c_D: float
@@ -170,14 +210,6 @@ class TruncatedDrude(LinearSusceptibility):
     def __post_init__(self):
         if not (self.gamma > 0 and self.c_D > 0 and self.T > 0):
             raise ConfigError("truncated Drude model needs gamma > 0, c_D > 0, T > 0")
-
-    def ft(self, omega):
-        omega = complex(omega)
-        denom = omega * omega + 1j * self.gamma * omega
-        window = 1.0 - np.exp(1j * omega * self.T) * (
-            1.0 - (1j * omega / self.gamma) * (1.0 - math.exp(-self.gamma * self.T))
-        )
-        return -self.c_D / denom * window
 
 
 @dataclass(frozen=True)

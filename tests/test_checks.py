@@ -11,7 +11,6 @@ import pytest
 
 from breather.checks import (
     DrudeParams,
-    _drude_quartic,
     admittance_inf,
     check_A6_cone,
     check_B,
@@ -19,8 +18,8 @@ from breather.checks import (
     gamma_bound_sweep,
     transverse_rate_sq_inf,
 )
-from breather.errors import ConfigError
-from breather.pencil import PencilContext
+from breather.errors import ConfigError, ModelError
+from breather.pencil import PencilContext, _quartic_coeffs
 from breather.susceptibility import NonlinearSusceptibility
 
 from conftest import OMEGA0_REF
@@ -50,20 +49,17 @@ class TestAssumptionReport:
         ratio = report.params["gamma_over_abs_omega_I"]
         assert ratio == pytest.approx(3.3602, abs=1e-3)
 
-    def test_strength_convention_same_verdicts(self, ctx, report):
-        alt = check_B(ctx, OMEGA0_REF, coupling="strength")
-        for r, s in zip(report.results, alt.results):
-            assert r.status == s.status
-        # the closed forms with the full coupling give larger minima
-        assert alt["B3"].margin == pytest.approx(0.9173, abs=2e-3)
-        assert alt["B4"].margin == pytest.approx(0.1365, abs=2e-3)
-
     def test_report_serializes(self, report):
         d = report.to_dict()
         assert {r["name"] for r in d["results"]} == {
             "B1", "B2", "B3", "B4", "B5", "B6", "B7"
         }
-        assert d["params"]["coupling"] == "amplitude"
+        assert "coupling" not in d["params"]
+
+    def test_needs_lorentz_minus(self):
+        drude = DrudeParams(c_D=4.0, gamma=0.5, alpha=2.0, k=3.0).context(50.0)
+        with pytest.raises(ModelError, match="Lorentz"):
+            check_B(drude, 1.0 - 0.1j)
 
     def test_limit_quantities_conjugate_partner(self, ctx):
         for n, nu in ((1, 2), (2, 3), (0, 1)):
@@ -166,7 +162,11 @@ class TestDrudeDemo:
         with pytest.raises(ConfigError):
             DrudeParams(c_D=-1.0, gamma=0.5, alpha=2.0, k=3.0)
         with pytest.raises(ConfigError):
-            DrudeParams(c_D=4.0, gamma=0.5, alpha=-2.0, k=3.0)
+            DrudeParams(c_D=4.0, gamma=0.0, alpha=2.0, k=3.0)
+        # alpha > 0, the bound of the constant side and of every config
+        for alpha in (-2.0, -0.5, 0.0):
+            with pytest.raises(ConfigError):
+                DrudeParams(c_D=4.0, gamma=0.5, alpha=alpha, k=3.0)
 
     def test_counts_vanish_for_long_windows(self):
         p = DrudeParams(c_D=4.0, gamma=0.5, alpha=2.0, k=3.0)
@@ -178,14 +178,14 @@ class TestDrudeDemo:
         assert counts[1000.0] == 0
 
     def test_quartic_is_the_drude_expansion(self):
-        """The shared oscillator quartic under the Drude mapping against
+        """The shared dispersion quartic of a Drude context against
         (w^2 + i gamma w)(k^2 eps_+/eps0 + k^2 - mu0 eps_+ w^2)
         - c_D (k^2 - mu0 eps_+ w^2) written out directly."""
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = DrudeParams(c_D=rng.uniform(0.1, 10.0),
                             gamma=rng.uniform(0.05, 3.0),
-                            alpha=rng.uniform(-0.9, 5.0),
+                            alpha=rng.uniform(0.1, 5.0),
                             k=rng.uniform(0.1, 5.0),
                             eps0=rng.uniform(0.5, 2.0),
                             mu0=rng.uniform(0.5, 2.0))
@@ -194,8 +194,9 @@ class TestDrudeDemo:
             q = p.k**2 - p.mu0 * eps_p * w * w
             direct = ((w * w + 1j * p.gamma * w)
                       * (p.k**2 * eps_p / p.eps0 + q) - p.c_D * q)
-            got = np.polyval(_drude_quartic(p), w)
-            scale = np.polyval(np.abs(_drude_quartic(p)), np.abs(w))
+            quartic = _quartic_coeffs(p.context(), 1)
+            got = np.polyval(quartic, w)
+            scale = np.polyval(np.abs(quartic), np.abs(w))
             assert np.all(np.abs(got - direct) <= 1e-13 * scale)
 
     def test_untruncated_roots_in_strip(self):

@@ -17,6 +17,7 @@ import pytest
 
 import breather
 from breather.cli import _cells, _write_csv, main
+from breather.config import default_config_path
 
 from conftest import OMEGA0_REF
 
@@ -224,6 +225,19 @@ class TestErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
+
+    def test_check_without_memory_window_exit_two(self, tmp_path, capsys):
+        """With no 'j' or 'T' the minus side is untruncated: the cone
+        cannot be classified, and check says so instead of crashing."""
+        data = read_json(default_config_path())
+        del data["j"]
+        path = tmp_path / "untruncated.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ModelError"
+        assert "memory window" in err["message"]
 
 
 class TestLogging:

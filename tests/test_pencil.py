@@ -6,6 +6,7 @@ import cmath
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,6 @@ from breather.pencil import (
     dispersion_G,
     dispersion_G_deriv,
     dispersion_G_inf,
-    dispersion_G_scaled,
     dispersion_logderiv,
     eigenfunction,
     in_Omega0,
@@ -32,7 +32,7 @@ from breather.pencil import (
     winding_count,
     winding_count_function,
 )
-from breather.pencil import _EDGE_TOL, _contour_integrals
+from breather.pencil import _EDGE_TOL, _contour_integrals, _log_abs_G
 
 from conftest import CSTAR, OMEGA0_REF, T_REF
 
@@ -73,13 +73,108 @@ class TestNewton:
         ) / (2 * h)
         assert abs(d - fd) < 1e-4 * abs(d)
 
-    def test_scaled_dispersion_matches_plain(self, probe):
-        for w in (1.2 - 0.3j, -2.0 - 0.1j, 0.4 - 0.45j):
-            a = dispersion_G(probe, 1, w, T_REF)
-            b = dispersion_G_scaled(probe, 1, w, T_REF).to_complex(
-                strict=True
-            )
-            assert abs(a - b) < 1e-10 * abs(a)
+
+
+def _previous_logderiv(ctx, n, omega, T):
+    """G'/G as computed before the oscillator families carried the
+    window, written out for the Lorentz minus side: the oracle for
+    bit-for-bit equality where Re E <= 0."""
+    m, itf = ctx.interface.minus, ctx.interface
+    eps_plus = itf.eps0 * (1.0 + itf.plus.alpha)
+    eps0, mu0 = itf.eps0, itf.mu0
+    K = (n * ctx.k) ** 2
+    den_L = omega * omega + 2j * m.gamma * omega - m.omega_star**2
+    A = (K / eps0 - omega * omega * mu0) * eps_plus + K
+    B = K - omega * omega * mu0 * eps_plus
+    cs = m.c_star
+    R = (1j * omega - m.gamma) / cs * math.sin(cs * T) - math.cos(cs * T)
+    P = A * den_L - m.c_L * B
+    W = -m.c_L * R * B
+    dden = 2 * omega + 2j * m.gamma
+    dB = -2 * omega * mu0 * eps_plus
+    dP = dB * den_L + A * dden - m.c_L * dB
+    dW = -m.c_L * (1j / cs * math.sin(cs * T) * B + R * dB)
+    E = np.exp((1j * omega - m.gamma) * T)
+    return (dP + E * (dW + 1j * T * W)) / (P + E * W)
+
+
+def _mp_dispersion(ctx, n, w, T):
+    """(log|G|, G'/G) of the oscillator dispersion in 50-digit mpmath,
+    from G = den (A + chi_T B) with chi_T = -c/den (1 + e^E R)."""
+    m, itf = ctx.interface.minus, ctx.interface
+    g, omega_star, c = m.oscillator
+    with mpmath.workdps(50):
+        w, T = mpmath.mpc(w), mpmath.mpf(T)
+        eps_plus = mpmath.mpf(itf.eps0) * (1 + mpmath.mpf(itf.plus.alpha))
+        K = mpmath.mpf(n * ctx.k) ** 2
+        q = itf.mu0 * eps_plus
+        den, dden = w * w + 2j * g * w - omega_star**2, 2 * w + 2j * g
+        A, B, dB = K * (eps_plus / itf.eps0 + 1) - q * w * w, K - q * w * w, -2 * q * w
+        cs = mpmath.mpf(m.c_star)
+        R = (1j * w - m.gamma) / cs * mpmath.sin(cs * T) - mpmath.cos(cs * T)
+        dR = 1j / cs * mpmath.sin(cs * T)
+        e = mpmath.exp((1j * w - m.gamma) * T)
+        G = den * A - c * (1 + e * R) * B
+        dG = (dden * A + den * dB
+              - c * ((1j * T * e * R + e * dR) * B + (1 + e * R) * dB))
+        return float(mpmath.log(abs(G))), complex(dG / G)
+
+
+class TestDispersion:
+    def test_logderiv_matches_previous_formula_exactly(self, probe):
+        rng = np.random.default_rng(7)
+        gamma = probe.interface.minus.gamma
+        w = rng.uniform(-20.0, 20.0, 4000) + 1j * rng.uniform(-gamma, 0.5, 4000)
+        for j in (21, 201, 1001):
+            T = j * math.pi / CSTAR
+            got = dispersion_logderiv(probe, 1, w, T)
+            assert np.array_equal(got, _previous_logderiv(probe, 1, w, T))
+            assert dispersion_logderiv(probe, 1, w[0], T) == got[0]
+
+    def test_deep_log_magnitude_matches_mpmath(self, probe):
+        """Out to Re E ~ 8,800 below the memory line, where G itself is
+        far beyond double range."""
+        rng = np.random.default_rng(11)
+        gamma = probe.interface.minus.gamma
+        depth = rng.uniform(0.0, 8800.0 / T_REF, 200)
+        w = rng.uniform(-20.0, 20.0, 200) + 1j * (-gamma - depth)
+        s, log_g = _log_abs_G(probe, 1, w, T_REF)
+        dlog = dispersion_logderiv(probe, 1, w, T_REF)
+        assert s.max() > 8000.0
+        for i in range(w.size):
+            ref, dref = _mp_dispersion(probe, 1, w[i], T_REF)
+            assert abs(s[i] + log_g[i] - ref) <= 1e-13 * max(1.0, abs(ref))
+            assert abs(dlog[i] - dref) <= 1e-12 * abs(dref)
+
+    @pytest.fixture(scope="class")
+    def drude(self):
+        from breather.susceptibility import (
+            Constant, MaterialInterface, TruncatedDrude)
+
+        itf = MaterialInterface(minus=TruncatedDrude(c_D=4.0, gamma=0.5, T=50.0),
+                                plus=Constant(alpha=2.0))
+        return PencilContext(itf, k=3.0)
+
+    def test_drude_dispersion_is_den_times_permittivity_form(self, drude):
+        itf = drude.interface
+        m, T = itf.minus, itf.minus.T
+        eps_plus = itf.eps0 * (1.0 + itf.plus.alpha)
+        K = drude.k**2
+        for w in (0.3 - 0.2j, -1.7 - 0.45j, 2.5 + 0.1j, 0.05 - 0.01j):
+            q = itf.mu0 * eps_plus * w * w
+            den = w * w + 1j * m.gamma * w
+            ref = den * ((K * (eps_plus / itf.eps0 + 1.0) - q)
+                         + m.ft(w) * (K - q))
+            got = dispersion_G(drude, 1, w, T)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_drude_logderiv_matches_central_difference(self, drude):
+        T, h = drude.interface.minus.T, 1e-6
+        for w in (0.3 - 0.2j, -1.7 - 0.45j, 2.5 + 0.1j):
+            fd = (dispersion_G(drude, 1, w + h, T)
+                  - dispersion_G(drude, 1, w - h, T)) / (2 * h)
+            ref = fd / dispersion_G(drude, 1, w, T)
+            assert abs(dispersion_logderiv(drude, 1, w, T) - ref) <= 1e-7 * abs(ref)
 
 
 class TestWinding:
@@ -108,7 +203,7 @@ class TestWinding:
         with pytest.raises((ZeroOnContour, QuadratureNotConverged)):
             winding_count_function(
                 logderiv, rect,
-                zero_probe=lambda w: math.log(abs(complex(w) - z)),
+                zero_probe=lambda w: np.log(np.abs(w - z)),
             )
 
     def test_reference_rectangle_counts_four(self, probe):
@@ -330,6 +425,18 @@ class TestModelGuards:
         ctx = PencilContext(itf, k=3.0, omega0=None)
         with pytest.raises(ModelError):
             dispersion_G(ctx, 1, 1.0 - 0.1j, 10.0)
+
+    def test_membership_needs_memory_window(self):
+        from breather.susceptibility import (
+            Constant, MaterialInterface, UntruncatedLorentz)
+
+        itf = MaterialInterface(
+            minus=UntruncatedLorentz(c_L=20.0, gamma=0.5, omega_star=2.0),
+            plus=Constant(2.0))
+        ctx = PencilContext(itf, k=3.0, omega0=OMEGA0_REF)
+        with pytest.raises(ModelError, match="memory window"):
+            resolvent_membership(ctx, 0, 2)
+        assert resolvent_membership(ctx, 0, 2, T=T_REF) == "resolvent"
 
 
 def _scaled_complex():
