@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DegenerateError,
-    ModelError,
     QuadratureNotConverged,
     ZeroOnContour,
 )
@@ -35,6 +34,7 @@ from .pencil import (
     ContourRectangle,
     PencilContext,
     TolerancePack,
+    _lorentz_side,
     _quartic_coeffs,
     _winding_integrand,
     coefficient_scale,
@@ -44,14 +44,7 @@ from .pencil import (
     untruncated_eigenvalues,
     winding_count_function,
 )
-from .susceptibility import (
-    Constant,
-    MaterialInterface,
-    TruncatedDrude,
-    TruncatedLorentz,
-    UntruncatedDrude,
-    UntruncatedLorentz,
-)
+from .susceptibility import Constant, MaterialInterface, drude_model
 
 __all__ = [
     "CheckResult",
@@ -167,9 +160,8 @@ def check_B(ctx, omega0_inf, nu_cut=None):
     """
     omega0_inf = complex(omega0_inf)
     wR, wI = omega0_inf.real, omega0_inf.imag
+    _lorentz_side(ctx, "check_B")
     m = ctx.interface.minus
-    if not isinstance(m, (TruncatedLorentz, UntruncatedLorentz)):
-        raise ModelError("check_B needs a Lorentz minus side (c_L, omega_star)")
     gamma = m.gamma
     ratio = gamma / abs(wI) if wI != 0.0 else math.inf
     if nu_cut is None:
@@ -437,9 +429,8 @@ class DrudeParams:
 
     def context(self, T=None):
         """Pencil frame of the interface, its memory cut at T if given."""
-        minus = (UntruncatedDrude(self.c_D, self.gamma) if T is None
-                 else TruncatedDrude(self.c_D, self.gamma, T))
-        itf = MaterialInterface(minus=minus, plus=Constant(self.alpha),
+        itf = MaterialInterface(minus=drude_model(self.c_D, self.gamma, T),
+                                plus=Constant(self.alpha),
                                 eps0=self.eps0, mu0=self.mu0)
         return PencilContext(itf, self.k)
 

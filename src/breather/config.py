@@ -27,10 +27,9 @@ from .susceptibility import (
     Constant,
     MaterialInterface,
     NonlinearSusceptibility,
-    TruncatedDrude,
     TruncatedLorentz,
-    UntruncatedDrude,
     UntruncatedLorentz,
+    drude_model,
     window_T,
 )
 
@@ -176,11 +175,7 @@ def config_from_dict(data, **overrides):
         else:
             minus = TruncatedLorentz(c_L=c_L, gamma=gamma, omega_star=omega_star, T=T)
     elif model == "drude":
-        c_D = _require(data, "c_D", float)
-        if T is None:
-            minus = UntruncatedDrude(c_D=c_D, gamma=gamma)
-        else:
-            minus = TruncatedDrude(c_D=c_D, gamma=gamma, T=T)
+        minus = drude_model(_require(data, "c_D", float), gamma, T)
     elif model == "constant":
         minus = Constant(alpha=_require(data, "alpha_minus", float))
     else:

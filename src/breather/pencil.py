@@ -32,7 +32,7 @@ from .errors import (
     QuadratureNotConverged,
     ZeroOnContour,
 )
-from .susceptibility import Constant, _Oscillator
+from .susceptibility import Constant, _Lorentz, _Oscillator
 
 __all__ = [
     "PencilContext",
@@ -203,6 +203,14 @@ def _oscillator_side(ctx):
     return m, eps_plus
 
 
+def _lorentz_side(ctx, what):
+    """Refuse a non-Lorentz minus side: the eigenvalue seeds, their
+    refinement and the cone checks rest on the Lorentz strip
+    -gamma <= Im <= 0.  A Drude side serves only the truncation demo."""
+    if not isinstance(ctx.interface.minus, _Lorentz):
+        raise ModelError(f"{what} needs a Lorentz minus side (c_L, omega_star)")
+
+
 def _dispersion_pieces(ctx, n, omega, T):
     """(polynomial part P, window part W = -c*R*B, window exponent E,
     deriv), with
@@ -350,6 +358,7 @@ def untruncated_eigenvalues(ctx, n):
     finder (robust near coincident roots).  Roots of the two-sided
     eigenvalue condition always lie in the closed strip -gamma <= Im <= 0.
     """
+    _lorentz_side(ctx, "the eigenvalue seed")
     coeffs = _quartic_coeffs(ctx, n)
     scale = float(np.max(np.abs(coeffs)))
     if abs(coeffs[0]) < 1e-14 * scale:
@@ -364,6 +373,7 @@ def newton_eigenvalue(ctx, n, T, omega_guess, tol=1e-12, max_iter=60):
     eigenvalues form continuous curves in T emanating from them).
     Converged means |G_n(omega, T)| < tol * coefficient scale.
     """
+    _lorentz_side(ctx, "eigenvalue refinement")
     omega = complex(omega_guess)
     scale = coefficient_scale(ctx, n, omega)
     for _ in range(max_iter):
@@ -483,8 +493,9 @@ def winding_count_function(logderiv, rect, zero_probe=None):
     array of nodes; one call receives up to 4096 nodes drawn from all four
     edges.  zero_probe(omega), if given, receives one flat array of sample
     points spanning the whole contour and returns a log-magnitude of f at
-    each, used to reject contours passing through a zero.  Panels accepted only at the quadrature depth cap are logged as one
-    warning per contour on the ``breather.pencil`` logger.  Returns
+    each, used to reject contours passing through a zero.  Panels accepted
+    only at the quadrature depth cap are logged as one warning per contour
+    on the ``breather.pencil`` logger.  Returns
     (count, residual); raises QuadratureNotConverged when the pre-rounding
     value sits further than 0.25 from an integer.
     """

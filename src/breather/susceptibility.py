@@ -34,6 +34,7 @@ __all__ = [
     "UntruncatedLorentz",
     "TruncatedDrude",
     "UntruncatedDrude",
+    "drude_model",
     "Constant",
     "NonlinearSusceptibility",
     "MaterialInterface",
@@ -210,6 +211,13 @@ class TruncatedDrude(_Truncated, _Drude):
     def __post_init__(self):
         if not (self.gamma > 0 and self.c_D > 0 and self.T > 0):
             raise ConfigError("truncated Drude model needs gamma > 0, c_D > 0, T > 0")
+
+
+def drude_model(c_D, gamma, T=None):
+    """Drude response of the dispersive side, its memory cut at T if given."""
+    if T is None:
+        return UntruncatedDrude(c_D=c_D, gamma=gamma)
+    return TruncatedDrude(c_D=c_D, gamma=gamma, T=T)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,24 @@ class TestErrors:
         assert err["error"] == "ModelError"
         assert "memory window" in err["message"]
 
+    @pytest.mark.parametrize("omega0", [None, [3.9, -0.1]])
+    def test_eigen_on_drude_config_exit_two(self, tmp_path, capsys, omega0):
+        """The eigenvalue verbs rest on the Lorentz metal.  A Drude config,
+        with or without a configured seed, stops with a ModelError rather
+        than refining a root outside the model's strip."""
+        data = read_json(default_config_path())
+        del data["j"]
+        data.update(model="drude", c_D=4.0, T=50.0, nonlinear_sides=[])
+        if omega0 is not None:
+            data["omega0"] = omega0
+        path = tmp_path / "drude.json"
+        path.write_text(json.dumps(data))
+        code = main(["eigen", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ModelError"
+        assert "Lorentz" in err["message"]
+
 
 class TestLogging:
     def test_depth_cap_warning_lines(self, tmp_path, capsys):

@@ -74,7 +74,6 @@ class TestNewton:
         assert abs(d - fd) < 1e-4 * abs(d)
 
 
-
 def _previous_logderiv(ctx, n, omega, T):
     """G'/G as computed before the oscillator families carried the
     window, written out for the Lorentz minus side: the oracle for
