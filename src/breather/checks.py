@@ -33,7 +33,6 @@ from .errors import (
 from .pencil import (
     ContourRectangle,
     PencilContext,
-    TolerancePack,
     _lorentz_side,
     _quartic_coeffs,
     _winding_integrand,
@@ -135,7 +134,7 @@ def transverse_rate_sq_inf(ctx, omega0_inf, n, nu):
     return (n * ctx.k) ** 2 + omega * admittance_inf(ctx, omega0_inf, n, nu)
 
 
-def check_B(ctx, omega0_inf, nu_cut=None):
+def check_B(ctx, omega0_inf):
     """Evaluate the non-degeneracy conditions at an untruncated eigenvalue.
 
     Parameters
@@ -145,10 +144,9 @@ def check_B(ctx, omega0_inf, nu_cut=None):
         dispersive (minus) side must be an oscillator model exposing
         ``c_L``, ``gamma`` and ``omega_star``.
     omega0_inf : complex
-        Eigenvalue of the untruncated pencil (lower half plane).
-    nu_cut : int, optional
-        Largest harmonic level to scan.  Defaults to the number of levels
-        strictly above the memory line, ceil(gamma/|Im omega0_inf|).
+        Eigenvalue of the untruncated pencil (lower half plane).  The
+        levels scanned are those strictly above the memory line,
+        nu < gamma/|Im omega0_inf|.
 
     Returns
     -------
@@ -164,8 +162,7 @@ def check_B(ctx, omega0_inf, nu_cut=None):
     m = ctx.interface.minus
     gamma = m.gamma
     ratio = gamma / abs(wI) if wI != 0.0 else math.inf
-    if nu_cut is None:
-        nu_cut = int(math.ceil(ratio))
+    nu_cut = int(math.ceil(ratio))
     results = []
 
     # -- sign conditions and simplicity of the dispersion root ---------
@@ -199,8 +196,7 @@ def check_B(ctx, omega0_inf, nu_cut=None):
     ))
 
     # -- admittance and transverse-rate minima over the finite cone ----
-    finite = [(n, nu) for nu in range(1, nu_cut + 1) if nu < ratio
-              for n in range(-nu, nu + 1)]
+    finite = [(n, nu) for nu in range(1, nu_cut) for n in range(-nu, nu + 1)]
     v_min, v_arg = math.inf, None
     mu_min, mu_arg = math.inf, None
     for n, nu in finite:
@@ -301,7 +297,7 @@ def check_B(ctx, omega0_inf, nu_cut=None):
 # Cone classification against the truncated spectral sets
 # ----------------------------------------------------------------------
 
-def check_A6_cone(ctx, nu_max, tol_pack=TolerancePack()):
+def check_A6_cone(ctx, nu_max):
     """Classify every cone frequency (except the seed pair) spectrally.
 
     Each omega^{(n, nu)} with |n| <= nu <= nu_max, (n, nu) != (+-1, 1)
@@ -321,7 +317,7 @@ def check_A6_cone(ctx, nu_max, tol_pack=TolerancePack()):
         omega = ctx.omega(n, nu)
         if abs(omega.imag + gamma) < 1e-8:
             return (n, nu, "memory_line")
-        kind = resolvent_membership(ctx, n, nu, tol_pack)
+        kind = resolvent_membership(ctx, n, nu)
         return (n, nu, kind)
 
     classified = [classify(p) for p in points]
@@ -435,58 +431,50 @@ class DrudeParams:
         return PencilContext(itf, self.k)
 
 
-def drude_truncation_demo(params, rect=None, T_list=(50.0, 200.0, 1000.0)):
+# Increasing truncation windows of the Drude demo.
+_DRUDE_WINDOWS = (50.0, 200.0, 1000.0)
+
+
+def drude_truncation_demo(params):
     """Winding counts of the truncated Drude dispersion over a rectangle.
 
     The untruncated Drude interface has point spectrum inside the strip
     Im(omega) in (-gamma, 0); after memory truncation those eigenvalues
     disappear for large windows.  Counts the untruncated roots inside the
     rectangle and the zeros of the truncated dispersion for each window
-    length in ``T_list``.  Truncation pushes the surviving zeros toward
-    the real axis (their depth shrinks like log/T), so short windows can
-    still show zeros inside a shallow rectangle; the count settles to
-    zero once the window exceeds a threshold set by the rectangle's top
-    edge.
+    length T = 50, 200, 1000.  The rectangle is the bounding box of the
+    strip roots inflated by 25%, clipped away from the strip edges.
+    Truncation pushes the surviving zeros toward the real axis (their
+    depth shrinks like log/T), so short windows can still show zeros
+    inside a shallow rectangle; the count settles to zero once the window
+    exceeds a threshold set by the rectangle's top edge.
 
-    Parameters
-    ----------
-    params : DrudeParams
-    rect : ContourRectangle, optional
-        Defaults to the bounding box of the strip roots inflated by 25%,
-        clipped away from the strip edges.
-    T_list : sequence of float
-        Increasing truncation windows.
-
-    Returns
-    -------
-    dict with the rectangle, the untruncated roots and count, and
-    ``counts`` as a list of (T, count or None) pairs; ``None`` records a
-    contour failure (zero on the contour) rather than a count.
+    Returns a dict with the rectangle, the untruncated roots and count,
+    and ``counts`` as a list of (T, count or None) pairs; ``None`` records
+    a contour failure (zero on the contour) rather than a count.
     """
     roots = np.roots(_quartic_coeffs(params.context(), 1))
     strip = [r for r in roots if -params.gamma < r.imag < 0.0]
-    if rect is None:
-        if not strip:
-            raise DegenerateError(
-                "no untruncated Drude eigenvalues inside the strip"
-            )
-        a = 1.25 * max(max(abs(r.real) for r in strip), 0.1)
-        top = max(r.imag for r in strip)
-        bot = min(r.imag for r in strip)
-        pad = 0.25 * max(top - bot, 0.05)
-        rect = ContourRectangle(
-            a=a,
-            y_top=min(top + pad, -1e-3),
-            y_bottom=max(bot - pad, -params.gamma + 1e-3),
-            quadrature=64,
+    if not strip:
+        raise DegenerateError(
+            "no untruncated Drude eigenvalues inside the strip"
         )
+    a = 1.25 * max(max(abs(r.real) for r in strip), 0.1)
+    top = max(r.imag for r in strip)
+    bot = min(r.imag for r in strip)
+    pad = 0.25 * max(top - bot, 0.05)
+    rect = ContourRectangle(
+        a=a,
+        y_top=min(top + pad, -1e-3),
+        y_bottom=max(bot - pad, -params.gamma + 1e-3),
+    )
     inside = [
         r for r in strip
         if abs(r.real) < rect.a and rect.y_bottom < r.imag < rect.y_top
     ]
 
     counts = []
-    for T in T_list:
+    for T in _DRUDE_WINDOWS:
         logderiv, probe = _winding_integrand(params.context(T), 1, T)
         try:
             count, _ = winding_count_function(logderiv, rect, zero_probe=probe)

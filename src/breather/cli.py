@@ -113,10 +113,6 @@ def _write_csv(path, header, columns, lead=None):
 def _t_schedule(cfg, spec):
     """Parse a comma list of odd window indices j into (j, T) pairs."""
     minus = cfg.interface.minus
-    if not hasattr(minus, "omega_star"):
-        raise ConfigError(
-            "a window schedule in j needs the two-pole dispersive model"
-        )
     out = []
     for tok in spec.split(","):
         j = int(tok)
@@ -124,6 +120,26 @@ def _t_schedule(cfg, spec):
             raise ConfigError(f"schedule entries must be positive odd, got {j}")
         out.append((j, window_T(j, minus.gamma, minus.omega_star)))
     return out
+
+
+def _window_eigenvalues(cfg, probe, omega_inf, spec, svg_path):
+    """Newton-refine the n = 1 eigenvalue from omega_inf at each window of
+    the schedule ``spec`` and plot |omega(T) - omega_inf| against T to
+    ``svg_path``.  Returns the rows (j, T, omega(T), error) and the
+    log-log slope of the error."""
+    rows = []
+    for j, T in _t_schedule(cfg, spec):
+        w = newton_eigenvalue(probe, 1, T, omega_inf)
+        rows.append((j, T, w, abs(w - omega_inf)))
+    Ts, errs = [r[1] for r in rows], [r[3] for r in rows]
+    plot = LinePlot(
+        title="eigenvalue error vs memory window",
+        xlabel="T", ylabel="|omega(T) - omega_inf|",
+        logx=True, logy=True,
+    )
+    plot.add(Ts, errs, label="n=1", marker=True)
+    plot.write(svg_path)
+    return rows, _loglog_slope(Ts, errs)
 
 
 # ----------------------------------------------------------------------
@@ -142,36 +158,23 @@ def cmd_spectrum(cfg, out, args):
     )
     omega_inf = seed_root(probe)
 
-    rows = []
-    if cfg.T is not None:
-        for j, T in _t_schedule(cfg, args.t_schedule):
-            w = newton_eigenvalue(probe, 1, T, omega_inf)
-            rows.append((j, T, w.real, w.imag, abs(w - omega_inf)))
-        _write_csv(
-            os.path.join(out, "eigenvalues.csv"),
-            ["j", "T", "re", "im", "err_vs_untruncated"],
-            zip(*rows),
-        )
-        plot = LinePlot(
-            title="eigenvalue error vs memory window",
-            xlabel="T", ylabel="|omega(T) - omega_inf|",
-            logx=True, logy=True,
-        )
-        plot.add([r[1] for r in rows], [r[4] for r in rows],
-                 label="n=1", marker=True)
-        plot.write(os.path.join(out, "eigenvalue_error.svg"))
-
     manifest = {
         "untruncated_roots": [_c(r) for r in roots],
         "seed": _c(omega_inf),
         "T": cfg.T,
     }
     if cfg.T is not None:
+        rows, slope = _window_eigenvalues(
+            cfg, probe, omega_inf, args.t_schedule,
+            os.path.join(out, "eigenvalue_error.svg"))
+        _write_csv(
+            os.path.join(out, "eigenvalues.csv"),
+            ["j", "T", "re", "im", "err_vs_untruncated"],
+            zip(*[(j, T, w.real, w.imag, err) for j, T, w, err in rows]),
+        )
         w0 = newton_eigenvalue(probe, 1, cfg.T, omega_inf)
         manifest["eigenvalue"] = _c(w0)
-        manifest["eigenvalue_error_slope"] = _loglog_slope(
-            [r[1] for r in rows], [r[4] for r in rows]
-        )
+        manifest["eigenvalue_error_slope"] = slope
 
     if args.winding and cfg.T is not None:
         gamma = cfg.interface.minus.gamma
@@ -430,23 +433,12 @@ def cmd_converge(cfg, out, args):
 
     if cfg.T is not None:
         probe = PencilContext(cfg.interface, cfg.k, None)
-        omega_inf = seed_root(probe)
-        rows = []
-        for j, T in _t_schedule(cfg, args.t_schedule):
-            w = newton_eigenvalue(probe, 1, T, omega_inf)
-            rows.append((j, T, abs(w - omega_inf)))
+        rows, manifest["eigenvalue_slope"] = _window_eigenvalues(
+            cfg, probe, seed_root(probe), args.t_schedule,
+            os.path.join(out, "eigenvalue_convergence.svg"))
         _write_csv(
             os.path.join(out, "eigenvalue_convergence.csv"),
-            ["j", "T", "err"], zip(*rows),
-        )
-        plot = LinePlot(title="eigenvalue error vs memory window",
-                        xlabel="T", ylabel="|omega(T) - omega_inf|",
-                        logx=True, logy=True)
-        plot.add([r[1] for r in rows], [r[2] for r in rows],
-                 label="n=1", marker=True)
-        plot.write(os.path.join(out, "eigenvalue_convergence.svg"))
-        manifest["eigenvalue_slope"] = _loglog_slope(
-            [r[1] for r in rows], [r[2] for r in rows]
+            ["j", "T", "err"], zip(*[(j, T, err) for j, T, _, err in rows]),
         )
 
     _write_json(os.path.join(out, "converge.json"), manifest)

@@ -1,7 +1,7 @@
 """Run configuration: JSON material/grid/series parameters -> live objects.
 
 A config is a flat JSON object.  Material fields: ``model`` (lorentz |
-drude | constant for the dispersive side), ``c_L``/``c_D``, ``gamma``,
+drude for the dispersive side), ``c_L``/``c_D``, ``gamma``,
 ``omega_star``, ``T`` or ``j`` (memory window; ``j`` means T = j pi/c_*),
 ``alpha`` (non-dispersive side), ``c2``, ``c3``, ``gamma_tilde``,
 ``omega_star_tilde``, ``T_N``, ``eps0``, ``mu0``, and
@@ -47,9 +47,9 @@ def default_config_path():
     return resources.files("breather").joinpath("data", "example_paper.json")
 
 
-def _require(data, key, kind, context="config"):
+def _require(data, key, kind):
     if key not in data:
-        raise ConfigError(f"{context}: missing required field '{key}'")
+        raise ConfigError(f"config: missing required field '{key}'")
     value = data[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
@@ -58,7 +58,7 @@ def _require(data, key, kind, context="config"):
     if isinstance(value, kind):
         return value
     raise ConfigError(
-        f"{context}: field '{key}' must be {kind.__name__}, got {value!r}"
+        f"config: field '{key}' must be {kind.__name__}, got {value!r}"
     )
 
 
@@ -104,21 +104,21 @@ class RunConfig:
     omega0: complex | None
     raw: dict = field(repr=False, default_factory=dict)
 
-    def context(self, refine=True, tol=1e-12):
+    def context(self):
         """Pencil context at the base eigenvalue.
 
         The seed is the configured ``omega0`` if present, otherwise the
         shallowest right-half-plane root of the untruncated dispersion
-        quartic.  With ``refine`` and a truncated dispersive side, the
-        seed is Newton-polished on the truncated dispersion function.
+        quartic.  With a truncated dispersive side, the seed is
+        Newton-polished on the truncated dispersion function.
         """
         probe = PencilContext(self.interface, self.k, None)
         if self.omega0 is not None:
             seed = complex(self.omega0)
         else:
             seed = seed_root(probe)
-        if refine and self.T is not None:
-            seed = newton_eigenvalue(probe, 1, self.T, seed, tol=tol)
+        if self.T is not None:
+            seed = newton_eigenvalue(probe, 1, self.T, seed)
         return PencilContext(self.interface, self.k, seed)
 
 
@@ -176,8 +176,6 @@ def config_from_dict(data, **overrides):
             minus = TruncatedLorentz(c_L=c_L, gamma=gamma, omega_star=omega_star, T=T)
     elif model == "drude":
         minus = drude_model(_require(data, "c_D", float), gamma, T)
-    elif model == "constant":
-        minus = Constant(alpha=_require(data, "alpha_minus", float))
     else:
         raise ConfigError(f"config: unknown model '{model}'")
 

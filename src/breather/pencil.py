@@ -39,7 +39,6 @@ __all__ = [
     "IndexCone",
     "SpectralQuantities",
     "ContourRectangle",
-    "TolerancePack",
     "spectral_quantities",
     "dispersion_G",
     "dispersion_G_inf",
@@ -134,7 +133,6 @@ class ContourRectangle:
     a: float
     y_top: float
     y_bottom: float
-    quadrature: int = 64
 
     def __post_init__(self):
         if not (self.a > 0 and self.y_bottom < self.y_top):
@@ -151,13 +149,10 @@ class ContourRectangle:
         ]
 
 
-@dataclass(frozen=True)
-class TolerancePack:
-    """Thresholds for spectral-set classification."""
-
-    point_tol: float = 1e-6      # |G| relative to coefficient scale
-    omega0_tol: float = 1e-8     # |omega^2 eps| threshold for Omega_0
-    ess_tol_im: float = 1e-8     # imaginary band around essential curves
+# Spectral-set classification thresholds.
+_POINT_TOL = 1e-6      # |G| relative to coefficient scale
+_OMEGA0_TOL = 1e-8     # |omega^2 eps| threshold for Omega_0
+_ESS_TOL_IM = 1e-8     # imaginary band around essential curves
 
 
 # ----------------------------------------------------------------------
@@ -253,15 +248,9 @@ def dispersion_G(ctx, n, omega, T):
     return P + cmath.exp(expo) * W
 
 
-def dispersion_G_deriv(ctx, n, omega, T):
-    """Analytic derivative d G_n/d omega (closed form, no finite differences)."""
-    _, W, expo, deriv = _dispersion_pieces(ctx, n, omega, T)
-    dP, dW = deriv()
-    return dP + cmath.exp(expo) * (dW + 1j * T * W)
-
-
 def _dispersion_shifted(ctx, n, omega, T):
-    """(s, G e^{-s}, G' e^{-s}) on a 1-d array of omega, s = max(Re E, 0).
+    """(s, G e^{-s}, G' e^{-s}) at omega (scalar or 1-d array),
+    s = max(Re E, 0).
 
     The shift keeps both values finite however deep the points sit below
     the line Re E = 0 (Im omega = -gamma for Lorentz, the real axis for
@@ -366,30 +355,44 @@ def untruncated_eigenvalues(ctx, n):
     return sorted(np.roots(coeffs), key=lambda w: (-w.real, w.imag))
 
 
-def newton_eigenvalue(ctx, n, T, omega_guess, tol=1e-12, max_iter=60):
+_NEWTON_ITER = 60
+
+
+def _log_abs_shifted(s, z):
+    """log|z e^s|, -inf at z = 0."""
+    return s + math.log(abs(z)) if z else -math.inf
+
+
+def newton_eigenvalue(ctx, n, T, omega_guess, tol=1e-12):
     """Newton refinement of a truncated-model eigenvalue from a seed.
 
     Seeds normally come from untruncated_eigenvalues (the truncated
     eigenvalues form continuous curves in T emanating from them).
-    Converged means |G_n(omega, T)| < tol * coefficient scale.
+    Converged means |G_n(omega, T)| < tol * coefficient scale.  Each step
+    is G e^{-s} / G' e^{-s} from ``_dispersion_shifted``, where the shift
+    cancels, and the test compares logs, so an iterate below the memory
+    line ends in NoConvergence rather than an overflow.
     """
     _lorentz_side(ctx, "eigenvalue refinement")
     omega = complex(omega_guess)
     scale = coefficient_scale(ctx, n, omega)
-    for _ in range(max_iter):
-        g = dispersion_G(ctx, n, omega, T)
-        if abs(g) < tol * scale:
+    log_tol = math.log(tol * scale)
+    for _ in range(_NEWTON_ITER):
+        s, g, dg = _dispersion_shifted(ctx, n, omega, T)
+        if _log_abs_shifted(s, g) < log_tol:
             return omega
-        dg = dispersion_G_deriv(ctx, n, omega, T)
-        if abs(dg) < 1e-300 * scale:
+        if _log_abs_shifted(s, dg) < math.log(1e-300 * scale):
             raise DerivativeSingular(
                 f"dG/domega ~ 0 at {omega} (T={T}); choose another seed"
             )
-        omega = omega - g / dg
+        omega = omega - complex(g) / complex(dg)
+    s, g, _ = _dispersion_shifted(ctx, n, omega, T)
+    log_residual = _log_abs_shifted(s, g) - math.log(scale)
     raise NoConvergence(
-        f"Newton did not reach |G| < {tol}*scale in {max_iter} iterations",
+        f"Newton did not reach |G| < {tol}*scale in {_NEWTON_ITER} "
+        "iterations",
         last_iterate=omega,
-        residual=abs(dispersion_G(ctx, n, omega, T)) / scale,
+        residual=abs(ScaledComplex(log_residual, 0.0)),
     )
 
 
@@ -406,6 +409,8 @@ _MAX_DEPTH = 28
 # Edge tolerance: the whole contour should contribute < ~1e-4 winding
 # units of quadrature error (counts only need 0.25).
 _EDGE_TOL = 2.0 * math.pi * 1e-5
+# Zero-probe sample points per edge.
+_PROBE_POINTS = 64
 
 _log = logging.getLogger(__name__)
 
@@ -502,7 +507,7 @@ def winding_count_function(logderiv, rect, zero_probe=None):
     corners = rect.corners
     if zero_probe is not None:
         a = np.array(corners)
-        ts = np.linspace(0.0, 1.0, max(rect.quadrature, 16))
+        ts = np.linspace(0.0, 1.0, _PROBE_POINTS)
         logs = np.asarray(zero_probe(
             (a[:, None] + ts * (np.roll(a, -1) - a)[:, None]).ravel()))
         if np.min(logs) < np.max(logs) - 27.6:  # 1e-12 relative magnitude dip
@@ -537,31 +542,34 @@ def winding_count(ctx, n, T, rect):
     return count
 
 
-def delta0_search(ctx, n, T, a, delta_min=1e-4, delta_max=None, tol=1e-3,
-                  quadrature=64):
+# delta0 bisection: the delta of the deepest contour probed, and the
+# bracket width at which bisection stops.
+_DELTA_MIN = 1e-4
+_DELTA_TOL = 1e-3
+
+
+def delta0_search(ctx, n, T, a):
     """Smallest delta with exactly four zeros above Im = -gamma + delta.
 
     Bisection on the rectangle family with vertices +-a, +-a + i(-gamma +
-    delta): counts exceed four when the contour dips into the band of
-    spurious truncated-model zeros hugging Im = -gamma.  Returns
-    delta_min itself when even the deepest probed contour still counts 4.
+    delta), down to a bracket of width 1e-3: counts exceed four when the
+    contour dips into the band of spurious truncated-model zeros hugging
+    Im = -gamma.  Returns 1e-4 when even the contour at that delta still
+    counts 4.
     """
     gamma = ctx.interface.minus.gamma
-    if delta_max is None:
-        # Deepest delta that still keeps every untruncated eigenvalue
-        # inside the rectangle, with a 25% safety margin.
-        depth = max(-r.imag for r in untruncated_eigenvalues(ctx, n))
-        delta_max = 0.75 * (gamma - depth)
-        if delta_max <= delta_min:
-            raise DegenerateError(
-                "untruncated eigenvalues sit too close to Im = -gamma for "
-                "a four-zero rectangle to exist"
-            )
+    # Deepest delta that still keeps every untruncated eigenvalue inside
+    # the rectangle, with a 25% safety margin.
+    depth = max(-r.imag for r in untruncated_eigenvalues(ctx, n))
+    delta_max = 0.75 * (gamma - depth)
+    if delta_max <= _DELTA_MIN:
+        raise DegenerateError(
+            "untruncated eigenvalues sit too close to Im = -gamma for "
+            "a four-zero rectangle to exist"
+        )
 
     def count(delta):
-        rect = ContourRectangle(
-            a=a, y_top=0.0, y_bottom=-gamma + delta, quadrature=quadrature
-        )
+        rect = ContourRectangle(a=a, y_top=0.0, y_bottom=-gamma + delta)
         try:
             return winding_count(ctx, n, T, rect)
         except (ZeroOnContour, QuadratureNotConverged):
@@ -569,14 +577,14 @@ def delta0_search(ctx, n, T, a, delta_min=1e-4, delta_max=None, tol=1e-3,
             # than four" so bisection backs away from Im = -gamma.
             return -1
 
-    if count(delta_min) == 4:
-        return delta_min
-    lo, hi = delta_min, delta_max
+    if count(_DELTA_MIN) == 4:
+        return _DELTA_MIN
+    lo, hi = _DELTA_MIN, delta_max
     if count(hi) != 4:
         raise NoConvergence(
-            f"no delta in [{delta_min}, {delta_max}] gives a count of 4"
+            f"no delta in [{_DELTA_MIN}, {delta_max}] gives a count of 4"
         )
-    while hi - lo > tol:
+    while hi - lo > _DELTA_TOL:
         midpoint = 0.5 * (lo + hi)
         if count(midpoint) == 4:
             hi = midpoint
@@ -589,11 +597,12 @@ def delta0_search(ctx, n, T, a, delta_min=1e-4, delta_max=None, tol=1e-3,
 # Spectral-set membership
 # ----------------------------------------------------------------------
 
-def essential_spectrum_membership(ctx, n, omega, tol_im=1e-8):
+def essential_spectrum_membership(ctx, n, omega):
     """Which side's essential-spectrum curve (if any) passes through omega.
 
     The essential spectrum outside Omega_0 is where omega^2 mu0 eps_pm
-    lands on [n^2 k^2, inf) (on (0, inf) when n k = 0).
+    lands on [n^2 k^2, inf) (on (0, inf) when n k = 0), to within 1e-8
+    in the imaginary part.
     """
     omega = complex(omega)
     K = (n * ctx.k) ** 2
@@ -604,10 +613,11 @@ def essential_spectrum_membership(ctx, n, omega, tol_im=1e-8):
         )
         if w.is_zero:
             continue
-        # |Im w| < tol_im and Re w in the branch interval, in log space.
+        # |Im w| < _ESS_TOL_IM and Re w in the branch interval, in log space.
         sin_p, cos_p = math.sin(w.phase), math.cos(w.phase)
         im_small = (
-            w.log_mag + math.log(max(abs(sin_p), 1e-300)) < math.log(tol_im)
+            w.log_mag + math.log(max(abs(sin_p), 1e-300))
+            < math.log(_ESS_TOL_IM)
         )
         lower = math.log(K) if K > 0 else -math.inf
         re_in = cos_p > 0 and w.log_mag + math.log(cos_p) >= lower
@@ -620,20 +630,21 @@ def essential_spectrum_membership(ctx, n, omega, tol_im=1e-8):
     return "none"
 
 
-def in_Omega0(ctx, omega, tol=1e-8):
-    """True iff omega^2 eps_plus(omega) or omega^2 eps_minus(omega) ~ 0."""
+def in_Omega0(ctx, omega):
+    """True iff |omega^2 eps_plus(omega)| or |omega^2 eps_minus(omega)|
+    is below 1e-8."""
     omega = complex(omega)
     for side in ("plus", "minus"):
         w = ctx.interface.permittivity_scaled(side, omega) * (omega * omega)
-        if w.is_zero or w.log_mag < math.log(tol):
+        if w.is_zero or w.log_mag < math.log(_OMEGA0_TOL):
             return True
     return False
 
 
-def resolvent_membership(ctx, n, nu, tol_pack=TolerancePack(), T=None):
+def resolvent_membership(ctx, n, nu, T=None):
     """Classify omega^{(n,nu)}: resolvent / point_spec / essential / omega0_set.
 
-    The point-spectrum proxy is a small dispersion residual relative to the
+    The point-spectrum proxy is a dispersion residual below 1e-6 of the
     coefficient scale, compared in logs (log|G| = s + log|G e^{-s}|, so
     deep cone points need no overflow guard); T defaults to the minus-side
     memory window, and a minus side without one raises ModelError.
@@ -647,13 +658,13 @@ def resolvent_membership(ctx, n, nu, tol_pack=TolerancePack(), T=None):
                 f"{type(ctx.interface.minus).__name__} has none"
             )
     omega = ctx.omega(n, nu)
-    if in_Omega0(ctx, omega, tol_pack.omega0_tol):
+    if in_Omega0(ctx, omega):
         return "omega0_set"
-    if essential_spectrum_membership(ctx, n, omega, tol_pack.ess_tol_im) != "none":
+    if essential_spectrum_membership(ctx, n, omega) != "none":
         return "essential"
     s, log_g = _log_abs_G(ctx, n, np.array([omega]), T)
     log_scale = math.log(coefficient_scale(ctx, n, omega))
-    if s[0] + log_g[0] < log_scale + math.log(tol_pack.point_tol):
+    if s[0] + log_g[0] < log_scale + math.log(_POINT_TOL):
         return "point_spec"
     return "resolvent"
 

@@ -405,7 +405,7 @@ def spsolve(op, b, kl, ku):
 # Finite-difference solver
 # ----------------------------------------------------------------------
 
-def solve_fd(ctx, n, nu, r, grid=None):
+def solve_fd(ctx, n, nu, r):
     """Staggered-grid solve of the interface system, reduced to u2.
 
     ``r`` is a SampledRHS with r3 = 0.  U is eliminated row by row
@@ -414,8 +414,7 @@ def solve_fd(ctx, n, nu, r, grid=None):
     pointwise.  Returns a GridFunction (U at integer nodes, V at half
     nodes plus V[N] = u2(0)) with the right limit of u1.
     """
-    if grid is None:
-        grid = r.grid
+    grid = r.grid
     if r.r3 is not None and np.any(r.r3 != 0):
         raise ValueError("the staggered scheme requires r3 = 0")
     N, h, m = grid.N, grid.h, grid.mid
@@ -717,25 +716,18 @@ def _grid_error(coarse, fine):
                                np.sum(np.abs(dV) ** 2)))
 
 
-def fd_convergence_study(ctx, n, nu, rhs, N_list, reference=None,
-                         d=40.0, reference_factor=4):
+def fd_convergence_study(ctx, n, nu, rhs, N_list, d=40.0):
     """Error table of the staggered scheme against a fine reference.
 
-    ``rhs`` maps a StaggeredGrid to a SampledRHS.  If no reference
-    solution is passed, one is computed at reference_factor times the
-    largest requested N.  Returns {'table': [(N, err)], 'slope': s}.
+    ``rhs`` maps a StaggeredGrid to a SampledRHS.  The reference solution
+    is computed at four times the largest requested N.  Returns
+    {'table': [(N, err)], 'slope': s}.
     """
     N_list = sorted(int(N) for N in N_list)
-    if reference is None:
-        gref = StaggeredGrid(d, reference_factor * N_list[-1])
-        reference = solve_fd(ctx, n, nu, rhs(gref), gref)
+    reference = solve_fd(ctx, n, nu, rhs(StaggeredGrid(d, 4 * N_list[-1])))
     table = []
     for N in N_list:
-        g = StaggeredGrid(reference.grid.d, N)
-        if g.N == reference.grid.N:
-            table.append((N, 0.0))
-            continue
-        sol = solve_fd(ctx, n, nu, rhs(g), g)
+        sol = solve_fd(ctx, n, nu, rhs(StaggeredGrid(d, N)))
         table.append((N, _grid_error(sol, reference)))
     return {"table": table,
             "slope": _loglog_slope([N for N, _ in table], [e for _, e in table])}

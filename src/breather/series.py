@@ -452,7 +452,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
         r = SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right)
         try:
             if solver == "fd":
-                gf = solve_fd(ctx, n, nu, r, grid)
+                gf = solve_fd(ctx, n, nu, r)
             else:
                 gf = solve_analytic(ctx, n, nu, r)
         except SingularSystem as exc:
@@ -677,13 +677,12 @@ def maxwell_residual(ctx, table, sample_points, M=None):
     return worst
 
 
-def decay_profile(table, weight="period"):
+def decay_profile(table):
     """Per-level aggregate norms [(nu, ||u^nu||)].
 
     ||u^nu||^2 = P * sum_{|n|<=nu} ||u^{n,nu}||^2_{L2(R)} by Parseval,
-    with the y-period P = 2 pi / |k| ('period') or P = 2 pi ('2pi').
+    with the y-period P = 2 pi / |k|.
     """
-    k = abs(table.ctx.k)
-    P = 2.0 * math.pi / k if weight == "period" else 2.0 * math.pi
+    P = 2.0 * math.pi / abs(table.ctx.k)
     return [(nu, math.sqrt(P) * table.norms[nu])
             for nu in sorted(table.norms)]

@@ -468,10 +468,6 @@ class MaterialInterface:
         if not (self.eps0 > 0 and self.mu0 > 0):
             raise ConfigError("eps0 and mu0 must be positive")
 
-    @property
-    def c0(self):
-        return 1.0 / math.sqrt(self.eps0 * self.mu0)
-
     def side_model(self, side):
         if side == "minus":
             return self.minus

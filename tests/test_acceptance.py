@@ -251,7 +251,7 @@ def test_criterion_09_cross_solver(ctx, grid_ref):
                     continue
                 rm, rp = _plus_side_oracle(ctx, n, nu)
                 rhs = SampledRHS.from_sides(grid_ref, rm, rp)
-                a = solve_fd(ctx, n, nu, rhs, grid_ref)
+                a = solve_fd(ctx, n, nu, rhs)
                 b = solve_analytic(ctx, n, nu, rhs)
                 num = math.sqrt(grid_ref.h * float(
                     np.sum(np.abs(a.U - b.U) ** 2)

@@ -126,7 +126,8 @@ class TestEigen:
         assert main(["eigen", "--out", out]) == 0
         man = read_json(os.path.join(out, "eigen.json"))
         assert abs(complex(*man["eigenvalue"]) - OMEGA0_REF) < 1e-10
-        svg = open(os.path.join(out, "eigenfunction.svg")).read()
+        with open(os.path.join(out, "eigenfunction.svg")) as fh:
+            svg = fh.read()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
@@ -168,7 +169,8 @@ class TestBreather:
             for name in names:
                 pa = os.path.join(root, name)
                 pb = pa.replace(a, b, 1)
-                assert open(pa, "rb").read() == open(pb, "rb").read()
+                with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                    assert fa.read() == fb.read()
 
     def test_coarsest_grid(self, tmp_path):
         """N = 4, the smallest grid the config accepts, leaves the
@@ -256,6 +258,29 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ModelError"
         assert "Lorentz" in err["message"]
+
+    def test_constant_model_rejected(self, tmp_path, capsys):
+        data = read_json(default_config_path())
+        data.update(model="constant", alpha_minus=1.5, omega0=[1.0, -0.1])
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(data))
+        code = main(["eigen", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "unknown model 'constant'" in err["message"]
+
+    def test_eigen_seed_below_memory_line_exit_two(self, tmp_path, capsys):
+        """A configured seed far below Im = -gamma stops Newton with a
+        NoConvergence line, not an overflow traceback."""
+        data = read_json(default_config_path())
+        data["omega0"] = [1.0, -1.0]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        code = main(["eigen", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NoConvergence"
 
 
 class TestLogging:

@@ -13,14 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from breather._scaled import ScaledComplex
-from breather.errors import ModelError, QuadratureNotConverged, ZeroOnContour
+from breather.errors import (
+    ModelError,
+    NoConvergence,
+    QuadratureNotConverged,
+    ZeroOnContour,
+)
 from breather.pencil import (
     ContourRectangle,
     IndexCone,
     PencilContext,
     delta0_search,
     dispersion_G,
-    dispersion_G_deriv,
     dispersion_G_inf,
     dispersion_logderiv,
     eigenfunction,
@@ -64,14 +68,12 @@ class TestNewton:
         assert abs(w - OMEGA0_REF) < 1e-10
         assert abs(g) < 1e-10
 
-    def test_analytic_derivative_vs_fd(self, probe):
-        w, h = 1.6 - 0.2j, 1e-6
-        d = dispersion_G_deriv(probe, 1, w, T_REF)
-        fd = (
-            dispersion_G(probe, 1, w + h, T_REF)
-            - dispersion_G(probe, 1, w - h, T_REF)
-        ) / (2 * h)
-        assert abs(d - fd) < 1e-4 * abs(d)
+    def test_seed_below_memory_line_raises_no_convergence(self, probe):
+        """From 1 - 1j, Re E is far past the overflow of exp; the steps
+        read the shifted dispersion values, so Newton gives up with
+        NoConvergence instead of an OverflowError."""
+        with pytest.raises(NoConvergence):
+            newton_eigenvalue(probe, 1, T_REF, 1.0 - 1.0j)
 
 
 def _previous_logderiv(ctx, n, omega, T):
@@ -167,13 +169,19 @@ class TestDispersion:
             got = dispersion_G(drude, 1, w, T)
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
-    def test_drude_logderiv_matches_central_difference(self, drude):
-        T, h = drude.interface.minus.T, 1e-6
-        for w in (0.3 - 0.2j, -1.7 - 0.45j, 2.5 + 0.1j):
-            fd = (dispersion_G(drude, 1, w + h, T)
-                  - dispersion_G(drude, 1, w - h, T)) / (2 * h)
-            ref = fd / dispersion_G(drude, 1, w, T)
-            assert abs(dispersion_logderiv(drude, 1, w, T) - ref) <= 1e-7 * abs(ref)
+    @pytest.mark.parametrize("fixture, points, rel", [
+        ("drude", (0.3 - 0.2j, -1.7 - 0.45j, 2.5 + 0.1j), 1e-7),
+        ("probe", (1.6 - 0.2j,), 1e-4),
+    ], ids=["drude", "lorentz"])
+    def test_logderiv_matches_central_difference(self, request, fixture,
+                                                 points, rel):
+        ctx = request.getfixturevalue(fixture)
+        T, h = ctx.interface.minus.T, 1e-6
+        for w in points:
+            fd = (dispersion_G(ctx, 1, w + h, T)
+                  - dispersion_G(ctx, 1, w - h, T)) / (2 * h)
+            ref = fd / dispersion_G(ctx, 1, w, T)
+            assert abs(dispersion_logderiv(ctx, 1, w, T) - ref) <= rel * abs(ref)
 
 
 class TestWinding:

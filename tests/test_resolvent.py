@@ -97,7 +97,7 @@ class TestManufacturedOracle:
         errors = []
         for N in (1000, 2000, 4000):
             g = StaggeredGrid(40.0, N)
-            sol = solve_fd(ctx, 1, 2, SampledRHS.from_sides(g, rm, rp), g)
+            sol = solve_fd(ctx, 1, 2, SampledRHS.from_sides(g, rm, rp))
             eU, eV = errs(g, sol, wm, wp)
             errors.append(max(eU, eV))
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
@@ -119,7 +119,7 @@ class TestManufacturedOracle:
         g = grid_ref
         rm, rp, wm, wp = manufactured(ctx, 1, 2)
         rhs = SampledRHS.from_sides(g, rm, rp)
-        sol = solve_fd(ctx, 1, 2, rhs, g)
+        sol = solve_fd(ctx, 1, 2, rhs)
         sola = solve_analytic(ctx, 1, 2, rhs)
         gap = math.sqrt(
             g.h * (np.sum(np.abs(sol.U - sola.U) ** 2)
@@ -135,11 +135,11 @@ class TestManufacturedOracle:
         f2, _, _ = bump(0.7 - 0.3j, 12.0, 2.5)
         rhs = SampledRHS.from_sides(g, (f1, f2), (f1, f2))
         for n, nu in ((2, 6), (0, 8), (5, 9)):
-            sol = solve_fd(ctx, n, nu, rhs, g)
+            sol = solve_fd(ctx, n, nu, rhs)
             assert np.all(np.isfinite(sol.U)) and np.all(np.isfinite(sol.V))
 
     def test_zero_rhs_gives_zero(self, ctx, grid_small):
-        z = solve_fd(ctx, 1, 2, SampledRHS.zero(grid_small), grid_small)
+        z = solve_fd(ctx, 1, 2, SampledRHS.zero(grid_small))
         assert np.max(np.abs(z.U)) == 0.0 and np.max(np.abs(z.V)) == 0.0
         za = solve_analytic(ctx, 1, 2, SampledRHS.zero(grid_small))
         assert np.max(np.abs(za.U)) == 0.0 and np.max(np.abs(za.V)) == 0.0
@@ -168,7 +168,7 @@ class TestAxialHarmonics:
         for N in (1000, 2000):
             g = StaggeredGrid(40.0, N)
             rhs = SampledRHS.from_sides(g, out["m"][0], out["p"][0])
-            sol = solve_fd(ctx, 0, 2, rhs, g)
+            sol = solve_fd(ctx, 0, 2, rhs)
             eU, eV = errs(g, sol, out["m"][1], out["p"][1])
             # u1 is solved pointwise at n = 0; only u2 carries scheme error
             assert eU < 1e-12
@@ -404,7 +404,7 @@ class TestBandedSolve:
         seen = captured_spsolve(monkeypatch)
         g = StaggeredGrid(40.0, N)
         r = random_rhs(g)
-        sol = solve_fd(ctx, n, nu, r, g)
+        sol = solve_fd(ctx, n, nu, r)
         ((op, b, kl, ku),) = seen
         assert (kl, ku) == bands
         assert op.shape == (5, N + 1) and b.shape == (N + 1,)
@@ -428,7 +428,7 @@ class TestBandedSolve:
         monkeypatch.setattr(resolvent, "spsolve", singular)
         g = StaggeredGrid(40.0, 400)
         with pytest.raises(SingularSystem, match="zero pivot"):
-            solve_fd(ctx, 1, 2, bump_rhs(g), g)
+            solve_fd(ctx, 1, 2, bump_rhs(g))
         with pytest.raises(ResolventViolation) as info:
             build_series(ctx, g, eps=0.5, nu_max=2, solver="fd")
         assert (info.value.n, info.value.nu) == (0, 2)
@@ -456,7 +456,7 @@ class TestVanishingC1:
         self.patch(ctx, monkeypatch, side, (1, 2))
         g = StaggeredGrid(40.0, 400)
         with pytest.raises(SingularSystem, match=f"{side} side"):
-            solve_fd(ctx, 1, 2, bump_rhs(g), g)
+            solve_fd(ctx, 1, 2, bump_rhs(g))
 
     def test_build_series_names_harmonic(self, ctx, monkeypatch):
         self.patch(ctx, monkeypatch, "plus", (2, 2))
@@ -475,7 +475,7 @@ class TestFullEquationResidual:
     def test_fine_grid(self, ctx, n, nu):
         g = StaggeredGrid(40.0, 128000)
         r = bump_rhs(g)
-        sol = solve_fd(ctx, n, nu, r, g)
+        sol = solve_fd(ctx, n, nu, r)
         N, h, m = g.N, g.h, g.mid
         om, nk = ctx.omega(n, nu), n * ctx.k
         V_p, V_m, _, _ = spectral_quantities(ctx, n, nu).as_complex(strict=True)
