@@ -29,6 +29,7 @@ from .errors import (
     DerivativeSingular,
     ModelError,
     NoConvergence,
+    OverflowGuard,
     QuadratureNotConverged,
     ZeroOnContour,
 )
@@ -242,10 +243,19 @@ def dispersion_G(ctx, n, omega, T):
     """The truncated dispersion function G_n(omega, T).
 
     Its zeros (outside the singular set Omega_0) are exactly the
-    eigenvalues of the truncated interface pencil.
+    eigenvalues of the truncated interface pencil.  Raises OverflowGuard
+    where the window factor e^E exceeds double range, deep below the line
+    Re E = 0; ``_dispersion_shifted`` stays finite there.
     """
     P, W, expo, _ = _dispersion_pieces(ctx, n, omega, T)
-    return P + cmath.exp(expo) * W
+    try:
+        growth = cmath.exp(expo)
+    except OverflowError:
+        raise OverflowGuard(
+            f"G_n at omega = {omega} (T = {T}): window factor e^E, "
+            f"Re E = {expo.real:.6g}, exceeds double range"
+        ) from None
+    return P + growth * W
 
 
 def _dispersion_shifted(ctx, n, omega, T):
@@ -556,6 +566,19 @@ def delta0_search(ctx, n, T, a):
     contour dips into the band of spurious truncated-model zeros hugging
     Im = -gamma.  Returns 1e-4 when even the contour at that delta still
     counts 4.
+
+    Order of the counts: delta_max first (if it does not count 4, the
+    result is 1e-4 when the delta = 1e-4 contour counts 4, else
+    NoConvergence); then the bisection; then delta = 1e-4, only if every
+    bisection probe counted 4.  That deepest contour sits inside the
+    spurious band for every window of the default schedule, where it is
+    the costliest contour of the search, so it is counted only when the
+    answer depends on it.  While the count is monotone in delta the
+    result is the one counting 1e-4 first would give.  If it is not (4 at
+    1e-4 but not at some shallower probe), the bisection's upper end is
+    returned instead of 1e-4.  The trade: on the reference interface
+    delta0 * T is about 3, so delta0 < 1e-4 only for T >~ 3e4, and there
+    the whole bisection runs before the 1e-4 probe that settles it.
     """
     gamma = ctx.interface.minus.gamma
     # Deepest delta that still keeps every untruncated eigenvalue inside
@@ -577,10 +600,10 @@ def delta0_search(ctx, n, T, a):
             # than four" so bisection backs away from Im = -gamma.
             return -1
 
-    if count(_DELTA_MIN) == 4:
-        return _DELTA_MIN
     lo, hi = _DELTA_MIN, delta_max
     if count(hi) != 4:
+        if count(_DELTA_MIN) == 4:
+            return _DELTA_MIN
         raise NoConvergence(
             f"no delta in [{_DELTA_MIN}, {delta_max}] gives a count of 4"
         )
@@ -590,6 +613,8 @@ def delta0_search(ctx, n, T, a):
             hi = midpoint
         else:
             lo = midpoint
+    if lo == _DELTA_MIN and count(_DELTA_MIN) == 4:
+        return _DELTA_MIN
     return hi
 
 

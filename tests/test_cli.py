@@ -119,6 +119,22 @@ class TestSpectrum:
         man = read_json(os.path.join(out, "spectrum.json"))
         assert man["winding"]["count"] == 4
 
+    def test_delta0_deterministic_bytes(self, tmp_path):
+        args = ["spectrum", "--winding", "--delta0", "--t-schedule", "21,201"]
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(args + ["--out", a]) == 0
+        assert main(args + ["--out", b]) == 0
+        names = sorted(os.listdir(a))
+        assert names == sorted(os.listdir(b))
+        assert {"delta0.csv", "delta0.svg", "spectrum.json"} <= set(names)
+        for name in names:
+            with open(os.path.join(a, name), "rb") as fa, \
+                    open(os.path.join(b, name), "rb") as fb:
+                assert fa.read() == fb.read()
+        with open(os.path.join(a, "delta0.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["j"] for row in rows] == ["21", "201"]
+
 
 class TestEigen:
     def test_outputs(self, tmp_path):
@@ -284,11 +300,14 @@ class TestErrors:
 
 
 class TestLogging:
-    def test_depth_cap_warning_lines(self, tmp_path, capsys):
+    @pytest.mark.parametrize("j", ["101", "501"])
+    def test_depth_cap_warning_lines(self, tmp_path, capsys, j):
         """Each in-process run prints its one depth-cap warning once, with
-        level and logger, and leaves no handler behind."""
+        level and logger, and leaves no handler behind.  At j = 501 the
+        deepest contour would add a second warning; the search does not
+        count it."""
         handlers = list(logging.getLogger("breather").handlers)
-        args = ["spectrum", "--delta0", "--t-schedule", "101"]
+        args = ["spectrum", "--delta0", "--t-schedule", j]
         for name in ("a", "b"):
             assert main(args + ["--out", str(tmp_path / name)]) == 0
             lines = capsys.readouterr().err.splitlines()

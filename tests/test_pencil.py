@@ -12,10 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from breather import pencil
 from breather._scaled import ScaledComplex
 from breather.errors import (
+    DegenerateError,
     ModelError,
     NoConvergence,
+    OverflowGuard,
     QuadratureNotConverged,
     ZeroOnContour,
 )
@@ -36,7 +39,13 @@ from breather.pencil import (
     winding_count,
     winding_count_function,
 )
-from breather.pencil import _EDGE_TOL, _contour_integrals, _log_abs_G
+from breather.pencil import (
+    _DELTA_MIN,
+    _DELTA_TOL,
+    _EDGE_TOL,
+    _contour_integrals,
+    _log_abs_G,
+)
 
 from conftest import CSTAR, OMEGA0_REF, T_REF
 
@@ -74,6 +83,12 @@ class TestNewton:
         NoConvergence instead of an OverflowError."""
         with pytest.raises(NoConvergence):
             newton_eigenvalue(probe, 1, T_REF, 1.0 - 1.0j)
+
+    def test_dispersion_below_memory_line_raises_overflow_guard(self, probe):
+        """At 1 - 1j, Re E is about 812: e^E is past double range, and
+        G_n itself is refused with the point and window named."""
+        with pytest.raises(OverflowGuard, match=r"omega = \(1-1j\).*T = 1623"):
+            dispersion_G(probe, 1, 1.0 - 1.0j, T_REF)
 
 
 def _previous_logderiv(ctx, n, omega, T):
@@ -223,6 +238,114 @@ class TestWinding:
         d_short = delta0_search(probe, 1, 51 * math.pi / cstar, a=8.0)
         d_long = delta0_search(probe, 1, 201 * math.pi / cstar, a=8.0)
         assert d_long < d_short
+
+
+# The search order that counted the deepest contour first, kept as the
+# reference the deferred order must reproduce.
+def _reference_delta0_search(ctx, n, T, a):
+    gamma = ctx.interface.minus.gamma
+    depth = max(-r.imag for r in untruncated_eigenvalues(ctx, n))
+    delta_max = 0.75 * (gamma - depth)
+
+    def count(delta):
+        rect = ContourRectangle(a=a, y_top=0.0, y_bottom=-gamma + delta)
+        try:
+            return pencil.winding_count(ctx, n, T, rect)
+        except (ZeroOnContour, QuadratureNotConverged):
+            return -1
+
+    if count(_DELTA_MIN) == 4:
+        return _DELTA_MIN
+    lo, hi = _DELTA_MIN, delta_max
+    if count(hi) != 4:
+        raise NoConvergence("no delta gives a count of 4")
+    while hi - lo > _DELTA_TOL:
+        midpoint = 0.5 * (lo + hi)
+        if count(midpoint) == 4:
+            hi = midpoint
+        else:
+            lo = midpoint
+    return hi
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """The y_bottom of every contour counted, through a spy on
+    winding_count; set ``probed.fake`` to a function of delta to replace
+    the count itself."""
+
+    class Spy(list):
+        fake = None
+
+    seen = Spy()
+    real = pencil.winding_count
+
+    def spy(ctx, n, T, rect):
+        seen.append(rect.y_bottom)
+        if seen.fake is None:
+            return real(ctx, n, T, rect)
+        return seen.fake(rect.y_bottom + ctx.interface.minus.gamma)
+
+    monkeypatch.setattr(pencil, "winding_count", spy)
+    return seen
+
+
+class TestDelta0Search:
+    A = 8.0
+
+    def _deep(self, probe):
+        return -probe.interface.minus.gamma + _DELTA_MIN
+
+    @pytest.mark.parametrize("j", [21, 51, 101, 201])
+    def test_matches_reference_without_deepest_probe(self, probe, probed, j):
+        T = j * math.pi / CSTAR
+        want = _reference_delta0_search(probe, 1, T, self.A)
+        reference_probes = list(probed)
+        probed.clear()
+        got = delta0_search(probe, 1, T, self.A)
+        assert got == want
+        assert self._deep(probe) == reference_probes[0]
+        assert self._deep(probe) not in probed
+        assert len(probed) == len(reference_probes) - 1
+
+    def test_all_depths_count_four(self, probe, probed):
+        probed.fake = lambda delta: 4
+        assert delta0_search(probe, 1, T_REF, self.A) == _DELTA_MIN
+        assert probed[-1] == self._deep(probe)
+        assert probed.count(self._deep(probe)) == 1
+        assert len(probed) > 2
+
+    def test_shallowest_fails_deepest_counts_four(self, probe, probed):
+        probed.fake = lambda delta: 4 if delta < 2 * _DELTA_MIN else 6
+        assert delta0_search(probe, 1, T_REF, self.A) == _DELTA_MIN
+        assert len(probed) == 2 and probed[1] == self._deep(probe)
+
+    def test_no_depth_counts_four(self, probe, probed):
+        def fake(delta):
+            raise QuadratureNotConverged("grazes the band")
+
+        probed.fake = fake
+        with pytest.raises(NoConvergence, match=r"no delta in \[0\.0001, "):
+            delta0_search(probe, 1, T_REF, self.A)
+        assert len(probed) == 2
+
+    def test_roots_at_the_memory_line_degenerate(self, probe, monkeypatch,
+                                                 probed):
+        gamma = probe.interface.minus.gamma
+        roots = [1.0 - 0.2j, 1.0 - (gamma - 1e-4) * 1j]
+        monkeypatch.setattr(pencil, "untruncated_eigenvalues",
+                            lambda ctx, n: roots)
+        with pytest.raises(DegenerateError):
+            delta0_search(probe, 1, T_REF, self.A)
+        assert probed == []
+
+    def test_non_monotone_count_returns_upper_end(self, probe, probed):
+        """4 at 1e-4 and above 0.05, more in between: the bisection's
+        upper end is returned and 1e-4 is never counted."""
+        probed.fake = lambda d: 4 if d < 2 * _DELTA_MIN or d > 0.05 else 6
+        got = delta0_search(probe, 1, T_REF, self.A)
+        assert 0.05 < got <= 0.05 + _DELTA_TOL
+        assert self._deep(probe) not in probed
 
 
 # The panel-by-panel recursion that the level-batched integrator replaced,
