@@ -49,6 +49,9 @@ from .susceptibility import window_T
 
 __all__ = ["main"]
 
+# half-width of the x range sampled by the eigen profile and the overlays
+_SPAN = 6.0
+
 
 # ----------------------------------------------------------------------
 # Serialization helpers (all output must be byte-identical across runs)
@@ -218,7 +221,7 @@ def cmd_spectrum(cfg, out, args):
 def cmd_eigen(cfg, out, args):
     ctx = cfg.context()
     phi = eigenfunction(ctx)
-    x = np.linspace(-args.span, args.span, 1201)
+    x = np.linspace(-_SPAN, _SPAN, 1201)
     vals = phi(x)
     _write_csv(
         os.path.join(out, "eigenfunction.csv"),
@@ -279,7 +282,7 @@ def cmd_breather(cfg, out, args):
     # First harmonic (2 eps Re phi) against the assembled partial sum at
     # the time-slice t = 0, y = 0.
     phi = eigenfunction(ctx)
-    xs = np.linspace(-args.span, args.span, 1201)
+    xs = np.linspace(-_SPAN, _SPAN, 1201)
     first = 2.0 * cfg.eps * phi(xs).real
     full = synthesize(table, xs, 0.0, 0.0)
     for c in range(3):
@@ -483,11 +486,9 @@ def _build_parser():
     p.set_defaults(func=cmd_spectrum)
 
     p = common(sub.add_parser("eigen", help="surface-mode profile"))
-    p.add_argument("--span", type=float, default=6.0)
     p.set_defaults(func=cmd_eigen)
 
     p = common(sub.add_parser("breather", help="build the harmonic series"))
-    p.add_argument("--span", type=float, default=6.0)
     p.set_defaults(func=cmd_breather)
 
     p = common(sub.add_parser("check", help="assumption report"))

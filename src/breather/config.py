@@ -148,28 +148,25 @@ def config_from_dict(data, **overrides):
     gamma = _require(data, "gamma", float)
 
     T = data.get("T")
-    if "j" in data:
-        if T is not None:
-            raise ConfigError("config: give either 'T' or 'j', not both")
-        j = _require(data, "j", int)
-        if j < 1 or j % 2 == 0:
-            raise ConfigError(f"config: 'j' must be a positive odd integer, got {j}")
+    if "j" in data and T is not None:
+        raise ConfigError("config: give either 'T' or 'j', not both")
+    # the Lorentz model and the j -> T window both need omega_star
+    if "j" in data or model == "lorentz":
         omega_star = _require(data, "omega_star", float)
         if omega_star <= gamma:
             raise ConfigError(
                 f"config: need omega_star > gamma, got {omega_star} <= {gamma}"
             )
+    if "j" in data:
+        j = _require(data, "j", int)
+        if j < 1 or j % 2 == 0:
+            raise ConfigError(f"config: 'j' must be a positive odd integer, got {j}")
         T = window_T(j, gamma, omega_star)
     elif T is not None:
         T = float(T)
 
     if model == "lorentz":
         c_L = _require(data, "c_L", float)
-        omega_star = _require(data, "omega_star", float)
-        if omega_star <= gamma:
-            raise ConfigError(
-                f"config: need omega_star > gamma, got {omega_star} <= {gamma}"
-            )
         if T is None:
             minus = UntruncatedLorentz(c_L=c_L, gamma=gamma, omega_star=omega_star)
         else:

@@ -57,7 +57,10 @@ per side and one for the jump row, before a banded LU solve (LAPACK
 u2' with the same interface stencils.  Every staggered field, here and
 in ``series``, is evaluated between its samples by ``_interp_sides``:
 linear interpolation of x < 0 on the minus-side knots and of x >= 0 on
-the plus-side knots, each side carrying its own limit at x = 0.
+the plus-side knots, each side carrying its own limit at x = 0.  The
+integer-node fields jump at x = 0; the stored left limit at node N/2
+and the right limit are worked on together in the ``_join_limits``
+layout.
 """
 
 import math
@@ -133,11 +136,11 @@ class GridFunction:
     """Staggered samples of a field on a grid.
 
     U holds u1 at integer nodes with the *left*-limit convention at the
-    interface node N/2; V holds u2 at the N half nodes plus one extra
-    slot V[N] for the interface value u2(0).  Optionally carries the
-    right interface limit of u1, the reconstructed u3 (W, again with
-    left-limit convention plus its right limit), and the relative
-    residual of the solve that produced it.
+    interface node N/2, and u1_right its right limit; V holds u2 at the
+    N half nodes plus one extra slot V[N] for the interface value u2(0).
+    Optionally carries the reconstructed u3 (W, again with the left-limit
+    convention, and its right limit w_right: the two are set together),
+    and the relative residual of the solve that produced it.
     """
 
     grid: StaggeredGrid
@@ -169,7 +172,8 @@ class GridFunction:
 
     # -- pointwise evaluation (side-aware linear interpolation) ---------
     def eval_u1(self, x):
-        return _interp_sides(x, *_node_knots(self.grid, self.U, self.u1_right))
+        u1 = _join_limits(self.grid, self.U, self.u1_right)
+        return _interp_sides(x, *_node_knots(self.grid, u1))
 
     def eval_u2(self, x):
         g, m, N = self.grid, self.grid.mid, self.grid.N
@@ -183,12 +187,10 @@ class GridFunction:
         )
 
     def eval_u3(self, x):
-        """u3 by interpolation; without ``w_right`` the left limit W[m]
-        serves both sides."""
         if self.W is None:
             raise ValueError("u3 samples not attached; run reconstruct_u3")
-        w_right = self.W[self.grid.mid] if self.w_right is None else self.w_right
-        return _interp_sides(x, *_node_knots(self.grid, self.W, w_right))
+        u3 = _join_limits(self.grid, self.W, self.w_right)
+        return _interp_sides(x, *_node_knots(self.grid, u3))
 
 
 def _interp_sides(x, xm, fm, xp, fp):
@@ -202,13 +204,48 @@ def _interp_sides(x, xm, fm, xp, fp):
     return out
 
 
-def _node_knots(grid, f, f_right):
-    """Knots of integer-node samples f (left limit f[m] at the interface)
-    with the right limit f_right, for ``_interp_sides``."""
+def _join_limits(grid, f, f_right):
+    """Integer-node samples f (left limit f[m] at the interface node m)
+    and their right limit as N+2 values: the minus side [:m+1] ends with
+    the left limit, the plus side [m+1:] starts with the right one."""
     m = grid.mid
-    return (grid.x[: m + 1], f[: m + 1],
-            np.concatenate(([0.0], grid.x[m + 1:])),
-            np.concatenate(([f_right], f[m + 1:])))
+    return np.concatenate((f[: m + 1], [f_right], f[m + 1:]))
+
+
+def _split_limits(grid, f):
+    """``_join_limits`` undone: (f with the left limit, right limit)."""
+    m = grid.mid
+    return np.concatenate((f[: m + 1], f[m + 2:])), complex(f[m + 1])
+
+
+def _times_sides(grid, f, minus, plus):
+    """f (``_join_limits`` layout) times minus on [:m+1], plus on [m+1:],
+    in place; returns f.
+
+    The right limit is multiplied on its own: numpy's vectorized complex
+    product fuses multiply and add and can round the last bit apart from
+    the scalar product the artifacts were written with.
+    """
+    m = grid.mid
+    np.multiply(f[: m + 1], minus, out=f[: m + 1])
+    f[m + 1] = f[m + 1] * plus
+    np.multiply(f[m + 2:], plus, out=f[m + 2:])
+    return f
+
+
+def _per_cell(grid, c):
+    """One value per integer-node cell from c, one value per neighbour
+    pair of an array in the ``_join_limits`` layout (its ``np.diff``, say):
+    drops the pair (f(0-), f(0+)), which spans no cell."""
+    return np.delete(c, grid.mid)
+
+
+def _node_knots(grid, f):
+    """Knots of integer-node samples f in the ``_join_limits`` layout, for
+    ``_interp_sides``."""
+    m = grid.mid
+    x = _join_limits(grid, grid.x, 0.0)
+    return x[: m + 1], f[: m + 1], x[m + 1:], f[m + 1:]
 
 
 @dataclass
@@ -252,11 +289,11 @@ class SampledRHS:
         limit) and the plus tuple for x >= 0.
         """
         m = grid.mid
-        x, xh = grid.x, grid.x_half
-        r1 = np.empty(grid.N + 1, dtype=complex)
+        x, xh = _join_limits(grid, grid.x, 0.0), grid.x_half
+        r1 = np.empty(grid.N + 2, dtype=complex)
         r1[: m + 1] = minus[0](x[: m + 1])
         r1[m + 1:] = plus[0](x[m + 1:])
-        r1_right = complex(np.asarray(plus[0](np.array([0.0])))[0])
+        r1, r1_right = _split_limits(grid, r1)
         r2 = np.empty(grid.N, dtype=complex)
         r2[:m] = minus[1](xh[:m])
         r2[m:] = plus[1](xh[m:])
@@ -266,14 +303,6 @@ class SampledRHS:
             r3[:m] = minus[2](xh[:m])
             r3[m:] = plus[2](xh[m:])
         return cls(grid, r1, r2, r1_right=r1_right, r3=r3)
-
-    def r1_at_half(self):
-        """Side-aware average of r1 onto the half nodes."""
-        m = self.grid.mid
-        out = 0.5 * (self.r1[:-1] + self.r1[1:])
-        # the first plus-side cell must use the right interface limit
-        out[m] = 0.5 * (self.r1_right + self.r1[m + 1])
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +446,7 @@ def solve_fd(ctx, n, nu, r):
     grid = r.grid
     if r.r3 is not None and np.any(r.r3 != 0):
         raise ValueError("the staggered scheme requires r3 = 0")
-    N, h, m = grid.N, grid.h, grid.mid
+    h, m = grid.h, grid.mid
     omega = ctx.omega(n, nu)
     sq = spectral_quantities(ctx, n, nu)
     sV = {"minus": sq.V_minus, "plus": sq.V_plus}
@@ -439,8 +468,9 @@ def solve_fd(ctx, n, nu, r):
             )
         inv_c1[s] = _to_complex_soft(1.0 / c1[s])
     c2 = {s: sV[s] * omega for s in sV}
-    f1 = (1j * omega / nk) * r.r1
-    f1_right = (1j * omega / nk) * r.r1_right
+    # the right limit is a scalar product, as in _times_sides
+    scale = 1j * omega / nk
+    f1 = _join_limits(grid, scale * r.r1, scale * r.r1_right)
     f2 = -omega * r.r2
 
     # U_j = (f1_j - (D V)_j) / c1 turns i nk (U_{j+1} - U_j)/h into
@@ -452,8 +482,7 @@ def solve_fd(ctx, n, nu, r):
     for s in sV:
         e = dk / c1[s]
         sides[s] = (-(inv_h * inv_h) - e * inv_h, c2[s], e)
-    df1 = np.diff(f1)
-    df1[m] = f1[m + 1] - f1_right           # the plus side starts at u1(0+)
+    df1 = _per_cell(grid, np.diff(f1))      # the plus side starts at u1(0+)
 
     # jump row c1_+ u1(0+) + D_+V = f1(0+) with u1(0+) = U_m +
     # i (D_-V - D_+V)/nk and U_m = (f1_m - D_-V)/c1_-; t = i c1_+/(3h nk)
@@ -464,25 +493,20 @@ def solve_fd(ctx, n, nu, r):
     star = (tq, tq * (-9.0), t * 16.0 - (q + 1.0) * (8.0 * ih3),
             t * (-9.0) + 9.0 * ih3, t - ih3)
     V, res = _solve_v_band(grid, sides, f2, df1, star,
-                           ((1.0, f1_right), (-q, f1[m])))
+                           ((1.0, f1[m + 1]), (-q, f1[m])))
 
-    du, du_right = _u2_prime(V, grid)
-    U = np.empty(N + 1, dtype=complex)
-    U[: m + 1] = (f1[: m + 1] - du[: m + 1]) * inv_c1["minus"]
-    U[m + 1:] = (f1[m + 1:] - du[m + 1:]) * inv_c1["plus"]
-    u1_right = (f1_right - du_right) * inv_c1["plus"]
+    U, u1_right = _split_limits(grid, _times_sides(
+        grid, f1 - _u2_prime(V, grid), inv_c1["minus"], inv_c1["plus"]))
     return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
 
 
 def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
     """n = 0: u1 is algebraic and the u2 equation is scalar and C^1."""
-    N, h, m = grid.N, grid.h, grid.mid
-    inv_Vm = _to_complex_soft(1.0 / sV["minus"])
-    inv_Vp = _to_complex_soft(1.0 / sV["plus"])
-    U = np.empty(N + 1, dtype=complex)
-    U[: m + 1] = -r.r1[: m + 1] * inv_Vm
-    U[m + 1:] = -r.r1[m + 1:] * inv_Vp
-    u1_right = -r.r1_right * inv_Vp
+    h = grid.h
+    U, u1_right = _split_limits(grid, _times_sides(
+        grid, -_join_limits(grid, r.r1, r.r1_right),
+        _to_complex_soft(1.0 / sV["minus"]),
+        _to_complex_soft(1.0 / sV["plus"])))
 
     sides = {s: (-1.0 / h**2, sV[s] * omega, 0.0) for s in sV}
     # continuity of u2' across the interface closes the system
@@ -496,15 +520,16 @@ def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
 # ----------------------------------------------------------------------
 
 def _u2_prime(V, grid):
-    """u2' at the integer nodes (left limit at the interface node) and
-    its right interface limit, with the solver's stencils."""
+    """u2' at the integer nodes in the ``_join_limits`` layout, with the
+    solver's stencils."""
     N, h, m = grid.N, grid.h, grid.mid
     du = np.empty(N + 1, dtype=complex)
     du[1:N] = (V[1:N] - V[0: N - 1]) / h
     du[0] = 2.0 * V[0] / h
     du[N] = -2.0 * V[N - 1] / h
     du[m] = (8.0 * V[N] - 9.0 * V[m - 1] + V[m - 2]) / (3.0 * h)
-    return du, (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h)
+    return _join_limits(
+        grid, du, (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h))
 
 
 def reconstruct_u3(ctx, n, nu, gf):
@@ -517,9 +542,10 @@ def reconstruct_u3(ctx, n, nu, gf):
     omega = ctx.omega(n, nu)
     if omega == 0:
         raise ZeroFrequency("u3 reconstruction needs omega != 0")
-    du, du_right = _u2_prime(gf.V, gf.grid)
-    return ((du - 1j * n * ctx.k * gf.U) / (1j * omega),
-            (du_right - 1j * n * ctx.k * gf.u1_right) / (1j * omega))
+    grid = gf.grid
+    u1 = _join_limits(grid, gf.U, gf.u1_right)
+    return _split_limits(
+        grid, (_u2_prime(gf.V, grid) - 1j * n * ctx.k * u1) / (1j * omega))
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +597,8 @@ def solve_analytic(ctx, n, nu, r):
         )
 
     # source densities at the half nodes, per side
-    r1h = r.r1_at_half()
+    r1 = _join_limits(grid, r.r1, r.r1_right)
+    r1h = _per_cell(grid, 0.5 * (r1[:-1] + r1[1:]))
     r3h = r.r3 if r.r3 is not None else np.zeros(N, dtype=complex)
     rho = {}
     for side, sV, sM, sl in (
@@ -645,17 +672,15 @@ def solve_analytic(ctx, n, nu, r):
     Vh_h[N] = C_minus * mu_m
 
     u3 = u3p + u3h
-    Vfull = Vh_p + Vh_h
     u3_right = u3[m]   # continuous across the interface by construction
+    Vfull = Vh_p + Vh_h
 
     # u1 per side from the first component equation
-    inv_Vm = _to_complex_soft(1.0 / sVm)
-    inv_Vp = _to_complex_soft(1.0 / sVp)
-    U = np.empty(N + 1, dtype=complex)
-    U[: m + 1] = (nk * u3[: m + 1] - r.r1[: m + 1]) * inv_Vm
-    U[m + 1:] = (nk * u3[m + 1:] - r.r1[m + 1:]) * inv_Vp
-    u1_right = (nk * u3_right - r.r1_right) * inv_Vp
-
+    U, u1_right = _split_limits(grid, _times_sides(
+        grid,
+        nk * _join_limits(grid, u3, u3_right)
+        - _join_limits(grid, r.r1, r.r1_right),
+        _to_complex_soft(1.0 / sVm), _to_complex_soft(1.0 / sVp)))
     return GridFunction(grid, U, Vfull, u1_right=u1_right,
                         W=u3, w_right=u3_right)
 

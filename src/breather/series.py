@@ -57,7 +57,11 @@ from .resolvent import (
     GridFunction,
     SampledRHS,
     _interp_sides,
+    _join_limits,
     _node_knots,
+    _per_cell,
+    _split_limits,
+    _times_sides,
     _u2_prime,
     reconstruct_u3,
     solve_analytic,
@@ -184,16 +188,17 @@ def beta_coeff(ctx, n, m, nu, mu, j, p, q, side):
 # ----------------------------------------------------------------------
 
 def _side_samples(gf):
-    """Per-side arrays of (u1, u2) on both node families.
+    """Whole-grid arrays of (u1, u2) on both node families.
 
-    Returns {'minus': (int_comps, half_comps), 'plus': (...)} where
-    int_comps[p] and half_comps[p] (p = 0 for u1, 1 for u2) are the
-    samples on that side's integer and half nodes.  The minus integer
-    block ends with the left interface limits; the plus integer block
-    *starts* with the right limits.  u1 is interpolated to half nodes by
-    2-point averaging (one-sided extrapolation in the cell right of the
-    interface, where the stored node value is a left limit); u2 is
-    averaged onto integer nodes with the exact interface value.
+    Returns (int_comps, half_comps), where int_comps[p] and half_comps[p]
+    (p = 0 for u1, 1 for u2) are the samples on the integer nodes, in the
+    ``_join_limits`` layout (minus side [:m+1] ending with the left
+    interface limits, plus side [m+1:] starting with the right ones), and
+    on the half nodes (minus side [:m], plus side [m:]).  u1 is
+    interpolated to half nodes by 2-point averaging (one-sided
+    extrapolation in the cell right of the interface, where the stored
+    node value is a left limit); u2 is averaged onto integer nodes with
+    the exact interface value.
     """
     cached = getattr(gf, "_sides", None)
     if cached is not None:
@@ -201,25 +206,13 @@ def _side_samples(gf):
     g = gf.grid
     N, m = g.N, g.mid
     U, V = gf.U, gf.V
-    u2_int = np.empty(N + 1, dtype=complex)
-    u2_int[0] = 0.0
-    u2_int[N] = 0.0
-    u2_int[1:N] = 0.5 * (V[0: N - 1] + V[1:N])
+    u2_int = np.concatenate(([0.0], 0.5 * (V[0: N - 1] + V[1:N]), [0.0]))
     u2_int[m] = V[N]
     u1_half = 0.5 * (U[:-1] + U[1:])
     if m + 2 <= N:
         u1_half[m] = 1.5 * U[m + 1] - 0.5 * U[m + 2]
-    out = {
-        "minus": (
-            (U[: m + 1], u2_int[: m + 1]),
-            (u1_half[:m], V[:m]),
-        ),
-        "plus": (
-            (np.concatenate(([gf.u1_right], U[m + 1:])),
-             np.concatenate(([V[N]], u2_int[m + 1:]))),
-            (u1_half[m:], V[m:N]),
-        ),
-    }
+    out = ((_join_limits(g, U, gf.u1_right), _join_limits(g, u2_int, V[N])),
+           (u1_half, V[:N]))
     gf._sides = out
     return out
 
@@ -328,31 +321,30 @@ def assemble_h(ctx, table, n, nu):
     nu = 1, |n| > nu or n + nu odd).
     """
     grid = table.grid
-    out = NonlinearRHS.zero(grid)
     if nu < 2 or abs(n) > nu or (n + nu) % 2:
-        return out
+        return NonlinearRHS.zero(grid)
     sides = _active_sides(ctx)
     if not sides:
-        return out
+        return NonlinearRHS.zero(grid)
     itf = ctx.interface
-    m_idx = grid.mid
+    m, N = grid.mid, grid.N
     pref = {2: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**2,
             3: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**3}
 
-    # (h1, h2) accumulators per side: views of the output, except the
-    # plus-side integer block, which starts with the right limit h1(0+)
-    acc = {}
-    if "minus" in sides:
-        acc["minus"] = (out.h1[: m_idx + 1], out.h2[:m_idx])
-    if "plus" in sides:
-        acc["plus"] = (np.zeros(grid.N - m_idx + 1, dtype=complex),
-                       out.h2[m_idx:])
-    scratch = {side: tuple(np.empty_like(a) for a in acc[side])
-               for side in sides}
+    # h1 in the _join_limits layout and h2 on the half nodes; each side's
+    # nodes are contiguous there, so a material covers one range of each
+    h = (np.zeros(N + 2, dtype=complex), np.zeros(N, dtype=complex))
+    start = {"minus": (0, 0), "plus": (m + 1, m)}
+    stop = {"minus": (m + 1, m), "plus": (N + 2, N)}
     by_nl = {}
     for side in sides:
         nl = itf.nl_side(side)
         by_nl.setdefault(id(nl), (nl, []))[1].append(side)
+    materials = []
+    for nl, nl_sides in by_nl.values():
+        rng = tuple(map(slice, start[nl_sides[0]], stop[nl_sides[-1]]))
+        scratch = tuple(np.empty(r.stop - r.start, dtype=complex) for r in rng)
+        materials.append((nl, rng, scratch))
 
     for factors, mult in _factor_multisets(n, nu):
         samples = []
@@ -365,33 +357,29 @@ def assemble_h(ctx, table, n, nu):
             samples.append(_side_samples(gf))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
-        for nl, nl_sides in by_nl.values():
+        for nl, rng, scratch in materials:
             chi = (nl._scalar_chi2_truncated if order == 2
                    else nl._scalar_chi3_truncated)(*ws)
             coef = pref[order] * mult * chi
             # j: source component; comps: field component of each factor
             for j, comps, c in _couplings(nl, order):
-                for side in nl_sides:
-                    term = scratch[side][j]
-                    s = [s_[side][j][p] for s_, p in zip(samples, comps)]
-                    np.multiply(s[0], s[1], out=term)
-                    for s_ in s[2:]:
-                        term *= s_
-                    term *= coef * c
-                    h = acc[side][j]
-                    h += term
+                term = scratch[j]
+                s = [s_[j][p][rng[j]] for s_, p in zip(samples, comps)]
+                np.multiply(s[0], s[1], out=term)
+                for s_ in s[2:]:
+                    term *= s_
+                term *= coef * c
+                acc = h[j][rng[j]]
+                acc += term
 
-    if "plus" in acc:
-        h1s = acc["plus"][0]
-        out.h1_right = complex(h1s[0])
-        out.h1[m_idx + 1:] = h1s[1:]
+    h1, h2 = h
     if n == 0:
         # h^{0,nu} = -conj(h^{0,nu}) is imaginary: drop the rounding
         # left in its real part
-        out.h1.real = 0.0
-        out.h2.real = 0.0
-        out.h1_right = complex(0.0, out.h1_right.imag)
-    return out
+        h1.real = 0.0
+        h2.real = 0.0
+    h1, h1_right = _split_limits(grid, h1)
+    return NonlinearRHS(grid, h1, h2, h1_right)
 
 
 # ----------------------------------------------------------------------
@@ -522,8 +510,9 @@ def synthesize(table, x, y, t, M=None):
 
 
 def d_field_modal(ctx, table, n, nu, route="operator"):
-    """Modal displacement field (D1 at integer nodes, D2 at half nodes,
-    D1 right limit, D2 left and right interface limits).
+    """Modal displacement field (D1 at integer nodes in the
+    ``_join_limits`` layout, D2 at half nodes, D2 left and right
+    interface limits).
 
     D2 jumps at x = 0 with the permittivity; its right limit takes the
     nonlinear part h2(0+) extrapolated from the first two plus-side
@@ -540,15 +529,16 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     gf = table.get(n, nu)
     grid = table.grid
     if gf is None:
-        z = np.zeros(grid.N + 1, dtype=complex)
-        return z, z[: grid.N], 0j, 0j, 0j
-    h = table.get_h(n, nu)
-    if h is None:
-        h = NonlinearRHS.zero(grid)
+        return (np.zeros(grid.N + 2, dtype=complex),
+                np.zeros(grid.N, dtype=complex), 0j, 0j)
     m = grid.mid
+    u1 = _join_limits(grid, gf.U, gf.u1_right)
     itf = ctx.interface
 
     if route == "operator":
+        h = table.get_h(n, nu)
+        if h is None:
+            h = NonlinearRHS.zero(grid)
         sq = spectral_quantities(ctx, n, nu)
         Vm = sq.V_minus.to_complex(strict=False)
         Vp = sq.V_plus.to_complex(strict=False)
@@ -557,11 +547,9 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
             # zero; the product V*u is the bounded physical quantity and
             # vanishes at double precision there
             Vm = 0j
-        D1 = np.empty(grid.N + 1, dtype=complex)
+        D1 = -(_times_sides(grid, u1, Vm, Vp)
+               + _join_limits(grid, h.h1, h.h1_right)) / omega
         D2 = np.empty(grid.N, dtype=complex)
-        D1[: m + 1] = -(Vm * gf.U[: m + 1] + h.h1[: m + 1]) / omega
-        D1[m + 1:] = -(Vp * gf.U[m + 1:] + h.h1[m + 1:]) / omega
-        D1_right = -(Vp * gf.u1_right + h.h1_right) / omega
         D2[:m] = -(Vm * gf.V[:m] + h.h2[:m]) / omega
         D2[m:] = -(Vp * gf.V[m: grid.N] + h.h2[m:]) / omega
         D2_left = -(Vm * gf.V[grid.N]) / omega
@@ -569,7 +557,7 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
         # limit is extrapolated from the first two plus-side ones
         h2_right = 1.5 * h.h2[m] - 0.5 * h.h2[m + 1]
         D2_right = -(Vp * gf.V[grid.N] + h2_right) / omega
-        return D1, D2, D1_right, D2_left, D2_right
+        return D1, D2, D2_left, D2_right
 
     if route != "convolution":
         raise ValueError("route must be 'operator' or 'convolution'")
@@ -579,23 +567,19 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     eps_p = itf.permittivity("plus", omega)
     if not (np.isfinite(eps_m.real) and np.isfinite(eps_m.imag)):
         eps_m = 0j   # see the operator-route note: u vanishes there
-    D1 = np.empty(grid.N + 1, dtype=complex)
+    D1 = _times_sides(grid, u1, itf.mu0 * eps_m, itf.mu0 * eps_p)
     D2 = np.empty(grid.N, dtype=complex)
-    D1[: m + 1] = itf.mu0 * eps_m * gf.U[: m + 1]
-    D1[m + 1:] = itf.mu0 * eps_p * gf.U[m + 1:]
-    D1_right = itf.mu0 * eps_p * gf.u1_right
     D2[:m] = itf.mu0 * eps_m * gf.V[:m]
     D2[m:] = itf.mu0 * eps_p * gf.V[m: grid.N]
     D2_left = itf.mu0 * eps_m * gf.V[grid.N]
     D2_right = itf.mu0 * eps_p * gf.V[grid.N]
 
     # quadratic + cubic polarization sums = -h/omega, reassembled fresh
-    h2_ = assemble_h(ctx, table, n, nu)
-    D1 += -h2_.h1 / omega
-    D1_right += -h2_.h1_right / omega
-    D2 += -h2_.h2 / omega
-    D2_right += -(1.5 * h2_.h2[m] - 0.5 * h2_.h2[m + 1]) / omega
-    return D1, D2, D1_right, D2_left, D2_right
+    h = assemble_h(ctx, table, n, nu)
+    D1 += -_join_limits(grid, h.h1, h.h1_right) / omega
+    D2 += -h.h2 / omega
+    D2_right += -(1.5 * h.h2[m] - 0.5 * h.h2[m + 1]) / omega
+    return D1, D2, D2_left, D2_right
 
 
 # ----------------------------------------------------------------------
@@ -609,13 +593,9 @@ def divergence_residual(ctx, table, n, nu):
     fields are divergence free); the discrete value is O(h^2) * ||u||.
     """
     grid = table.grid
-    D1, D2, D1r, _, _ = d_field_modal(ctx, table, n, nu, route="operator")
-    h, m, N = grid.h, grid.mid, grid.N
-    dD1 = np.empty(N, dtype=complex)
-    dD1[:] = (D1[1:] - D1[:-1]) / h
-    dD1[m] = (D1[m + 1] - D1r) / h    # cell right of the interface
-    res = dD1 + 1j * n * ctx.k * D2
-    return math.sqrt(h * float(np.sum(np.abs(res) ** 2)))
+    D1, D2, _, _ = d_field_modal(ctx, table, n, nu, route="operator")
+    res = _per_cell(grid, np.diff(D1)) / grid.h + 1j * n * ctx.k * D2
+    return math.sqrt(grid.h * float(np.sum(np.abs(res) ** 2)))
 
 
 def maxwell_residual(ctx, table, sample_points, M=None):
@@ -636,12 +616,11 @@ def maxwell_residual(ctx, table, sample_points, M=None):
             gf = table.get(n, nu)
             if gf is None:
                 continue
-            D1, D2, D1r, D2m, D2p = d_field_modal(ctx, table, n, nu)
-            du3 = (gf.W[1:] - gf.W[:-1]) / h
-            du3[m] = (gf.W[m + 1] - gf.w_right) / h
-            du2, du2_r = _u2_prime(gf.V, grid)
+            D1, D2, D2m, D2p = d_field_modal(ctx, table, n, nu)
+            w = _join_limits(grid, gf.W, gf.w_right)
+            du3 = _per_cell(grid, np.diff(w)) / h
             knots = (
-                _node_knots(grid, D1, D1r),
+                _node_knots(grid, D1),
                 # D2 on the half nodes, each side ending at its own limit
                 (np.concatenate((xh[:m], [0.0])),
                  np.concatenate((D2[:m], [D2m])),
@@ -649,7 +628,7 @@ def maxwell_residual(ctx, table, sample_points, M=None):
                  np.concatenate(([D2p], D2[m:]))),
                 # d_x u3 on the half nodes, with no interface value
                 (xh[:m], du3[:m], xh[m:], du3[m:]),
-                _node_knots(grid, du2, du2_r),
+                _node_knots(grid, _u2_prime(gf.V, grid)),
             )
             modes.append((n, nu, gf, knots))
 

@@ -39,7 +39,6 @@ __all__ = [
     "NonlinearSusceptibility",
     "MaterialInterface",
     "window_T",
-    "ft_chi1",
     "ft_chi2_untruncated",
     "ft_chi2_truncated",
     "ft_chi3_truncated",
@@ -232,11 +231,6 @@ class Constant(LinearSusceptibility):
 
     def ft(self, omega):
         return complex(self.alpha)
-
-
-def ft_chi1(model, omega):
-    """Closed-form Fourier-Laplace transform chi^(1)(omega) of the model."""
-    return model.ft(omega)
 
 
 # ----------------------------------------------------------------------

@@ -202,12 +202,12 @@ class TestEvaluation:
     """Side-aware linear interpolation of the staggered samples."""
 
     @staticmethod
-    def random_gf(w_right=True):
+    def random_gf():
         g = StaggeredGrid(4.0, 8)
         rng = np.random.default_rng(3)
         z = lambda: rng.normal(size=g.N + 1) + 1j * rng.normal(size=g.N + 1)
         return GridFunction(g, z(), z(), u1_right=2.5 - 1.5j, W=z(),
-                            w_right=-0.5 + 3j if w_right else None)
+                            w_right=-0.5 + 3j)
 
     def test_u1_limits_at_interface(self):
         gf = self.random_gf()
@@ -225,10 +225,7 @@ class TestEvaluation:
         assert np.all(gf.eval_u2(np.array([-g.d, g.d])) == 0.0)
         assert gf.eval_u2(0.0)[()] == gf.V[g.N]
 
-    def test_u3_falls_back_to_left_limit(self):
-        gf = self.random_gf(w_right=False)
-        m = gf.grid.mid
-        assert gf.eval_u3(0.0)[()] == gf.W[m]
+    def test_u3_right_limit_at_interface(self):
         assert self.random_gf().eval_u3(0.0)[()] == -0.5 + 3j
 
     def test_midpoints_are_averages(self):

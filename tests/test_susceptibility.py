@@ -28,7 +28,6 @@ from breather.susceptibility import (
     TruncatedLorentz,
     UntruncatedDrude,
     UntruncatedLorentz,
-    ft_chi1,
     ft_chi2_truncated,
     ft_chi2_untruncated,
     ft_chi3_truncated,
@@ -66,7 +65,7 @@ class TestLinearTransforms:
         kern = lorentz_kernel(20.0, 0.5, 2.0)
         for _ in range(100):
             w = complex(RNG.uniform(-6, 6), RNG.uniform(-1.2, 1.2))
-            exact = ft_chi1(model, w)
+            exact = model.ft(w)
             ref = quad_chi1(kern, 8.0, w, n=200)
             assert abs(exact - ref) < 1e-10 * max(1.0, abs(ref))
 
@@ -75,7 +74,7 @@ class TestLinearTransforms:
         kern = drude_kernel(4.0, 0.5)
         for _ in range(100):
             w = complex(RNG.uniform(-6, 6), RNG.uniform(-1.2, 1.2))
-            exact = ft_chi1(model, w)
+            exact = model.ft(w)
             ref = quad_chi1(kern, 6.0, w, n=200)
             assert abs(exact - ref) < 1e-10 * max(1.0, abs(ref))
 
@@ -84,19 +83,19 @@ class TestLinearTransforms:
         un = UntruncatedLorentz(c_L=20.0, gamma=0.5, omega_star=2.0)
         for T in (20.0, 40.0):
             tr = TruncatedLorentz(c_L=20.0, gamma=0.5, omega_star=2.0, T=T)
-            gap = abs(ft_chi1(tr, w) - ft_chi1(un, w))
+            gap = abs(tr.ft(w) - un.ft(w))
             # Remainder is an integral of e^{(Im w - gamma) t} past T.
             assert gap < 10.0 * math.exp(-(0.5 - 0.4) * T)
 
     def test_untruncated_domain_guard(self):
         un = UntruncatedLorentz(c_L=20.0, gamma=0.5, omega_star=2.0)
         with pytest.raises(DomainError):
-            ft_chi1(un, 1.0 - 0.6j)
+            un.ft(1.0 - 0.6j)
         with pytest.raises(DomainError):
-            ft_chi1(UntruncatedDrude(c_D=4.0, gamma=0.5), 1.0 - 0.1j)
+            UntruncatedDrude(c_D=4.0, gamma=0.5).ft(1.0 - 0.1j)
 
     def test_constant_and_validation(self):
-        assert ft_chi1(Constant(alpha=2.0), 5.0 + 3.0j) == 2.0
+        assert Constant(alpha=2.0).ft(5.0 + 3.0j) == 2.0
         with pytest.raises(ConfigError):
             TruncatedLorentz(c_L=20.0, gamma=2.5, omega_star=2.0, T=1.0)
         with pytest.raises(ConfigError):
@@ -116,8 +115,8 @@ class TestLinearTransforms:
     def test_real_kernel_conjugation_symmetry(self, re, im):
         model = TruncatedLorentz(c_L=20.0, gamma=0.5, omega_star=2.0, T=5.0)
         w = complex(re, im)
-        lhs = ft_chi1(model, -w.conjugate())
-        rhs = ft_chi1(model, w).conjugate()
+        lhs = model.ft(-w.conjugate())
+        rhs = model.ft(w).conjugate()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -538,7 +537,7 @@ class TestMaterialInterface:
         eps_plus = interface.permittivity("plus", w)
         assert abs(eps_plus - 3.0) < 1e-14
         eps_minus = interface.permittivity("minus", w)
-        chi = ft_chi1(interface.minus, w)
+        chi = interface.minus.ft(w)
         assert abs(eps_minus - (1.0 + chi)) < 1e-12 * abs(eps_minus)
         with pytest.raises(ValueError):
             interface.side_model("left")
