@@ -37,7 +37,6 @@ from .susceptibility import Constant, _Lorentz, _Oscillator
 
 __all__ = [
     "PencilContext",
-    "IndexCone",
     "SpectralQuantities",
     "ContourRectangle",
     "spectral_quantities",
@@ -49,7 +48,6 @@ __all__ = [
     "winding_count",
     "winding_count_function",
     "delta0_search",
-    "essential_spectrum_membership",
     "in_Omega0",
     "resolvent_membership",
     "eigenfunction",
@@ -81,33 +79,6 @@ class PencilContext:
     def omega(self, n, nu):
         """Mixed multiple omega^{(n,nu)} = n omega_R + i nu omega_I."""
         return n * self.omega_R + 1j * nu * self.omega_I
-
-
-@dataclass(frozen=True)
-class IndexCone:
-    """The index set {(n, nu) : |n| <= nu <= nu_max}."""
-
-    nu_max: int
-
-    def __post_init__(self):
-        if self.nu_max < 1:
-            raise ValueError("nu_max must be >= 1")
-
-    def __contains__(self, pair):
-        n, nu = pair
-        return 1 <= nu <= self.nu_max and abs(n) <= nu
-
-    @property
-    def members(self):
-        return [
-            (n, nu)
-            for nu in range(1, self.nu_max + 1)
-            for n in range(-nu, nu + 1)
-        ]
-
-    def frequencies(self, ctx):
-        """The set S of mixed multiples over the cone."""
-        return [ctx.omega(n, nu) for (n, nu) in self.members]
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,18 @@ Every first-equation row is local in U, so ``solve_fd`` never assembles
 the 2N+2 unknowns: U_j = (f1_j - (D V)_j)/c1 is substituted into the
 second-equation rows, u1(0+) = (f1(0+) - D_+V)/c1_+ into the
 right-adjacent one, and U_m into the jump row.  What is left is N+1
-equations in V, ordered V_0, ..., V_{m-1}, V*, V_m, ..., V_{N-1} with
-the jump row at V* (for n = 0, the continuity row of u2' instead): a
-(2, 2) band, tridiagonal but for the jump row.  Minus-side coefficients
-can carry magnitudes far outside double range deep in the index cone;
-they are formed in log-scaled arithmetic and equilibrated, one scale
-per side and one for the jump row, before a banded LU solve (LAPACK
-``zgbsv``).  U and u1(0+) then follow pointwise.
+equations in V, ordered as ``GridFunction`` stores them: V_0, ...,
+V_{m-1}, then V_m, ..., V_{N-1}, then V* last, with the jump row last
+(for n = 0, the continuity row of u2' instead).  The second-equation
+rows of each half line form a tridiagonal that reaches the other half
+line only through V*, in its interface-adjacent row; only the jump row
+reaches five unknowns.  Minus-side coefficients can carry magnitudes far
+outside double range deep in the index cone; they are formed in
+log-scaled arithmetic and equilibrated, one scale per side and one for
+the jump row.  The system is then solved as a bordered one: one
+tridiagonal LU per half line (LAPACK ``zgtsv``) with two right sides,
+the data and the response to V*, then V* from the jump row's scalar
+Schur complement.  U and u1(0+) then follow pointwise.
 
 ``solve_analytic`` returns u3 with its samples; after ``solve_fd``,
 ``reconstruct_u3`` forms u3 and its right interface limit from u1 and
@@ -220,16 +225,10 @@ def _split_limits(grid, f):
 
 def _times_sides(grid, f, minus, plus):
     """f (``_join_limits`` layout) times minus on [:m+1], plus on [m+1:],
-    in place; returns f.
-
-    The right limit is multiplied on its own: numpy's vectorized complex
-    product fuses multiply and add and can round the last bit apart from
-    the scalar product the artifacts were written with.
-    """
+    in place; returns f."""
     m = grid.mid
     np.multiply(f[: m + 1], minus, out=f[: m + 1])
-    f[m + 1] = f[m + 1] * plus
-    np.multiply(f[m + 2:], plus, out=f[m + 2:])
+    np.multiply(f[m + 1:], plus, out=f[m + 1:])
     return f
 
 
@@ -341,23 +340,29 @@ def _row_scale(coeffs):
     return L
 
 
-def _band_matvec(op, z):
-    """The (2, 2) band operator in LAPACK storage applied to z."""
-    n = z.size
-    out = op[2] * z
-    for k in (1, 2):                       # k = column - row
-        out[: n - k] += op[2 - k, k:] * z[k:]
-        out[k:] += op[2 + k, : n - k] * z[: n - k]
+def _bordered_matvec(tri, col_star, star, z):
+    """The bordered operator of ``spsolve`` applied to z."""
+    dl, d, du = tri
+    N = d.size
+    m = N // 2
+    out = np.empty(N + 1, dtype=complex)
+    out[:N] = d * z[:N]
+    out[1:N] += dl * z[: N - 1]
+    out[: N - 1] += du * z[1:N]
+    out[m - 1] += col_star[0] * z[N]
+    out[m] += col_star[1] * z[N]
+    out[N] = sum(t * z[j] for t, j in zip(star, (m - 2, m - 1, N, m, m + 1)))
     return out
 
 
 def _solve_v_band(grid, sides, f2, df1, star, star_rhs):
-    """Assemble and solve the equilibrated (2, 2) band system in u2.
+    """Assemble and solve the equilibrated bordered system in u2.
 
-    The unknowns are ordered V_0, ..., V_{m-1}, V*, V_m, ..., V_{N-1}
-    (V* = u2(0)); the second-equation row of half node j sits at V_j and
-    the interface row at V*.  ``sides[s] = (off, c2, e)`` gives the
-    coefficients of side s: the second-equation row of half node j reads
+    The unknowns are ordered as ``GridFunction`` stores them: V_0, ...,
+    V_{N-1}, then V* = u2(0); the second-equation row of half node j sits
+    at V_j and the interface row last.  ``sides[s] = (off, c2, e)`` gives
+    the coefficients of side s: the second-equation row of half node j
+    reads
 
         -off S_j V + c2 V_j = f2_j - e (f1_{j+1} - f1_j) = f2_j - e df1_j
 
@@ -365,68 +370,109 @@ def _solve_v_band(grid, sides, f2, df1, star, star_rhs):
     (V_j, neighbour) at the walls, and (4, -4/3, -8/3) on (V_j, far
     neighbour, V*) next to the interface.  All rows of a side share one
     scale, and each diagonal is formed from the descaled off: the weights
-    of a row come from one rounded value, as the stencil's do.  ``star`` holds the interface
-    row's coefficients on (V_{m-2}, V_{m-1}, V*, V_m, V_{m+1}) and
-    ``star_rhs`` its right side as (coefficient, value) pairs.
+    of a row come from one rounded value, as the stencil's do.  ``star``
+    holds the interface row's coefficients on (V_{m-2}, V_{m-1}, V*,
+    V_m, V_{m+1}) and ``star_rhs`` its right side as (coefficient, value)
+    pairs.  ``spsolve`` solves the system.
 
     Returns V in the GridFunction layout (V[N] = u2(0)) and the relative
     residual of the equilibrated system.
     """
     N, m = grid.N, grid.mid
-    op = np.zeros((5, N + 1), dtype=complex)   # entry (i, j) at op[2 + i - j, j]
+    dl = np.empty(N - 1, dtype=complex)     # entry (j+1, j)
+    d = np.empty(N, dtype=complex)
+    du = np.empty(N - 1, dtype=complex)     # entry (j, j+1)
     b = np.empty(N + 1, dtype=complex)
-    # band positions: minus rows 0..m-1, interface row m, plus rows m+1..N
-    for s, rows, cells, wall, adj, far in (
-        ("minus", slice(0, m), slice(0, m), 0, m - 1, (3, m - 2)),
-        ("plus", slice(m + 1, N + 1), slice(m, N), N, m + 1, (1, m + 2)),
+    col_star = []
+    for s, rows, wall, adj, far_diag, far in (
+        ("minus", slice(0, m), 0, m - 1, dl, m - 2),
+        ("plus", slice(m, N), N - 1, m, du, m),
     ):
         off, c2, e = sides[s]
         L = _row_scale((off, c2))
         off, c2 = _descale(off, L), _descale(c2, L)
-        b[rows] = f2[cells] * math.exp(min(-L, 700.0))
+        b[rows] = f2[rows] * math.exp(min(-L, 700.0))
         if df1 is not None:
-            b[rows] -= _descale(e, L) * df1[cells]
-        op[2, rows] = -2.0 * off + c2
-        op[2, wall] = -3.0 * off + c2
-        op[2, adj] = -4.0 * off + c2
-        op[1, rows.start + 1: rows.stop] = off     # (p, p+1)
-        op[3, rows.start: rows.stop - 1] = off     # (p, p-1)
+            b[rows] -= _descale(e, L) * df1[rows]
+        d[rows] = -2.0 * off + c2
+        d[wall] = -3.0 * off + c2
+        d[adj] = -4.0 * off + c2
+        dl[rows.start: rows.stop - 1] = off
+        du[rows.start: rows.stop - 1] = off
         # the interface-adjacent row: one-sided second difference via V*
-        op[2 + adj - m, m] = (8.0 / 3.0) * off
-        op[far] = (4.0 / 3.0) * off
+        far_diag[far] = (4.0 / 3.0) * off
+        col_star.append((8.0 / 3.0) * off)
+    dl[m - 1] = du[m - 1] = 0.0     # the half lines meet only through V*
     L = _row_scale(star)
-    for k, t in zip((-2, -1, 0, 1, 2), star):
-        op[2 - k, m + k] = _descale(t, L)
-    b[m] = sum(_descale(c, L) * v for c, v in star_rhs)
+    star = [_descale(t, L) for t in star]
+    b[N] = sum(_descale(c, L) * v for c, v in star_rhs)
 
-    z = spsolve(op, b, 2, 2)
+    tri = (dl, d, du)
+    z = spsolve(tri, b, col_star, star)
     if not np.all(np.isfinite(z.view(float))):
         raise SingularSystem("direct solve produced non-finite entries")
     bnorm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(_band_matvec(op, z) - b)) / max(bnorm, 1e-300)
+    Az = _bordered_matvec(tri, col_star, star, z)
+    res = float(np.linalg.norm(Az - b)) / max(bnorm, 1e-300)
     if bnorm > 0 and res > 1e-8:
         raise SingularSystem(
             f"equilibrated residual {res:.2e} indicates spectral proximity"
         )
-    return np.concatenate((z[:m], z[m + 1:], z[m: m + 1])), res
+    return z, res
 
 
-def spsolve(op, b, kl, ku):
-    """Direct solve of the banded system A z = b (LAPACK ``zgbsv``).
+def spsolve(tri, b, col_star, star):
+    """Direct solve of the bordered system A z = b in u2.
 
-    A has kl sub- and ku superdiagonals and is given in band storage,
-    entry (i, j) at op[ku + i - j, j]; neither op nor b is modified.
+    z = (V_0, ..., V_{N-1}, V*).  Rows 0..N-1 are the tridiagonal
+    tri = (dl, d, du), with dl[j] = A[j+1, j] and du[j] = A[j, j+1], plus
+    the column of V*: col_star = (A[m-1, N], A[m, N]) in the two
+    interface-adjacent rows (m = N/2).  The tridiagonal splits at the
+    interface (dl[m-1] = du[m-1] = 0), so each half line is its own
+    problem.  Row N, the jump row, has the coefficients ``star`` on
+    (V_{m-2}, V_{m-1}, V*, V_m, V_{m+1}).
+
+    Each half line takes one tridiagonal LU (LAPACK ``zgtsv``) with two
+    right sides: its part y of b, and its response g to V*.  The jump
+    row's scalar Schur complement then gives V*, and V = y - V* g.  This
+    needs only each half-line problem to be nonsingular, never a
+    division by an off-diagonal.  Neither tri nor b is modified.
     """
-    # zgbsv wants kl extra rows on top for the fill-in of the LU factors
-    ab = np.zeros((2 * kl + ku + 1, b.size), dtype=complex, order="F")
-    ab[kl:] = op
-    _, _, z, info = lapack.zgbsv(kl, ku, ab, b, overwrite_ab=True)
-    if info < 0:
-        raise ValueError(f"zgbsv: illegal value in argument {-info}")
-    if info > 0:
+    dl, d, du = tri
+    N = d.size
+    m = N // 2
+    z = np.empty(N + 1, dtype=complex)
+    g = np.empty(N, dtype=complex)
+    for side, rows, adj, coupling in (
+        ("minus", slice(0, m), m - 1, col_star[0]),
+        ("plus", slice(m, N), 0, col_star[1]),
+    ):
+        cut = slice(rows.start, rows.stop - 1)
+        rhs = np.zeros((m, 2), dtype=complex, order="F")
+        rhs[:, 0] = b[rows]
+        rhs[adj, 1] = coupling
+        *_, yg, info = lapack.zgtsv(dl[cut], d[rows], du[cut], rhs,
+                                    overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"zgtsv: illegal value in argument {-info}")
+        if info > 0:
+            k = rows.start + info - 1
+            raise SingularSystem(
+                f"tridiagonal LU: exact zero pivot U({k},{k}) of {N + 1}, "
+                f"{side} side"
+            )
+        z[rows], g[rows] = yg[:, 0], yg[:, 1]
+    # the jump row with V = y - V* g substituted
+    near = (star[0], m - 2), (star[1], m - 1), (star[3], m), (star[4], m + 1)
+    schur = star[2] - sum(t * g[j] for t, j in near)
+    if schur == 0:
         raise SingularSystem(
-            f"banded LU: exact zero pivot U({info - 1},{info - 1}) of {b.size}"
+            f"interface Schur complement: exact zero pivot U({N},{N}) "
+            f"of {N + 1}"
         )
+    v = (b[N] - sum(t * z[j] for t, j in near)) / schur
+    z[:N] -= np.multiply(g, v, out=g)
+    z[N] = v
     return z
 
 
@@ -438,10 +484,11 @@ def solve_fd(ctx, n, nu, r):
     """Staggered-grid solve of the interface system, reduced to u2.
 
     ``r`` is a SampledRHS with r3 = 0.  U is eliminated row by row
-    through the first equation, the N+1 unknowns in V are found from one
-    (2, 2) banded LU, and U and the right interface limit of u1 follow
-    pointwise.  Returns a GridFunction (U at integer nodes, V at half
-    nodes plus V[N] = u2(0)) with the right limit of u1.
+    through the first equation, the N+1 unknowns in V are found from the
+    bordered half-line tridiagonals of ``spsolve``, and U and the right
+    interface limit of u1 follow pointwise.  Returns a GridFunction (U at
+    integer nodes, V at half nodes plus V[N] = u2(0)) with the right limit
+    of u1.
     """
     grid = r.grid
     if r.r3 is not None and np.any(r.r3 != 0):
@@ -468,9 +515,8 @@ def solve_fd(ctx, n, nu, r):
             )
         inv_c1[s] = _to_complex_soft(1.0 / c1[s])
     c2 = {s: sV[s] * omega for s in sV}
-    # the right limit is a scalar product, as in _times_sides
     scale = 1j * omega / nk
-    f1 = _join_limits(grid, scale * r.r1, scale * r.r1_right)
+    f1 = scale * _join_limits(grid, r.r1, r.r1_right)
     f2 = -omega * r.r2
 
     # U_j = (f1_j - (D V)_j) / c1 turns i nk (U_{j+1} - U_j)/h into
@@ -576,7 +622,9 @@ def solve_analytic(ctx, n, nu, r):
     int rho e^{-+mu s} ds use cumulative recurrences whose weights are
     exact cell integrals of the decaying exponential, so no growing
     factor is ever materialized; each recurrence is one bidiagonal band
-    solve.  u1 follows algebraically per side.
+    solve.  The homogeneous modes take one exponential per integer node;
+    their half-node values follow by a decaying half-cell factor.  u1
+    follows algebraically per side.
 
     Returns a GridFunction carrying U, V, the right limit of u1, and u3
     (W with its right limit).
@@ -599,7 +647,6 @@ def solve_analytic(ctx, n, nu, r):
     # source densities at the half nodes, per side
     r1 = _join_limits(grid, r.r1, r.r1_right)
     r1h = _per_cell(grid, 0.5 * (r1[:-1] + r1[1:]))
-    r3h = r.r3 if r.r3 is not None else np.zeros(N, dtype=complex)
     rho = {}
     for side, sV, sM, sl in (
         ("minus", sVm, sMm, slice(0, m)),
@@ -609,7 +656,9 @@ def solve_analytic(ctx, n, nu, r):
         aVmu = nk * _to_complex_soft(1.0 / (sV * sM))
         amu = _to_complex_soft(1.0 / sM)
         base = 1j * r.r2[sl] * aV
-        odd = r1h[sl] * aVmu + r3h[sl] * amu
+        odd = r1h[sl] * aVmu
+        if r.r3 is not None:
+            odd += r.r3[sl] * amu
         rho[side] = (base + odd, base - odd)
 
     rho1_p, rho2_p = rho["plus"]
@@ -643,37 +692,26 @@ def solve_analytic(ctx, n, nu, r):
     V_p = _to_complex_soft(sVp)
     V_m = _to_complex_soft(sVm)
 
-    # particular and homogeneous parts of u3 at the integer nodes
-    x = grid.x
+    # particular parts of u3 at the integer nodes and of u2 at the half
+    # nodes (half-cell extensions of the recurrences)
     u3p = np.empty(N + 1, dtype=complex)
-    u3h = np.empty(N + 1, dtype=complex)
     u3p[: m + 1] = 0.5 * V_m * (P - Q)
     u3p[m:] = 0.5 * V_p * (A - B)
-    u3h[: m + 1] = C_minus * (-1j * V_m) * _decaying_exp(mu_m, x[: m + 1])
-    u3h[m:] = C_plus * (1j * V_p) * _decaying_exp(-mu_p, x[m:])
     # the shared node x = 0 keeps the minus-side values (the matching
     # conditions make u2 and u3 continuous there)
     u3p[m] = 0.5 * V_m * (P[m] - Q[m])
-    u3h[m] = C_minus * (-1j * V_m)
-
-    # u2 at the half nodes: half-cell extensions of the recurrences
-    xh = grid.x_half
     Vh_p = np.empty(N + 1, dtype=complex)
-    Vh_h = np.empty(N + 1, dtype=complex)
-    Ah = rho1_p[:] * Kp2 + ep_2 * A[1:]
-    Bh = ep_2 * B[:-1] + rho2_p[:] * Kp2
-    Ph = rho1_m[:] * Km2 + em_2 * P[1:]
-    Qh = em_2 * Q[:-1] + rho2_m[:] * Km2
-    Vh_p[:m] = 0.5j * mu_m * (Ph + Qh)
-    Vh_p[m:N] = 0.5j * mu_p * (Ah + Bh)
+    Vh_p[:m] = 0.5j * mu_m * ((rho1_m * Km2 + em_2 * P[1:])
+                              + (em_2 * Q[:-1] + rho2_m * Km2))
+    Vh_p[m:N] = 0.5j * mu_p * ((rho1_p * Kp2 + ep_2 * A[1:])
+                               + (ep_2 * B[:-1] + rho2_p * Kp2))
     Vh_p[N] = 0.5j * mu_m * (P[m] + Q[m])
-    Vh_h[:m] = C_minus * mu_m * _decaying_exp(mu_m, xh[:m])
-    Vh_h[m:N] = C_plus * mu_p * _decaying_exp(-mu_p, xh[m:])
-    Vh_h[N] = C_minus * mu_m
+    u3h, Vh_h = _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m,
+                                  V_p, em_2, ep_2)
 
-    u3 = u3p + u3h
+    u3 = np.add(u3p, u3h, out=u3p)
     u3_right = u3[m]   # continuous across the interface by construction
-    Vfull = Vh_p + Vh_h
+    Vfull = np.add(Vh_p, Vh_h, out=Vh_p)
 
     # u1 per side from the first component equation
     U, u1_right = _split_limits(grid, _times_sides(
@@ -706,12 +744,43 @@ def _decay_sweep(f, c, backward):
     return y
 
 
+def _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
+                      ep_2):
+    """u3 at the integer nodes and u2 at the half nodes (V[N] = u2(0)) of
+    the decaying homogeneous modes C_- e^{mu_- x} (x <= 0) and
+    C_+ e^{-mu_+ x} (x >= 0).
+
+    Only the integer nodes take an exponential.  A half node's value is
+    its interface-side neighbour's times the decaying half-cell factor
+    em_2 = e^{-mu_- h/2} or ep_2 = e^{-mu_+ h/2}, as e^{mu_- (x_{j+1} -
+    h/2)} and e^{-mu_+ (x_j + h/2)}: nothing grows, however thin the layer.
+    """
+    N, m = grid.N, grid.mid
+    hm = _decaying_exp(mu_m, grid.x[: m + 1])
+    hp = _decaying_exp(-mu_p, grid.x[m:])
+    u3h = np.empty(N + 1, dtype=complex)
+    u3h[: m + 1] = C_minus * (-1j * V_m) * hm
+    u3h[m:] = C_plus * (1j * V_p) * hp
+    u3h[m] = C_minus * (-1j * V_m)
+    Vh = np.empty(N + 1, dtype=complex)
+    Vh[:m] = C_minus * mu_m * em_2 * hm[1:]
+    Vh[m:N] = C_plus * mu_p * ep_2 * hp[:-1]
+    Vh[N] = C_minus * mu_m
+    return u3h, Vh
+
+
 def _decaying_exp(mu, x):
-    """exp(mu * x) where Re(mu * x) <= 0 by construction (underflow-safe)."""
+    """exp(mu * x) at sorted nodes x where Re(mu * x) <= 0 by construction
+    (underflow-safe)."""
     z = mu * np.asarray(x, dtype=float)
     re = np.minimum(z.real, 0.0)
-    out = np.exp(re + 1j * z.imag)
-    out[re < -745.0] = 0.0
+    out = np.zeros(z.shape, dtype=complex)
+    # Re(mu x) is monotone along sorted nodes: the entries above exp's
+    # underflow limit are one run, and only that run is evaluated
+    live = np.flatnonzero(re >= -745.0)
+    if live.size:
+        run = slice(live[0], live[-1] + 1)
+        out[run] = np.exp(re[run] + 1j * z.imag[run])
     return out
 
 

@@ -67,14 +67,13 @@ from .resolvent import (
     solve_analytic,
     solve_fd,
 )
-# ft_chi3_truncated is unused here but kept: perfbench/tracer.py wraps
-# both transform names in this module
+# both transforms are unused here but kept: perfbench/tracer.py wraps
+# their names in this module
 from .susceptibility import ft_chi2_truncated, ft_chi3_truncated  # noqa: F401
 
 __all__ = [
     "CoefficientTable",
     "NonlinearRHS",
-    "beta_coeff",
     "assemble_h",
     "build_series",
     "synthesize",
@@ -160,27 +159,6 @@ def _conj_cached(gf):
         cached = gf.conjugate()
         gf._conj = cached
     return cached
-
-
-# ----------------------------------------------------------------------
-# Nonlinearity coefficients
-# ----------------------------------------------------------------------
-
-def beta_coeff(ctx, n, m, nu, mu, j, p, q, side):
-    """Quadratic coefficient
-    -omega^{(n,nu)} eps0 mu0^2 chi2_{j,p,q}(omega^{(m,mu)}, omega^{(n-m,nu-mu)})
-    for the given side ('minus'/'plus'); zero when that side is linear.
-    Indices j, p, q are 1-based field components.
-    """
-    if not (1 <= mu <= nu - 1):
-        raise ValueError("need 1 <= mu <= nu-1")
-    nl = ctx.interface.nl_side(side)
-    if nl is None:
-        return 0j
-    itf = ctx.interface
-    chi2 = ft_chi2_truncated(nl, ctx.omega(m, mu), ctx.omega(n - m, nu - mu))
-    return (-ctx.omega(n, nu) * itf.eps0 * itf.mu0**2
-            * chi2[j - 1, p - 1, q - 1])
 
 
 # ----------------------------------------------------------------------

@@ -276,16 +276,33 @@ def random_rhs(grid, seed=7):
 
 
 def captured_spsolve(monkeypatch):
-    """Record the (op, b, kl, ku) of every banded LU solve."""
+    """Record the (tri, b, col_star, star) of every bordered solve."""
     seen = []
     solve = resolvent.spsolve
 
-    def spy(op, b, kl, ku):
-        seen.append((op.copy(), b.copy(), kl, ku))
-        return solve(op, b, kl, ku)
+    def spy(tri, b, col_star, star):
+        seen.append(([a.copy() for a in tri], b.copy(), list(col_star),
+                     list(star)))
+        return solve(tri, b, col_star, star)
 
     monkeypatch.setattr(resolvent, "spsolve", spy)
     return seen
+
+
+def bordered_matrix(tri, col_star, star):
+    """The N+1 x N+1 matrix that ``spsolve`` is given, as CSR."""
+    dl, d, du = tri
+    N = d.size
+    m = N // 2
+    j = np.arange(N - 1)
+    rows = [np.arange(N), j + 1, j, [m - 1, m], [N] * 5]
+    cols = [np.arange(N), j, j + 1, [N, N], [m - 2, m - 1, N, m, m + 1]]
+    vals = [d, dl, du, col_star, star]
+    A = csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                            np.concatenate(cols))),
+                   shape=(N + 1, N + 1), dtype=complex)
+    A.eliminate_zeros()
+    return A
 
 
 def full_system(ctx, n, nu, r):
@@ -390,22 +407,33 @@ def relerr(a, ref):
 
 
 class TestBandedSolve:
-    """The (2, 2) band in u2 against a general sparse LU of the full
-    staggered system in U and V."""
+    """The bordered half-line tridiagonals in u2 against a general sparse
+    LU of the full staggered system in U and V."""
 
     @pytest.mark.parametrize("N", [4, 8, 400])
     @pytest.mark.parametrize("n, nu, bands", [
-        (1, 2, (2, 2)), (0, 2, (2, 2)), (2, 2, (2, 2)), (1, 5, (2, 2)),
+        (1, 2, (1, 1)), (0, 2, (1, 1)), (2, 2, (1, 1)), (1, 5, (1, 1)),
+        (0, 4, (1, 1)), (2, 6, (1, 1)),
     ])
     def test_matches_sparse_lu(self, ctx, monkeypatch, N, n, nu, bands):
         seen = captured_spsolve(monkeypatch)
         g = StaggeredGrid(40.0, N)
         r = random_rhs(g)
         sol = solve_fd(ctx, n, nu, r)
-        ((op, b, kl, ku),) = seen
-        assert (kl, ku) == bands
-        assert op.shape == (5, N + 1) and b.shape == (N + 1,)
-        assert np.any(op[0]) and np.any(op[-1])   # the jump row reaches both
+        ((tri, b, col_star, star),) = seen
+        assert b.shape == (N + 1,)
+        A = bordered_matrix(tri, col_star, star)
+        m = N // 2
+        # each half line is a tridiagonal of its own: (kl, ku) = bands
+        for rows in (slice(0, m), slice(m, N)):
+            i, j = A[rows, rows].nonzero()
+            assert (max(i - j), max(j - i)) == bands
+        assert A[: m, m: N].nnz == 0 and A[m: N, : m].nnz == 0
+        # the half lines meet only through V* in their interface-adjacent
+        # rows; only the jump row has five entries
+        assert A[:N, N].nonzero()[0].tolist() == [m - 1, m]
+        assert np.diff(A.indptr).tolist() == [2] + [3] * (N - 2) + [2, 5]
+        assert np.linalg.norm(A @ sol.V - b) <= 1e-12 * np.linalg.norm(b)
 
         A, rhs, fields = full_system(ctx, n, nu, r)
         U, V, u1_right = fields(spsolve(A, rhs))
@@ -414,22 +442,43 @@ class TestBandedSolve:
         assert relerr(sol.u1_right, u1_right) <= 1e-10
         assert sol.residual < 1e-12
 
-    def test_zero_pivot_names_harmonic(self, ctx, monkeypatch):
+    @staticmethod
+    def singular(monkeypatch, spoil):
         solve = resolvent.spsolve
 
-        def singular(op, b, kl, ku):
-            op = op.copy()
-            op[:, 3] = 0.0              # an empty column: exact zero pivot
-            return solve(op, b, kl, ku)
+        def wrapped(tri, b, col_star, star):
+            tri = [a.copy() for a in tri]
+            col_star, star = list(col_star), list(star)
+            spoil(tri, col_star, star)
+            return solve(tri, b, col_star, star)
 
-        monkeypatch.setattr(resolvent, "spsolve", singular)
+        monkeypatch.setattr(resolvent, "spsolve", wrapped)
+
+    def assert_names_harmonic(self, ctx, match):
         g = StaggeredGrid(40.0, 400)
-        with pytest.raises(SingularSystem, match="zero pivot"):
+        with pytest.raises(SingularSystem, match=match):
             solve_fd(ctx, 1, 2, bump_rhs(g))
         with pytest.raises(ResolventViolation) as info:
             build_series(ctx, g, eps=0.5, nu_max=2, solver="fd")
         assert (info.value.n, info.value.nu) == (0, 2)
         assert "zero pivot" in str(info.value)
+
+    def test_zero_pivot_names_harmonic(self, ctx, monkeypatch):
+        def empty_column(tri, col_star, star):
+            dl, d, du = tri
+            du[2] = d[3] = dl[3] = 0.0    # column 3 of the minus side
+
+        self.singular(monkeypatch, empty_column)
+        self.assert_names_harmonic(ctx, "zero pivot U\\(3,3\\).*minus side")
+
+    def test_vanishing_schur_complement_names_harmonic(self, ctx,
+                                                       monkeypatch):
+        def empty_star_column(tri, col_star, star):
+            col_star[:] = 0.0, 0.0    # V* drops out of the side rows
+            star[2] = 0.0             # and out of the jump row
+
+        self.singular(monkeypatch, empty_star_column)
+        self.assert_names_harmonic(ctx, "Schur complement: exact zero pivot")
 
 
 class TestVanishingC1:
@@ -519,3 +568,55 @@ class TestDecaySweep:
             got = resolvent._decay_sweep(f, c, backward)
             assert got.shape == (n + 1,)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestDecayingExp:
+    """Only the run of nodes above exp's underflow limit is evaluated;
+    the result is the flushed exponential at every node."""
+
+    @pytest.mark.parametrize("mu", [0.7 + 0.2j, 30.0 - 5.0j, 9e33 - 2e34j])
+    def test_matches_flushed_exp(self, mu):
+        g = StaggeredGrid(40.0, 2000)
+        for c, x in ((mu, g.x[: g.mid + 1]), (-mu, g.x[g.mid:])):
+            z = c * x
+            re = np.minimum(z.real, 0.0)
+            ref = np.exp(re + 1j * z.imag)
+            ref[re < -745.0] = 0.0
+            assert np.array_equal(resolvent._decaying_exp(c, x), ref)
+
+
+class TestHalfNodeModes:
+    """``solve_analytic`` takes the half-node values of its homogeneous
+    modes from the node values by a decaying half-cell factor; one
+    exponential per half node gives the same fields."""
+
+    @staticmethod
+    def per_half_node(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
+                      ep_2):
+        N, m, x, xh = grid.N, grid.mid, grid.x, grid.x_half
+        exp = resolvent._decaying_exp
+        u3h = np.empty(N + 1, dtype=complex)
+        u3h[: m + 1] = C_minus * (-1j * V_m) * exp(mu_m, x[: m + 1])
+        u3h[m:] = C_plus * (1j * V_p) * exp(-mu_p, x[m:])
+        u3h[m] = C_minus * (-1j * V_m)
+        Vh = np.empty(N + 1, dtype=complex)
+        Vh[:m] = C_minus * mu_m * exp(mu_m, xh[:m])
+        Vh[m:N] = C_plus * mu_p * exp(-mu_p, xh[m:])
+        Vh[N] = C_minus * mu_m
+        return u3h, Vh
+
+    @pytest.mark.parametrize("N", [400, 2000])
+    @pytest.mark.parametrize("n, nu", [(2, 2), (2, 4)])
+    def test_matches_per_half_node_formula(self, ctx, monkeypatch, N, n,
+                                           nu):
+        r = random_rhs(StaggeredGrid(40.0, N))
+        sol = solve_analytic(ctx, n, nu, r)
+        # a growing factor (e^{+mu_- h/2} from the wrong side) would give
+        # inf * 0 here: at nu = 4, Re(mu_- h) is far past the exp range
+        for f in (sol.U, sol.V, sol.W, [sol.u1_right, sol.w_right]):
+            assert np.all(np.isfinite(f))
+        monkeypatch.setattr(resolvent, "_homogeneous_part",
+                            self.per_half_node)
+        ref = solve_analytic(ctx, n, nu, r)
+        assert relerr(sol.V, ref.V) <= 1e-13
+        assert relerr(sol.W, ref.W) <= 1e-13

@@ -25,7 +25,6 @@ from breather.series import (
     _source_terms,
     _synthesize_complex,
     assemble_h,
-    beta_coeff,
     build_series,
     d_field_modal,
     decay_profile,
@@ -145,6 +144,19 @@ class TestAmplitudeScaling:
             if sb < 1e-200:
                 continue
             assert sa / sb == pytest.approx(0.5**nu, rel=1e-8)
+
+
+def beta_coeff(ctx, n, m, nu, mu, j, p, q, side):
+    """Quadratic coefficient -omega^{(n,nu)} eps0 mu0^2 chi2_{j,p,q}(
+    omega^{(m,mu)}, omega^{(n-m,nu-mu)}) of the given side; zero when that
+    side is linear.  Indices j, p, q are 1-based field components."""
+    nl = ctx.interface.nl_side(side)
+    if nl is None:
+        return 0j
+    itf = ctx.interface
+    chi2 = ft_chi2_truncated(nl, ctx.omega(m, mu), ctx.omega(n - m, nu - mu))
+    return (-ctx.omega(n, nu) * itf.eps0 * itf.mu0**2
+            * chi2[j - 1, p - 1, q - 1])
 
 
 class TestAssembledSources:
