@@ -14,10 +14,6 @@ class DomainError(BreatherError):
     """
 
 
-class PoleError(BreatherError):
-    """Evaluation requested exactly at a pole of the oscillator response."""
-
-
 class ModelError(BreatherError):
     """The requested operation needs a different material model variant."""
 

@@ -125,7 +125,8 @@ class CoefficientTable:
     Only n >= 0 is stored; ``get`` serves negative harmonics as exact
     conjugates and returns None outside the cone (those entries are
     identically zero).  The nonlinear sources of each level are kept for
-    the displacement-field reconstruction.
+    the displacement-field reconstruction.  A built table holds nothing
+    else: the factor samples (``_samples``) live for one build.
     """
 
     ctx: object
@@ -135,6 +136,7 @@ class CoefficientTable:
     entries: dict = field(default_factory=dict)
     h_entries: dict = field(default_factory=dict)
     norms: dict = field(default_factory=dict)
+    _samples: dict = field(default=None, init=False, repr=False)
 
     def get(self, n, nu):
         if abs(n) > nu or nu < 1 or nu > self.nu_max:
@@ -175,24 +177,22 @@ def _side_samples(gf):
     on the half nodes (minus side [:m], plus side [m:]).  u1 is
     interpolated to half nodes by 2-point averaging (one-sided
     extrapolation in the cell right of the interface, where the stored
-    node value is a left limit); u2 is averaged onto integer nodes with
-    the exact interface value.
+    node value is a left limit); u2 is averaged onto integer nodes, with
+    the exact interface value V[N] as both of its limits.  Every weight
+    is real, so the samples of conj(gf) are the conjugates of these.
     """
-    cached = getattr(gf, "_sides", None)
-    if cached is not None:
-        return cached
     g = gf.grid
     N, m = g.N, g.mid
     U, V = gf.U, gf.V
-    u2_int = np.concatenate(([0.0], 0.5 * (V[0: N - 1] + V[1:N]), [0.0]))
-    u2_int[m] = V[N]
+    u2_int = np.zeros(N + 2, dtype=complex)
+    np.add(V[: m - 1], V[1:m], out=u2_int[1:m])
+    np.add(V[m: N - 1], V[m + 1: N], out=u2_int[m + 2: N + 1])
+    u2_int *= 0.5
+    u2_int[m] = u2_int[m + 1] = V[N]
     u1_half = 0.5 * (U[:-1] + U[1:])
     if m + 2 <= N:
         u1_half[m] = 1.5 * U[m + 1] - 0.5 * U[m + 2]
-    out = ((_join_limits(g, U, gf.u1_right), _join_limits(g, u2_int, V[N])),
-           (u1_half, V[:N]))
-    gf._sides = out
-    return out
+    return ((_join_limits(g, U, gf.u1_right), u2_int), (u1_half, V[:N]))
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +294,10 @@ def assemble_h(ctx, table, n, nu):
     term with the coupling tensor averaged over its field indices
     (``_symmetric_couplings``); this holds for any coupling tensor.
 
+    A negative-n factor enters its product chain as the conjugated
+    samples of its n >= 0 entry.  Samples come from the build's cache
+    inside ``build_series`` and from the entries as they stand outside.
+
     Needs all table entries with level < nu and raises ValueError naming
     the first one missing.  Returns a NonlinearRHS (identically zero for
     nu = 1, |n| > nu or n + nu odd).
@@ -321,18 +325,24 @@ def assemble_h(ctx, table, n, nu):
     materials = []
     for nl, nl_sides in by_nl.values():
         rng = tuple(map(slice, start[nl_sides[0]], stop[nl_sides[-1]]))
-        scratch = tuple(np.empty(r.stop - r.start, dtype=complex) for r in rng)
+        # per source component: the product, and a conjugated factor
+        scratch = tuple(np.empty((2, r.stop - r.start), dtype=complex)
+                        for r in rng)
         materials.append((nl, rng, scratch))
 
+    cache = {} if table._samples is None else table._samples
     for factors, mult in _factor_multisets(n, nu):
         samples = []
         for f in factors:
-            gf = table.get(*f)
-            if gf is None:
-                raise ValueError(
-                    f"h^({n},{nu}) needs the table entry "
-                    f"u^({f[0]},{f[1]}), which is missing")
-            samples.append(_side_samples(gf))
+            key = (abs(f[0]), f[1])     # u^(-m,mu) = conj(u^(m,mu))
+            if key not in cache:
+                gf = table.get(*key)
+                if gf is None:
+                    raise ValueError(
+                        f"h^({n},{nu}) needs the table entry "
+                        f"u^({f[0]},{f[1]}), which is missing")
+                cache[key] = _side_samples(gf)
+            samples.append((cache[key], f[0] < 0))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
         for nl, rng, scratch in materials:
@@ -341,11 +351,18 @@ def assemble_h(ctx, table, n, nu):
             coef = pref[order] * mult * chi
             # j: source component; comps: field component of each factor
             for j, comps, c in _couplings(nl, order):
-                term = scratch[j]
-                s = [s_[j][p][rng[j]] for s_, p in zip(samples, comps)]
-                np.multiply(s[0], s[1], out=term)
-                for s_ in s[2:]:
-                    term *= s_
+                term, buf = scratch[j]
+                (s0, c0), (s1, c1), *rest = [
+                    (s_[j][p][rng[j]], conj)
+                    for (s_, conj), p in zip(samples, comps)]
+                # conjugated factors go to buf, except a second to term
+                if c0:
+                    s0 = np.conjugate(s0, out=buf)
+                if c1:
+                    s1 = np.conjugate(s1, out=term)
+                np.multiply(s0, s1, out=term)
+                for s_, conj in rest:
+                    term *= np.conjugate(s_, out=buf) if conj else s_
                 term *= coef * c
                 acc = h[j][rng[j]]
                 acc += term
@@ -432,6 +449,8 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
         return h, gf
 
     growth = 0
+    # factor samples, filled by assemble_h and dropped with the build
+    table._samples = {}
     for nu in range(2, nu_max + 1):
         _fill_level_cache(ctx, nu)
         lvl = 0.0
@@ -454,6 +473,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
                 growth = 0
         else:
             growth = 0
+    table._samples = None
     return table
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._expalg import g_window, simplex_transform, triangle_transform
 from ._scaled import ScaledComplex
-from .errors import ConfigError, DomainError, PoleError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "LinearSusceptibility",
@@ -39,7 +39,6 @@ __all__ = [
     "NonlinearSusceptibility",
     "MaterialInterface",
     "window_T",
-    "ft_chi2_untruncated",
     "ft_chi2_truncated",
     "ft_chi3_truncated",
 ]
@@ -290,14 +289,6 @@ class NonlinearSusceptibility:
     def c_tilde(self):
         return math.sqrt(self.omega_star_tilde**2 - self.gamma_tilde**2)
 
-    def d_hat(self, omega):
-        """Oscillator transfer function -1/(omega^2 + 2i gt omega - ost^2)."""
-        omega = complex(omega)
-        denom = _lorentz_denominator(omega, self.gamma_tilde, self.omega_star_tilde)
-        if abs(denom) < 1e-12 * max(1.0, abs(omega) ** 2, self.omega_star_tilde**2):
-            raise PoleError(f"omega = {omega} hits a pole of the oscillator response")
-        return -1.0 / denom
-
     # -- truncated scalar transforms (exponential-sum algebra) ---------
     def _rates_amps(self):
         ct = self.c_tilde
@@ -414,12 +405,6 @@ def _is_self_mirror(key):
     """Whether a sorted tuple is its own mirror (its transform is real)."""
     return (sorted([(-w.real, w.imag) for w in key])
             == [(w.real, w.imag) for w in key])
-
-
-def ft_chi2_untruncated(nl, omega1, omega2):
-    """c^(2)_{jpq} D(omega1) D(omega2) D(omega1+omega2), componentwise."""
-    scalar = nl.d_hat(omega1) * nl.d_hat(omega2) * nl.d_hat(omega1 + omega2)
-    return nl.c2 * scalar
 
 
 def ft_chi2_truncated(nl, omega1, omega2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 from breather.errors import OverflowGuard
 from breather.pencil import PencilContext
-from breather.resolvent import StaggeredGrid, _join_limits
+from breather.resolvent import GridFunction, StaggeredGrid, _join_limits
 from breather.series import (
     _factor_multisets,
     _side_samples,
@@ -197,6 +198,39 @@ class TestAssembledSources:
         assert assemble_h(ctx, table, 3, 2).is_zero
         assert table.get_h(-2, 2).h1.shape == table.get_h(2, 2).h1.shape
 
+    def test_side_samples_layout(self):
+        """u2 on the integer nodes is the two-point average of its half
+        nodes, zero at the walls and u2(0) = V[N] at both interface
+        limits; u1 keeps its two limits."""
+        g = StaggeredGrid(40.0, 12)
+        rng = np.random.default_rng(7)
+        U, V = (rng.standard_normal((2, g.N + 1))
+                + 1j * rng.standard_normal((2, g.N + 1)))
+        gf = GridFunction(g, U, V, u1_right=2.5 - 1j)
+        (u1, u2), (u1_half, v) = _side_samples(gf)
+        m, N = g.mid, g.N
+        assert np.array_equal(u1, _join_limits(g, U, 2.5 - 1j))
+        assert np.array_equal(v, V[:N])
+        want = np.concatenate(([0.0], 0.5 * (V[: m - 1] + V[1:m]),
+                               [V[N], V[N]],
+                               0.5 * (V[m: N - 1] + V[m + 1: N]), [0.0]))
+        assert np.array_equal(u2, want)
+        assert np.array_equal(u1_half[m + 1:],
+                              0.5 * (U[m + 1: -1] + U[m + 2:]))
+        assert u1_half[m] == 1.5 * U[m + 1] - 0.5 * U[m + 2]
+
+    def test_assembly_reads_entries_as_they_are(self, ctx):
+        """Outside a build, the sources are products of the entries as
+        they stand: doubling u^(1,1) quadruples the quadratic h^(2,2)."""
+        table = build_series(ctx, StaggeredGrid(40.0, 400), eps=0.5,
+                             nu_max=3, solver="fd")
+        before = assemble_h(ctx, table, 2, 2).h1
+        gf = table.entries[(1, 1)]
+        gf.U, gf.V, gf.u1_right = 2 * gf.U, 2 * gf.V, 2 * gf.u1_right
+        after = assemble_h(ctx, table, 2, 2).h1
+        ratio = np.max(np.abs(after)) / np.max(np.abs(before))
+        assert ratio == pytest.approx(4.0, rel=1e-12)
+
     def test_missing_level_raises(self, ctx, table):
         # one level past the table only needs stored entries ...
         assert not assemble_h(ctx, table, 0, table.nu_max + 1).is_zero
@@ -359,6 +393,29 @@ class TestFieldDiagnostics:
             t = build_series(ctx, g, eps=0.5, nu_max=3, solver="fd")
             res.append(maxwell_residual(ctx, t, [(0.25 * g.h, 0.3, 0.8)]))
         assert res[0] / res[1] >= 3.0
+
+
+class TestBuildMemory:
+    def test_built_table_holds_only_harmonics_and_sources(self, ctx):
+        """What a build leaves allocated is the table's own arrays: U, V
+        and W of each entry and h1, h2 of each source, within 2%.  No
+        entry keeps factor samples or a conjugate copy, and a negative
+        harmonic is still served as one cached object."""
+        grid = StaggeredGrid(40.0, 20000)
+        tracemalloc.start()
+        try:
+            table = build_series(ctx, grid, eps=0.5, nu_max=4, solver="fd")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        own = (sum(a.nbytes for gf in table.entries.values()
+                   for a in (gf.U, gf.V, gf.W))
+               + sum(h.h1.nbytes + h.h2.nbytes
+                     for h in table.h_entries.values()))
+        assert abs(held - own) <= 0.02 * own
+        for gf in table.entries.values():
+            assert "_sides" not in vars(gf) and "_conj" not in vars(gf)
+        assert table.get(-2, 2) is table.get(-2, 2)
 
 
 class TestDecayAndSolvers:
