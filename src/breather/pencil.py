@@ -685,19 +685,26 @@ class Eigenfunction:
     V_plus: complex
 
     def __call__(self, x):
+        return np.stack(self.components(x))
+
+    def components(self, x, which=(0, 1, 2)):
+        """The listed components of phi at x, as a list of arrays; one
+        exponential per side, whatever is listed."""
         x = np.asarray(x, dtype=float)
-        out = np.empty((3,) + x.shape, dtype=complex)
         neg = x < 0
         pos = ~neg
         em = np.exp(self.mu_minus * x[neg])
         ep = np.exp(-self.mu_plus * x[pos])
         ratio = self.mu_minus / self.mu_plus
-        out[0, neg] = -1j * self.k * em
-        out[1, neg] = self.mu_minus * em
-        out[2, neg] = -1j * self.V_minus * em
-        out[0, pos] = 1j * self.k * ratio * ep
-        out[1, pos] = self.mu_minus * ep
-        out[2, pos] = 1j * ratio * self.V_plus * ep
+        coef = ((-1j * self.k, 1j * self.k * ratio),
+                (self.mu_minus, self.mu_minus),
+                (-1j * self.V_minus, 1j * ratio * self.V_plus))
+        out = []
+        for c in which:
+            a = np.empty(x.shape, dtype=complex)
+            a[neg] = coef[c][0] * em
+            a[pos] = coef[c][1] * ep
+            out.append(a)
         return out
 
     @property

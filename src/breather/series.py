@@ -11,7 +11,8 @@ enforces u^{-n,nu} = conj(u^{n,nu}) exactly.
 Seeded at (1, 1), the quadratic and cubic sums preserve the parity of
 n - nu, so every harmonic with n + nu odd vanishes identically.  The
 sources skip every term with such a factor and return zero for those
-harmonics outright; the table still stores their (zero) entries.
+harmonics outright; the table still stores their (zero) entries and
+sources, all of them views of one read-only zero array.
 
 The chi2/chi3 transforms are a coupling tensor times a scalar transform
 that is symmetric in its frequency arguments, and every ordering of a
@@ -102,11 +103,6 @@ class NonlinearRHS:
     h2: np.ndarray
     h1_right: complex = 0j
 
-    @classmethod
-    def zero(cls, grid):
-        return cls(grid, np.zeros(grid.N + 1, dtype=complex),
-                   np.zeros(grid.N, dtype=complex))
-
     @property
     def is_zero(self):
         return (self.h1_right == 0 and not self.h1.any()
@@ -125,8 +121,10 @@ class CoefficientTable:
     Only n >= 0 is stored; ``get`` serves negative harmonics as exact
     conjugates and returns None outside the cone (those entries are
     identically zero).  The nonlinear sources of each level are kept for
-    the displacement-field reconstruction.  A built table holds nothing
-    else: the factor samples (``_samples``) live for one build.
+    the displacement-field reconstruction.  Every zero entry and zero
+    source views ``_zero``, one read-only array of N+1 zeros.  A built
+    table holds nothing else: the factor samples (``_samples``) live for
+    one build.
     """
 
     ctx: object
@@ -137,6 +135,15 @@ class CoefficientTable:
     h_entries: dict = field(default_factory=dict)
     norms: dict = field(default_factory=dict)
     _samples: dict = field(default=None, init=False, repr=False)
+    _zero: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._zero = np.zeros(self.grid.N + 1, dtype=complex)
+        self._zero.flags.writeable = False
+
+    def _zero_source(self):
+        """A zero source: h1 and h2 view the table's zero array."""
+        return NonlinearRHS(self.grid, self._zero, self._zero[:-1])
 
     def get(self, n, nu):
         if abs(n) > nu or nu < 1 or nu > self.nu_max:
@@ -294,20 +301,19 @@ def assemble_h(ctx, table, n, nu):
     term with the coupling tensor averaged over its field indices
     (``_symmetric_couplings``); this holds for any coupling tensor.
 
-    A negative-n factor enters its product chain as the conjugated
-    samples of its n >= 0 entry.  Samples come from the build's cache
-    inside ``build_series`` and from the entries as they stand outside.
+    A negative-n factor enters its product chains as the conjugated
+    samples of its n >= 0 entry, each used slice conjugated once per call.
+    Samples come from the build's cache inside ``build_series`` and from
+    the entries as they stand outside.
 
     Needs all table entries with level < nu and raises ValueError naming
-    the first one missing.  Returns a NonlinearRHS (identically zero for
-    nu = 1, |n| > nu or n + nu odd).
+    the first one missing.  Returns a NonlinearRHS; for nu = 1, |n| > nu
+    or n + nu odd it is the table's read-only zero source.
     """
     grid = table.grid
-    if nu < 2 or abs(n) > nu or (n + nu) % 2:
-        return NonlinearRHS.zero(grid)
     sides = _active_sides(ctx)
-    if not sides:
-        return NonlinearRHS.zero(grid)
+    if nu < 2 or abs(n) > nu or (n + nu) % 2 or not sides:
+        return table._zero_source()
     itf = ctx.interface
     m, N = grid.mid, grid.N
     pref = {2: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**2,
@@ -325,12 +331,12 @@ def assemble_h(ctx, table, n, nu):
     materials = []
     for nl, nl_sides in by_nl.values():
         rng = tuple(map(slice, start[nl_sides[0]], stop[nl_sides[-1]]))
-        # per source component: the product, and a conjugated factor
-        scratch = tuple(np.empty((2, r.stop - r.start), dtype=complex)
-                        for r in rng)
-        materials.append((nl, rng, scratch))
+        # per source component: the product
+        terms = tuple(np.empty(r.stop - r.start, dtype=complex) for r in rng)
+        materials.append((nl, rng, terms))
 
     cache = {} if table._samples is None else table._samples
+    conj = {}       # negative factors' conjugated slices, for this call
     for factors, mult in _factor_multisets(n, nu):
         samples = []
         for f in factors:
@@ -342,27 +348,28 @@ def assemble_h(ctx, table, n, nu):
                         f"h^({n},{nu}) needs the table entry "
                         f"u^({f[0]},{f[1]}), which is missing")
                 cache[key] = _side_samples(gf)
-            samples.append((cache[key], f[0] < 0))
+            samples.append((f, cache[key]))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
-        for nl, rng, scratch in materials:
+        for i, (nl, rng, terms) in enumerate(materials):
             chi = (nl._scalar_chi2_truncated if order == 2
                    else nl._scalar_chi3_truncated)(*ws)
             coef = pref[order] * mult * chi
             # j: source component; comps: field component of each factor
             for j, comps, c in _couplings(nl, order):
-                term, buf = scratch[j]
-                (s0, c0), (s1, c1), *rest = [
-                    (s_[j][p][rng[j]], conj)
-                    for (s_, conj), p in zip(samples, comps)]
-                # conjugated factors go to buf, except a second to term
-                if c0:
-                    s0 = np.conjugate(s0, out=buf)
-                if c1:
-                    s1 = np.conjugate(s1, out=term)
-                np.multiply(s0, s1, out=term)
-                for s_, conj in rest:
-                    term *= np.conjugate(s_, out=buf) if conj else s_
+                ops = []
+                for (f, s_), p in zip(samples, comps):
+                    if f[0] >= 0:
+                        ops.append(s_[j][p][rng[j]])
+                        continue
+                    ck = (f, j, p, i)
+                    if ck not in conj:
+                        conj[ck] = np.conjugate(s_[j][p][rng[j]])
+                    ops.append(conj[ck])
+                term = terms[j]
+                np.multiply(ops[0], ops[1], out=term)
+                for op in ops[2:]:
+                    term *= op
                 term *= coef * c
                 acc = h[j][rng[j]]
                 acc += term
@@ -383,14 +390,14 @@ def assemble_h(ctx, table, n, nu):
 
 def _seed_entry(ctx, grid, eps):
     phi = eigenfunction(ctx)
-    x, xh, m = grid.x, grid.x_half, grid.mid
-    vals = phi(x) * eps
-    U = vals[0].copy()
+    m = grid.mid
+    U, W = phi.components(grid.x, (0, 2))
+    U *= eps
     U[m] = eps * (-1j * ctx.k)                       # left limit
-    W = vals[2].copy()
+    W *= eps
     W[m] = eps * (-1j * phi.V_minus)                 # left limit
     V = np.empty(grid.N + 1, dtype=complex)
-    V[: grid.N] = eps * phi(xh)[1]
+    V[: grid.N] = eps * phi.components(grid.x_half, (1,))[0]
     V[grid.N] = eps * phi.value_at_interface
     ratio = phi.mu_minus / phi.mu_plus
     return GridFunction(
@@ -426,12 +433,10 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
 
     def _solve_one(n, nu):
         h = assemble_h(ctx, table, n, nu)
-        if h.is_zero:
-            gf = GridFunction(grid, np.zeros(grid.N + 1, dtype=complex),
-                              np.zeros(grid.N + 1, dtype=complex),
-                              W=np.zeros(grid.N + 1, dtype=complex),
-                              w_right=0j, residual=0.0)
-            return h, gf
+        # n + nu odd: zero by parity, so the source needs no scan
+        if (n + nu) % 2 or h.is_zero:
+            z = table._zero
+            return h, GridFunction(grid, z, z, W=z, w_right=0j, residual=0.0)
         r = SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right)
         try:
             if solver == "fd":
@@ -458,6 +463,8 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
             h, gf = _solve_one(n, nu)
             table.entries[(n, nu)] = gf
             table.h_entries[(n, nu)] = h
+            if (n + nu) % 2:
+                continue
             w = 1.0 if n == 0 else 2.0      # negative-n mirror by symmetry
             lvl += w * _entry_norm_sq(gf)
         table.norms[nu] = math.sqrt(lvl)
@@ -489,14 +496,19 @@ def _synthesize_complex(table, x, y, t, M=None):
     for nu in range(1, M + 1):
         damp = math.exp(nu * ctx.omega_I * t)
         for n in range(-nu, nu + 1, 2):      # n + nu odd entries are zero
-            gf = table.get(n, nu)
+            gf = table.get(abs(n), nu)
             if gf is None:
                 continue
-            phase = np.exp(-1j * n * (ctx.omega_R * t - ctx.k * y)) * damp
-            psi[0] += phase * gf.eval_u1(x)
-            psi[1] += phase * gf.eval_u2(x)
+            vals = [gf.eval_u1(x), gf.eval_u2(x)]
             if gf.W is not None:
-                psi[2] += phase * gf.eval_u3(x)
+                vals.append(gf.eval_u3(x))
+            phase = np.exp(-1j * n * (ctx.omega_R * t - ctx.k * y)) * damp
+            for c, v in enumerate(vals):
+                if n < 0:
+                    # u^(-n,nu) = conj(u^(n,nu)); interpolation commutes
+                    # with conjugation bit for bit
+                    np.conjugate(v, out=v)
+                psi[c] += phase * v
     return psi
 
 
@@ -524,19 +536,22 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     omega = ctx.omega(n, nu)
     if omega == 0:
         raise ZeroFrequency("modal D-field needs omega != 0")
-    gf = table.get(n, nu)
+    gf = table.get(abs(n), nu)
     grid = table.grid
     if gf is None:
         return (np.zeros(grid.N + 2, dtype=complex),
                 np.zeros(grid.N, dtype=complex), 0j, 0j)
     m = grid.mid
-    u1 = _join_limits(grid, gf.U, gf.u1_right)
+    u1, V = _join_limits(grid, gf.U, gf.u1_right), gf.V
+    if n < 0:       # u^(-n,nu) = conj(u^(n,nu)), conjugated and not kept
+        np.conjugate(u1, out=u1)
+        V = np.conj(V)
     itf = ctx.interface
 
     if route == "operator":
         h = table.get_h(n, nu)
         if h is None:
-            h = NonlinearRHS.zero(grid)
+            h = table._zero_source()
         sq = spectral_quantities(ctx, n, nu)
         Vm = sq.V_minus.to_complex(strict=False)
         Vp = sq.V_plus.to_complex(strict=False)
@@ -548,13 +563,13 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
         D1 = -(_times_sides(grid, u1, Vm, Vp)
                + _join_limits(grid, h.h1, h.h1_right)) / omega
         D2 = np.empty(grid.N, dtype=complex)
-        D2[:m] = -(Vm * gf.V[:m] + h.h2[:m]) / omega
-        D2[m:] = -(Vp * gf.V[m: grid.N] + h.h2[m:]) / omega
-        D2_left = -(Vm * gf.V[grid.N]) / omega
+        D2[:m] = -(Vm * V[:m] + h.h2[:m]) / omega
+        D2[m:] = -(Vp * V[m: grid.N] + h.h2[m:]) / omega
+        D2_left = -(Vm * V[grid.N]) / omega
         # h2 is sampled at the half nodes only: its right interface
         # limit is extrapolated from the first two plus-side ones
         h2_right = 1.5 * h.h2[m] - 0.5 * h.h2[m + 1]
-        D2_right = -(Vp * gf.V[grid.N] + h2_right) / omega
+        D2_right = -(Vp * V[grid.N] + h2_right) / omega
         return D1, D2, D2_left, D2_right
 
     if route != "convolution":
@@ -567,10 +582,10 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
         eps_m = 0j   # see the operator-route note: u vanishes there
     D1 = _times_sides(grid, u1, itf.mu0 * eps_m, itf.mu0 * eps_p)
     D2 = np.empty(grid.N, dtype=complex)
-    D2[:m] = itf.mu0 * eps_m * gf.V[:m]
-    D2[m:] = itf.mu0 * eps_p * gf.V[m: grid.N]
-    D2_left = itf.mu0 * eps_m * gf.V[grid.N]
-    D2_right = itf.mu0 * eps_p * gf.V[grid.N]
+    D2[:m] = itf.mu0 * eps_m * V[:m]
+    D2[m:] = itf.mu0 * eps_p * V[m: grid.N]
+    D2_left = itf.mu0 * eps_m * V[grid.N]
+    D2_right = itf.mu0 * eps_p * V[grid.N]
 
     # quadratic + cubic polarization sums = -h/omega, reassembled fresh
     h = assemble_h(ctx, table, n, nu)
@@ -611,7 +626,7 @@ def maxwell_residual(ctx, table, sample_points, M=None):
     modes = []
     for nu in range(1, M_ + 1):
         for n in range(-nu, nu + 1, 2):      # n + nu odd entries are zero
-            gf = table.get(n, nu)
+            gf = table.get(abs(n), nu)
             if gf is None:
                 continue
             D1, D2, D2m, D2p = d_field_modal(ctx, table, n, nu)
@@ -642,6 +657,10 @@ def maxwell_residual(ctx, table, sample_points, M=None):
             u1 = gf.eval_u1(x)[0]
             u3 = gf.eval_u3(x)[0]
             d1, d2, dxu3, dxu2 = (_interp_sides(x, *k)[0] for k in knots)
+            if n < 0:
+                # gf and the u3, u2' knots are those of u^(|n|,nu)
+                u1, u3, dxu3, dxu2 = (
+                    v.conjugate() for v in (u1, u3, dxu3, dxu2))
             # -d_y psi3 + d_t D1 ; d_x psi3 + d_t D2 ;
             # -d_y psi1 + d_x psi2 + d_t psi3
             R[0] += ph * (-1j * n * ctx.k * u3 - 1j * om * d1)

@@ -9,6 +9,7 @@ every ordered factor tuple, for general coupling tensors too.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -395,27 +396,71 @@ class TestFieldDiagnostics:
         assert res[0] / res[1] >= 3.0
 
 
+def _owner(a):
+    """The array that owns a's buffer."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 class TestBuildMemory:
     def test_built_table_holds_only_harmonics_and_sources(self, ctx):
-        """What a build leaves allocated is the table's own arrays: U, V
-        and W of each entry and h1, h2 of each source, within 2%.  No
-        entry keeps factor samples or a conjugate copy, and a negative
-        harmonic is still served as one cached object."""
+        """What a build leaves allocated is the table's own buffers, under
+        U, V and W of each entry and h1, h2 of each source, within 2%.
+        Each buffer counts once: the zero harmonics share one.  No entry
+        keeps factor samples or a conjugate copy, synthesis leaves the
+        held memory as it was, and a negative harmonic is still served
+        as one cached object."""
         grid = StaggeredGrid(40.0, 20000)
         tracemalloc.start()
         try:
             table = build_series(ctx, grid, eps=0.5, nu_max=4, solver="fd")
             held = tracemalloc.get_traced_memory()[0]
+            synthesize(table, np.linspace(-5.0, 5.0, 11), 0.3, 0.7)
+            after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        own = (sum(a.nbytes for gf in table.entries.values()
-                   for a in (gf.U, gf.V, gf.W))
-               + sum(h.h1.nbytes + h.h2.nbytes
-                     for h in table.h_entries.values()))
+        arrays = ([a for gf in table.entries.values()
+                   for a in (gf.U, gf.V, gf.W)]
+                  + [a for h in table.h_entries.values()
+                     for a in (h.h1, h.h2)])
+        owners = {id(o): o for o in map(_owner, arrays)}
+        own = sum(o.nbytes for o in owners.values())
         assert abs(held - own) <= 0.02 * own
+        assert abs(after - held) <= 0.001 * own
         for gf in table.entries.values():
             assert "_sides" not in vars(gf) and "_conj" not in vars(gf)
         assert table.get(-2, 2) is table.get(-2, 2)
+
+    def test_zero_harmonics_share_one_read_only_array(self, ctx):
+        """Every n + nu odd entry (U, V, W) and source (h1, h2) views one
+        read-only buffer; a deep copy is writable, and assemble_h still
+        runs for those harmonics and returns a zero source."""
+        grid = StaggeredGrid(40.0, 400)
+        table = build_series(ctx, grid, eps=0.5, nu_max=4, solver="fd")
+        odd = [(n, nu) for (n, nu) in table.entries if (n + nu) % 2]
+        assert len(odd) == 5
+        views = [a for key in odd for a in (
+            table.entries[key].U, table.entries[key].V, table.entries[key].W,
+            table.h_entries[key].h1, table.h_entries[key].h2)]
+        owners = {id(_owner(a)) for a in views}
+        assert len(owners) == 1
+        zero = _owner(views[0])
+        assert zero.shape == (grid.N + 1,) and not zero.any()
+        for a in views:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        for key, gf in table.entries.items():
+            if key not in odd:
+                assert id(_owner(gf.U)) not in owners
+        copied = copy.deepcopy(table.entries)
+        for key in odd:
+            for a in (copied[key].U, copied[key].V, copied[key].W):
+                assert a.flags.writeable
+        for key in odd:
+            h = assemble_h(ctx, table, *key)
+            assert h.is_zero and not h.h1.flags.writeable
 
 
 class TestDecayAndSolvers:
