@@ -685,32 +685,20 @@ class Eigenfunction:
     V_plus: complex
 
     def __call__(self, x):
-        return np.stack(self.components(x))
-
-    def components(self, x, which=(0, 1, 2)):
-        """The listed components of phi at x, as a list of arrays; one
-        exponential per side, whatever is listed."""
+        """The three components of phi at x, stacked; one exponential per
+        side.  phi_2(0) = mu_- from either side (the normalization)."""
         x = np.asarray(x, dtype=float)
-        neg = x < 0
-        pos = ~neg
+        neg, pos = x < 0, x >= 0
         em = np.exp(self.mu_minus * x[neg])
         ep = np.exp(-self.mu_plus * x[pos])
         ratio = self.mu_minus / self.mu_plus
-        coef = ((-1j * self.k, 1j * self.k * ratio),
-                (self.mu_minus, self.mu_minus),
-                (-1j * self.V_minus, 1j * ratio * self.V_plus))
-        out = []
-        for c in which:
-            a = np.empty(x.shape, dtype=complex)
-            a[neg] = coef[c][0] * em
-            a[pos] = coef[c][1] * ep
-            out.append(a)
+        out = np.empty((3,) + x.shape, dtype=complex)
+        minus = (-1j * self.k, self.mu_minus, -1j * self.V_minus)
+        plus = (1j * self.k * ratio, self.mu_minus, 1j * ratio * self.V_plus)
+        for a, c_minus, c_plus in zip(out, minus, plus):
+            a[neg] = c_minus * em
+            a[pos] = c_plus * ep
         return out
-
-    @property
-    def value_at_interface(self):
-        """phi_2(0) from either side (the shared normalization mu_-)."""
-        return self.mu_minus
 
 
 def eigenfunction(ctx):

@@ -53,19 +53,17 @@ reaches five unknowns.  Minus-side coefficients can carry magnitudes far
 outside double range deep in the index cone; they are formed in
 log-scaled arithmetic and equilibrated, one scale per side and one for
 the jump row.  The system is then solved as a bordered one: one
-tridiagonal LU per half line (LAPACK ``zgtsv``) with two right sides,
-the data and the response to V*, then V* from the jump row's scalar
-Schur complement.  U and u1(0+) then follow pointwise.
+tridiagonal LU over both half lines (LAPACK ``zgtsv``) with two right
+sides, the data and the response to V*, then V* from the jump row's
+scalar Schur complement.  U, u1(0+) and u3 then follow pointwise.
 
-``solve_analytic`` returns u3 with its samples; after ``solve_fd``,
-``reconstruct_u3`` forms u3 and its right interface limit from u1 and
-u2' with the same interface stencils.  Every staggered field, here and
-in ``series``, is evaluated between its samples by ``_interp_sides``:
-linear interpolation of x < 0 on the minus-side knots and of x >= 0 on
-the plus-side knots, each side carrying its own limit at x = 0.  The
-integer-node fields jump at x = 0; the stored left limit at node N/2
-and the right limit are worked on together in the ``_join_limits``
-layout.
+Every staggered field, here and in ``series``, is evaluated between its
+samples by ``_interp_sides``: linear interpolation of x < 0 on the
+minus-side knots and of x >= 0 on the plus-side knots, each side
+carrying its own limit at x = 0.  The integer-node fields jump at x = 0;
+the stored left limit at node N/2 and the right limit are worked on
+together in the ``_join_limits`` layout.  A solve turns r1 in that
+layout into u1 in place (in a build, in the buffer ``r._joined``).
 """
 
 import math
@@ -84,7 +82,6 @@ __all__ = [
     "SampledRHS",
     "solve_fd",
     "solve_analytic",
-    "reconstruct_u3",
     "fd_convergence_study",
 ]
 
@@ -193,7 +190,7 @@ class GridFunction:
 
     def eval_u3(self, x):
         if self.W is None:
-            raise ValueError("u3 samples not attached; run reconstruct_u3")
+            raise ValueError("u3 samples not attached")
         u3 = _join_limits(self.grid, self.W, self.w_right)
         return _interp_sides(x, *_node_knots(self.grid, u3))
 
@@ -340,40 +337,47 @@ def _row_scale(coeffs):
     return L
 
 
-def _bordered_matvec(tri, col_star, star, z):
-    """The bordered operator of ``spsolve`` applied to z."""
-    dl, d, du = tri
-    N = d.size
+def _bordered_residual(sides, col_star, star, z, b, out, tmp):
+    """||A z - b|| for the system of ``_solve_v_band``.  zgtsv overwrote
+    the band, so A is rebuilt from each side's descaled (off, c2); out (N
+    values) and tmp (N/2 - 1) are scratch."""
+    N = out.size
     m = N // 2
-    out = np.empty(N + 1, dtype=complex)
-    out[:N] = d * z[:N]
-    out[1:N] += dl * z[: N - 1]
-    out[: N - 1] += du * z[1:N]
-    out[m - 1] += col_star[0] * z[N]
-    out[m] += col_star[1] * z[N]
-    out[N] = sum(t * z[j] for t, j in zip(star, (m - 2, m - 1, N, m, m + 1)))
-    return out
+    for (off, c2), c, lo, wall, inner, adj, far in zip(
+            sides, col_star, (0, m), (0, N - 1), (1, N - 2), (m - 1, m),
+            (m - 2, m + 1)):
+        zs, o, t = z[lo: lo + m], out[lo: lo + m], tmp[: m - 1]
+        np.multiply(-2.0 * off + c2, zs, out=o)
+        o[1:] += np.multiply(off, zs[:-1], out=t)
+        o[:-1] += np.multiply(off, zs[1:], out=t)
+        out[wall] = (-3.0 * off + c2) * z[wall] + off * z[inner]
+        out[adj] = ((4.0 / 3.0) * off * z[far]
+                    + (-4.0 * off + c2) * z[adj] + c * z[N])
+    out -= b[:N]
+    jump = sum(t * z[j] for t, j in zip(star, (m - 2, m - 1, N, m, m + 1)))
+    return math.sqrt(float(np.vdot(out, out).real) + abs(jump - b[N]) ** 2)
 
 
-def _solve_v_band(grid, sides, f2, df1, star, star_rhs):
+def _solve_v_band(grid, sides, omega, r2, f1, star, star_rhs):
     """Assemble and solve the equilibrated bordered system in u2.
 
     The unknowns are ordered as ``GridFunction`` stores them: V_0, ...,
     V_{N-1}, then V* = u2(0); the second-equation row of half node j sits
     at V_j and the interface row last.  ``sides[s] = (off, c2, e)`` gives
-    the coefficients of side s: the second-equation row of half node j
-    reads
+    the coefficients of side s: with f2 = -omega r2, the second-equation
+    row of half node j reads
 
         -off S_j V + c2 V_j = f2_j - e (f1_{j+1} - f1_j) = f2_j - e df1_j
 
-    with S_j the weights of -h^2 u2'': (-1, 2, -1) inside, (3, -1) on
-    (V_j, neighbour) at the walls, and (4, -4/3, -8/3) on (V_j, far
-    neighbour, V*) next to the interface.  All rows of a side share one
-    scale, and each diagonal is formed from the descaled off: the weights
-    of a row come from one rounded value, as the stencil's do.  ``star``
-    holds the interface row's coefficients on (V_{m-2}, V_{m-1}, V*,
-    V_m, V_{m+1}) and ``star_rhs`` its right side as (coefficient, value)
-    pairs.  ``spsolve`` solves the system.
+    with f1 in the ``_join_limits`` layout (None: no f1 term) and S_j the
+    weights of -h^2 u2'': (-1, 2, -1) inside, (3, -1) on (V_j, neighbour)
+    at the walls, and (4, -4/3, -8/3) on (V_j, far neighbour, V*) next to
+    the interface.  All rows of a side share one scale, and each diagonal
+    is formed from the descaled off: the weights of a row come from one
+    rounded value, as the stencil's do.  ``star`` holds the interface
+    row's coefficients on (V_{m-2}, V_{m-1}, V*, V_m, V_{m+1}) and
+    ``star_rhs`` its right side as (coefficient, value) pairs.
+    ``spsolve`` solves the system.
 
     Returns V in the GridFunction layout (V[N] = u2(0)) and the relative
     residual of the equilibrated system.
@@ -383,17 +387,19 @@ def _solve_v_band(grid, sides, f2, df1, star, star_rhs):
     d = np.empty(N, dtype=complex)
     du = np.empty(N - 1, dtype=complex)     # entry (j, j+1)
     b = np.empty(N + 1, dtype=complex)
-    col_star = []
-    for s, rows, wall, adj, far_diag, far in (
-        ("minus", slice(0, m), 0, m - 1, dl, m - 2),
-        ("plus", slice(m, N), N - 1, m, du, m),
+    col_star, scaled = [], []
+    for s, rows, wall, adj, far_diag, far, nodes in (
+        ("minus", slice(0, m), 0, m - 1, dl, m - 2, slice(0, m + 1)),
+        ("plus", slice(m, N), N - 1, m, du, m, slice(m + 1, N + 2)),
     ):
         off, c2, e = sides[s]
         L = _row_scale((off, c2))
         off, c2 = _descale(off, L), _descale(c2, L)
-        b[rows] = f2[rows] * math.exp(min(-L, 700.0))
-        if df1 is not None:
-            b[rows] -= _descale(e, L) * df1[rows]
+        br = np.multiply(-omega, r2[rows], out=b[rows])
+        br *= math.exp(min(-L, 700.0))
+        if f1 is not None:      # e df1, in the rows of d before they are set
+            df1 = np.subtract(f1[nodes][1:], f1[nodes][:-1], out=d[rows])
+            br -= np.multiply(_descale(e, L), df1, out=df1)
         d[rows] = -2.0 * off + c2
         d[wall] = -3.0 * off + c2
         d[adj] = -4.0 * off + c2
@@ -402,18 +408,18 @@ def _solve_v_band(grid, sides, f2, df1, star, star_rhs):
         # the interface-adjacent row: one-sided second difference via V*
         far_diag[far] = (4.0 / 3.0) * off
         col_star.append((8.0 / 3.0) * off)
+        scaled.append((off, c2))
     dl[m - 1] = du[m - 1] = 0.0     # the half lines meet only through V*
     L = _row_scale(star)
     star = [_descale(t, L) for t in star]
     b[N] = sum(_descale(c, L) * v for c, v in star_rhs)
 
-    tri = (dl, d, du)
-    z = spsolve(tri, b, col_star, star)
+    z = spsolve((dl, d, du), b, col_star, star)
     if not np.all(np.isfinite(z.view(float))):
         raise SingularSystem("direct solve produced non-finite entries")
     bnorm = float(np.linalg.norm(b))
-    Az = _bordered_matvec(tri, col_star, star, z)
-    res = float(np.linalg.norm(Az - b)) / max(bnorm, 1e-300)
+    res = (_bordered_residual(scaled, col_star, star, z, b, d, dl)
+           / max(bnorm, 1e-300))
     if bnorm > 0 and res > 1e-8:
         raise SingularSystem(
             f"equilibrated residual {res:.2e} indicates spectral proximity"
@@ -432,36 +438,30 @@ def spsolve(tri, b, col_star, star):
     problem.  Row N, the jump row, has the coefficients ``star`` on
     (V_{m-2}, V_{m-1}, V*, V_m, V_{m+1}).
 
-    Each half line takes one tridiagonal LU (LAPACK ``zgtsv``) with two
-    right sides: its part y of b, and its response g to V*.  The jump
-    row's scalar Schur complement then gives V*, and V = y - V* g.  This
-    needs only each half-line problem to be nonsingular, never a
-    division by an off-diagonal.  Neither tri nor b is modified.
+    One tridiagonal LU (LAPACK ``zgtsv``, two half-line LUs in one call)
+    takes two right sides: the rows y of b, and the response g to V*.
+    The jump row's scalar Schur complement then gives V*, and V = y - V*
+    g.  This needs only each half-line problem to be nonsingular, never
+    a division by an off-diagonal.  zgtsv overwrites tri; b is kept.
     """
     dl, d, du = tri
     N = d.size
     m = N // 2
-    z = np.empty(N + 1, dtype=complex)
-    g = np.empty(N, dtype=complex)
-    for side, rows, adj, coupling in (
-        ("minus", slice(0, m), m - 1, col_star[0]),
-        ("plus", slice(m, N), 0, col_star[1]),
-    ):
-        cut = slice(rows.start, rows.stop - 1)
-        rhs = np.zeros((m, 2), dtype=complex, order="F")
-        rhs[:, 0] = b[rows]
-        rhs[adj, 1] = coupling
-        *_, yg, info = lapack.zgtsv(dl[cut], d[rows], du[cut], rhs,
-                                    overwrite_b=True)
-        if info < 0:
-            raise ValueError(f"zgtsv: illegal value in argument {-info}")
-        if info > 0:
-            k = rows.start + info - 1
-            raise SingularSystem(
-                f"tridiagonal LU: exact zero pivot U({k},{k}) of {N + 1}, "
-                f"{side} side"
-            )
-        z[rows], g[rows] = yg[:, 0], yg[:, 1]
+    yg = np.zeros((N, 2), dtype=complex, order="F")
+    yg[:, 0] = b[:N]
+    yg[m - 1, 1], yg[m, 1] = col_star
+    *_, info = lapack.zgtsv(dl, d, du, yg, overwrite_dl=True,
+                            overwrite_d=True, overwrite_du=True,
+                            overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"zgtsv: illegal value in argument {-info}")
+    if info > 0:
+        k = info - 1
+        raise SingularSystem(
+            f"tridiagonal LU: exact zero pivot U({k},{k}) of {N + 1}, "
+            f"{'minus' if k < m else 'plus'} side"
+        )
+    y, g = yg[:, 0], yg[:, 1]
     # the jump row with V = y - V* g substituted
     near = (star[0], m - 2), (star[1], m - 1), (star[3], m), (star[4], m + 1)
     schur = star[2] - sum(t * g[j] for t, j in near)
@@ -470,8 +470,9 @@ def spsolve(tri, b, col_star, star):
             f"interface Schur complement: exact zero pivot U({N},{N}) "
             f"of {N + 1}"
         )
-    v = (b[N] - sum(t * z[j] for t, j in near)) / schur
-    z[:N] -= np.multiply(g, v, out=g)
+    v = (b[N] - sum(t * y[j] for t, j in near)) / schur
+    z = np.empty(N + 1, dtype=complex)
+    np.subtract(y, np.multiply(g, v, out=g), out=z[:N])
     z[N] = v
     return z
 
@@ -480,15 +481,22 @@ def spsolve(tri, b, col_star, star):
 # Finite-difference solver
 # ----------------------------------------------------------------------
 
+def _owned_r1(r):
+    """r1 in the ``_join_limits`` layout, for the solve to overwrite: the
+    buffer a build handed over as ``r._joined``, else a fresh join."""
+    r1 = vars(r).pop("_joined", None)
+    return _join_limits(r.grid, r.r1, r.r1_right) if r1 is None else r1
+
+
 def solve_fd(ctx, n, nu, r):
     """Staggered-grid solve of the interface system, reduced to u2.
 
     ``r`` is a SampledRHS with r3 = 0.  U is eliminated row by row
     through the first equation, the N+1 unknowns in V are found from the
     bordered half-line tridiagonals of ``spsolve``, and U and the right
-    interface limit of u1 follow pointwise.  Returns a GridFunction (U at
-    integer nodes, V at half nodes plus V[N] = u2(0)) with the right limit
-    of u1.
+    interface limit of u1 follow pointwise, then u3 from u1 and u2'.
+    Returns a GridFunction (U at integer nodes, V at half nodes plus
+    V[N] = u2(0), W) with the right limits of u1 and u3.
     """
     grid = r.grid
     if r.r3 is not None and np.any(r.r3 != 0):
@@ -498,67 +506,58 @@ def solve_fd(ctx, n, nu, r):
     sq = spectral_quantities(ctx, n, nu)
     sV = {"minus": sq.V_minus, "plus": sq.V_plus}
     nk = n * ctx.k
+    u1 = _owned_r1(r)
 
     if nk == 0:
-        return _solve_fd_n0(ctx, nu, r, grid, omega, sV)
+        # u1 is algebraic and the u2 equation is scalar and C^1
+        _times_sides(grid, np.negative(u1, out=u1),
+                     _to_complex_soft(1.0 / sV["minus"]),
+                     _to_complex_soft(1.0 / sV["plus"]))
+        sides = {s: (-1.0 / h**2, sV[s] * omega, 0.0) for s in sV}
+        # continuity of u2' across the interface closes the system
+        star = (-1.0, 9.0, -16.0, 9.0, -1.0)
+        V, res = _solve_v_band(grid, sides, omega, r.r2, None, star, ())
+        du = _u2_prime(V, grid)
+    else:
+        # first equation u2' + c1 u1 = f1 at integer nodes, second
+        # equation -u2'' + i nk u1' + c2 u2 = f2 at half nodes
+        # U_j = (f1_j - (D V)_j) / c1 turns i nk (U_{j+1} - U_j)/h into
+        # e (f1_{j+1} - f1_j) - g (V_{j-1} - 2 V_j + V_{j+1}), with
+        # e = i nk/(h c1) and g = e/h: the weight of V_{j+-1} is -1/h^2 - g
+        inv_h = 1.0 / h
+        dk = 1j * nk * inv_h
+        c1, inv_c1, sides = {}, {}, {}
+        for s in sV:
+            a = sV[s] * (omega / nk)
+            c1[s] = (a + nk) * (-1j)
+            if c1[s].log_mag < max(a.log_mag, math.log(abs(nk))) - 30.0:
+                raise SingularSystem(
+                    f"c1 = -i (V omega/nk + nk) vanishes on the {s} side "
+                    f"(mu_{'-' if s == 'minus' else '+'} = 0)"
+                )
+            inv_c1[s] = _to_complex_soft(1.0 / c1[s])
+            e = dk / c1[s]
+            sides[s] = (-(inv_h * inv_h) - e * inv_h, sV[s] * omega, e)
+        f1 = np.multiply(1j * omega / nk, u1, out=u1)
 
-    # first equation u2' + c1 u1 = f1 at integer nodes, second equation
-    # -u2'' + i nk u1' + c2 u2 = f2 at half nodes
-    c1, inv_c1 = {}, {}
-    for s in sV:
-        a = sV[s] * (omega / nk)
-        c1[s] = (a + nk) * (-1j)
-        if c1[s].log_mag < max(a.log_mag, math.log(abs(nk))) - 30.0:
-            raise SingularSystem(
-                f"c1 = -i (V omega/nk + nk) vanishes on the {s} side "
-                f"(mu_{'-' if s == 'minus' else '+'} = 0)"
-            )
-        inv_c1[s] = _to_complex_soft(1.0 / c1[s])
-    c2 = {s: sV[s] * omega for s in sV}
-    scale = 1j * omega / nk
-    f1 = scale * _join_limits(grid, r.r1, r.r1_right)
-    f2 = -omega * r.r2
+        # jump row c1_+ u1(0+) + D_+V = f1(0+) with u1(0+) = U_m +
+        # i (D_-V - D_+V)/nk and U_m = (f1_m - D_-V)/c1_-; t = i c1_+/(3h nk)
+        t = c1["plus"] * (1j / (3.0 * h * nk))
+        q = c1["plus"] / c1["minus"]
+        ih3 = 1.0 / (3.0 * h)
+        tq = t - q * ih3
+        star = (tq, tq * (-9.0), t * 16.0 - (q + 1.0) * (8.0 * ih3),
+                t * (-9.0) + 9.0 * ih3, t - ih3)
+        V, res = _solve_v_band(grid, sides, omega, r.r2, f1, star,
+                               ((1.0, f1[m + 1]), (-q, f1[m])))
+        du = _u2_prime(V, grid)
+        _times_sides(grid, np.subtract(f1, du, out=f1),
+                     inv_c1["minus"], inv_c1["plus"])
 
-    # U_j = (f1_j - (D V)_j) / c1 turns i nk (U_{j+1} - U_j)/h into
-    # e (f1_{j+1} - f1_j) - g (V_{j-1} - 2 V_j + V_{j+1}), with
-    # e = i nk/(h c1) and g = e/h: the weight of V_{j+-1} is -1/h^2 - g
-    inv_h = 1.0 / h
-    dk = 1j * nk * inv_h
-    sides = {}
-    for s in sV:
-        e = dk / c1[s]
-        sides[s] = (-(inv_h * inv_h) - e * inv_h, c2[s], e)
-    df1 = _per_cell(grid, np.diff(f1))      # the plus side starts at u1(0+)
-
-    # jump row c1_+ u1(0+) + D_+V = f1(0+) with u1(0+) = U_m +
-    # i (D_-V - D_+V)/nk and U_m = (f1_m - D_-V)/c1_-; t = i c1_+/(3h nk)
-    t = c1["plus"] * (1j / (3.0 * h * nk))
-    q = c1["plus"] / c1["minus"]
-    ih3 = 1.0 / (3.0 * h)
-    tq = t - q * ih3
-    star = (tq, tq * (-9.0), t * 16.0 - (q + 1.0) * (8.0 * ih3),
-            t * (-9.0) + 9.0 * ih3, t - ih3)
-    V, res = _solve_v_band(grid, sides, f2, df1, star,
-                           ((1.0, f1[m + 1]), (-q, f1[m])))
-
-    U, u1_right = _split_limits(grid, _times_sides(
-        grid, f1 - _u2_prime(V, grid), inv_c1["minus"], inv_c1["plus"]))
-    return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
-
-
-def _solve_fd_n0(ctx, nu, r, grid, omega, sV):
-    """n = 0: u1 is algebraic and the u2 equation is scalar and C^1."""
-    h = grid.h
-    U, u1_right = _split_limits(grid, _times_sides(
-        grid, -_join_limits(grid, r.r1, r.r1_right),
-        _to_complex_soft(1.0 / sV["minus"]),
-        _to_complex_soft(1.0 / sV["plus"])))
-
-    sides = {s: (-1.0 / h**2, sV[s] * omega, 0.0) for s in sV}
-    # continuity of u2' across the interface closes the system
-    star = (-1.0, 9.0, -16.0, 9.0, -1.0)
-    V, res = _solve_v_band(grid, sides, -omega * r.r2, None, star, ())
-    return GridFunction(grid, U, V, u1_right=u1_right, residual=res)
+    W, w_right = _u3(ctx, n, nu, u1, du)
+    U, u1_right = _split_limits(grid, u1)
+    return GridFunction(grid, U, V, u1_right=u1_right, W=W, w_right=w_right,
+                        residual=res)
 
 
 # ----------------------------------------------------------------------
@@ -569,29 +568,37 @@ def _u2_prime(V, grid):
     """u2' at the integer nodes in the ``_join_limits`` layout, with the
     solver's stencils."""
     N, h, m = grid.N, grid.h, grid.mid
-    du = np.empty(N + 1, dtype=complex)
-    du[1:N] = (V[1:N] - V[0: N - 1]) / h
+    du = np.empty(N + 2, dtype=complex)
+    # (V_j - V_{j-1})/h at the inner nodes j of each side; node j sits at
+    # j on the minus side and at j + 1 on the plus side
+    for j, out in ((slice(1, m), du[1:m]), (slice(m + 1, N), du[m + 2:-1])):
+        np.subtract(V[j], V[j.start - 1: j.stop - 1], out=out)
+        np.divide(out, h, out=out)
     du[0] = 2.0 * V[0] / h
-    du[N] = -2.0 * V[N - 1] / h
+    du[N + 1] = -2.0 * V[N - 1] / h
     du[m] = (8.0 * V[N] - 9.0 * V[m - 1] + V[m - 2]) / (3.0 * h)
-    return _join_limits(
-        grid, du, (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h))
+    du[m + 1] = (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h)
+    return du
 
 
-def reconstruct_u3(ctx, n, nu, gf):
-    """u3 = (u2' - i nk u1)/(i omega) from the solved u1 and u2.
-
-    Uses the same one-sided stencils near the interface as the solver.
-    Returns (W, w_right): W at the integer nodes with the left-limit
-    convention at node N/2, and the right interface limit.
-    """
+def _u3(ctx, n, nu, u1, du):
+    """u3 = (u2' - i nk u1)/(i omega) from u1 and u2' in the
+    ``_join_limits`` layout.  Returns (W, w_right): W at the integer nodes
+    with the left limit at node N/2, and the right interface limit."""
     omega = ctx.omega(n, nu)
     if omega == 0:
         raise ZeroFrequency("u3 reconstruction needs omega != 0")
-    grid = gf.grid
-    u1 = _join_limits(grid, gf.U, gf.u1_right)
-    return _split_limits(
-        grid, (_u2_prime(gf.V, grid) - 1j * n * ctx.k * u1) / (1j * omega))
+    m = u1.size // 2 - 1
+    W = np.empty(u1.size - 1, dtype=complex)
+    limits = []
+    # the plus side first, one slot early: W[m] holds the right limit
+    # until the minus side writes the left one over it
+    for out, j in ((W[m:], slice(m + 1, None)), (W[: m + 1], slice(m + 1))):
+        np.subtract(du[j], np.multiply(1j * n * ctx.k, u1[j], out=out),
+                    out=out)
+        np.divide(out, 1j * omega, out=out)
+        limits.append(complex(W[m]))
+    return W, limits[0]
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +638,6 @@ def solve_analytic(ctx, n, nu, r):
     """
     grid = r.grid
     N, h, m = grid.N, grid.h, grid.mid
-    omega = ctx.omega(n, nu)
     nk = n * ctx.k
     sq = spectral_quantities(ctx, n, nu)
     sVm, sVp, sMm, sMp = sq.V_minus, sq.V_plus, sq.mu_minus, sq.mu_plus
@@ -644,38 +650,40 @@ def solve_analytic(ctx, n, nu, r):
             "mu_- V_+ + mu_+ V_- vanishes: point-spectrum degeneracy"
         )
 
-    # source densities at the half nodes, per side
-    r1 = _join_limits(grid, r.r1, r.r1_right)
-    r1h = _per_cell(grid, 0.5 * (r1[:-1] + r1[1:]))
-    rho = {}
-    for side, sV, sM, sl in (
-        ("minus", sVm, sMm, slice(0, m)),
-        ("plus", sVp, sMp, slice(m, N)),
-    ):
-        aV = _to_complex_soft(1.0 / sV)
-        aVmu = nk * _to_complex_soft(1.0 / (sV * sM))
-        amu = _to_complex_soft(1.0 / sM)
-        base = 1j * r.r2[sl] * aV
-        odd = r1h[sl] * aVmu
+    # u2 at the half nodes (V[N] = u2(0)) and u3 at the integer nodes hold
+    # the source densities rho1 and rho2 at the half nodes until formed
+    V = np.empty(N + 1, dtype=complex)
+    u3 = np.empty(N + 1, dtype=complex)
+    r1 = _owned_r1(r)
+    tmp = np.empty(m + 1, dtype=complex)
+    odd = tmp[:m]
+    for sV, sM, cells, nodes in ((sVm, sMm, slice(0, m), slice(0, m + 1)),
+                                 (sVp, sMp, slice(m, N), slice(m + 1, N + 2))):
+        # r1 at a half node: the mean of its cell's two node values
+        np.multiply(0.5, np.add(r1[nodes][:-1], r1[nodes][1:], out=odd),
+                    out=odd)
+        odd *= nk * _to_complex_soft(1.0 / (sV * sM))
         if r.r3 is not None:
-            odd += r.r3[sl] * amu
-        rho[side] = (base + odd, base - odd)
-
-    rho1_p, rho2_p = rho["plus"]
-    rho1_m, rho2_m = rho["minus"]
+            odd += np.multiply(r.r3[cells], _to_complex_soft(1.0 / sM),
+                               out=u3[cells])
+        base = np.multiply(1j, r.r2[cells], out=V[cells])
+        base *= _to_complex_soft(1.0 / sV)
+        np.subtract(base, odd, out=u3[cells])
+        base += odd
 
     # cumulative exponentially weighted integrals at integer nodes
     ep_h, Kp = _exp_cell(sMp, h)
     em_h, Km = _exp_cell(sMm, h)
     ep_2, Kp2 = _exp_cell(sMp, 0.5 * h)
     em_2, Km2 = _exp_cell(sMm, 0.5 * h)
-
-    # plus side, local integer index 0..N-m
-    A = _decay_sweep(rho1_p * Kp, ep_h, backward=True)    # int_x^d rho1 e^{-mu(s-x)}
-    B = _decay_sweep(rho2_p * Kp, ep_h, backward=False)   # int_0^x rho2 e^{-mu(x-s)}
-    # minus side, integer index 0..m
-    P = _decay_sweep(rho1_m * Km, em_h, backward=True)    # int_x^0 rho1 e^{-mu(s-x)}
-    Q = _decay_sweep(rho2_m * Km, em_h, backward=False)   # int_{-d}^x rho2 e^{-mu(x-s)}
+    band = np.empty((2, m), dtype=complex, order="F")
+    band[:] = -ep_h     # plus side, local integer index 0..N-m
+    A = _decay_sweep(V[m:N], Kp, band, True)     # int_x^d rho1 e^{-mu(s-x)}
+    B = _decay_sweep(u3[m:N], Kp, band, False)   # int_0^x rho2 e^{-mu(x-s)}
+    band[:] = -em_h     # minus side, integer index 0..m
+    P = _decay_sweep(V[:m], Km, band, True)      # int_x^0 rho1 e^{-mu(s-x)}
+    Q = _decay_sweep(u3[:m], Km, band, False)    # int_{-d}^x rho2 e^{-mu(x-s)}
+    del band
 
     I1p = A[0]
     I2m = Q[m]
@@ -692,96 +700,96 @@ def solve_analytic(ctx, n, nu, r):
     V_p = _to_complex_soft(sVp)
     V_m = _to_complex_soft(sVm)
 
-    # particular parts of u3 at the integer nodes and of u2 at the half
-    # nodes (half-cell extensions of the recurrences)
-    u3p = np.empty(N + 1, dtype=complex)
-    u3p[: m + 1] = 0.5 * V_m * (P - Q)
-    u3p[m:] = 0.5 * V_p * (A - B)
-    # the shared node x = 0 keeps the minus-side values (the matching
-    # conditions make u2 and u3 continuous there)
-    u3p[m] = 0.5 * V_m * (P[m] - Q[m])
-    Vh_p = np.empty(N + 1, dtype=complex)
-    Vh_p[:m] = 0.5j * mu_m * ((rho1_m * Km2 + em_2 * P[1:])
-                              + (em_2 * Q[:-1] + rho2_m * Km2))
-    Vh_p[m:N] = 0.5j * mu_p * ((rho1_p * Kp2 + ep_2 * A[1:])
-                               + (ep_2 * B[:-1] + rho2_p * Kp2))
-    Vh_p[N] = 0.5j * mu_m * (P[m] + Q[m])
-    u3h, Vh_h = _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m,
-                                  V_p, em_2, ep_2)
-
-    u3 = np.add(u3p, u3h, out=u3p)
+    # particular parts: u2 at the half nodes, 0.5i mu ((rho1 K2 + e2 y1) +
+    # (e2 y2 + rho2 K2)) from the recurrences, and u3 at the integer nodes
+    for cells, mu, e2, K2, y1, y2 in ((slice(0, m), mu_m, em_2, Km2, P, Q),
+                                      (slice(m, N), mu_p, ep_2, Kp2, A, B)):
+        v, rho2 = V[cells], u3[cells]
+        np.multiply(v, K2, out=v)
+        v += np.multiply(e2, y1[1:], out=odd)
+        second = np.multiply(e2, y2[:-1], out=odd)
+        second += np.multiply(rho2, K2, out=rho2)
+        v += second
+        np.multiply(0.5j * mu, v, out=v)
+    V[N] = 0.5j * mu_m * (P[m] + Q[m])
+    # the shared node x = 0 keeps the minus-side value, written last (the
+    # matching conditions make u2 and u3 continuous there)
+    np.multiply(0.5 * V_p, np.subtract(A, B, out=A), out=u3[m:])
+    np.multiply(0.5 * V_m, np.subtract(P, Q, out=P), out=u3[: m + 1])
+    del A, B, P, Q
+    _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
+                      ep_2, u3, V)
     u3_right = u3[m]   # continuous across the interface by construction
-    Vfull = np.add(Vh_p, Vh_h, out=Vh_p)
 
-    # u1 per side from the first component equation
-    U, u1_right = _split_limits(grid, _times_sides(
-        grid,
-        nk * _join_limits(grid, u3, u3_right)
-        - _join_limits(grid, r.r1, r.r1_right),
-        _to_complex_soft(1.0 / sVm), _to_complex_soft(1.0 / sVp)))
-    return GridFunction(grid, U, Vfull, u1_right=u1_right,
+    # u1 per side from the first component equation, in r1's buffer; the
+    # plus side of u3 in the _join_limits layout is u3[m:]
+    for nodes, u3s, sV in ((slice(0, m + 1), u3[: m + 1], sVm),
+                           (slice(m + 1, N + 2), u3[m:], sVp)):
+        u1 = r1[nodes]
+        np.subtract(np.multiply(nk, u3s, out=tmp), u1, out=u1)
+        u1 *= _to_complex_soft(1.0 / sV)
+    U, u1_right = _split_limits(grid, r1)
+    return GridFunction(grid, U, V, u1_right=u1_right,
                         W=u3, w_right=u3_right)
 
 
-def _decay_sweep(f, c, backward):
-    """Cumulative decaying sums of the cell integrals f, length len(f) + 1.
+def _decay_sweep(rho, K, band, backward):
+    """Cumulative decaying sums of the cell integrals f = rho K, length
+    len(rho) + 1:
 
     backward: y[j] = f[j] + c y[j+1] for j = n-1, ..., 0 from y[n] = 0;
     forward:  y[j+1] = c y[j] + f[j] for j = 0, ..., n-1 from y[0] = 0.
-    Either recurrence is a unit-bidiagonal triangular band solve.
+
+    Either is a unit-bidiagonal band solve in place, with -c in every
+    entry of the (2, n) ``band``: the unit diagonal is never read.
     """
-    n = f.size
-    y = np.zeros(n + 1, dtype=complex)
-    ab = np.empty((2, n), dtype=complex)
-    if backward:
-        ab[0], ab[1] = -c, 1.0     # superdiagonal (ab[0, 0] unused), diagonal
-        y[:n], info = lapack.ztbtrs(ab, f, uplo="U", diag="U")
-    else:
-        ab[0], ab[1] = 1.0, -c     # diagonal, subdiagonal (ab[1, -1] unused)
-        y[1:], info = lapack.ztbtrs(ab, f, uplo="L", diag="U")
+    y = np.empty(rho.size + 1, dtype=complex)
+    f = np.multiply(rho, K, out=y[:-1] if backward else y[1:])
+    y[-1 if backward else 0] = 0.0
+    _, info = lapack.ztbtrs(band, f, uplo="U" if backward else "L",
+                            diag="U", overwrite_b=True)
     if info:
         raise ValueError(f"ztbtrs: illegal value in argument {-info}")
     return y
 
 
 def _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
-                      ep_2):
-    """u3 at the integer nodes and u2 at the half nodes (V[N] = u2(0)) of
-    the decaying homogeneous modes C_- e^{mu_- x} (x <= 0) and
-    C_+ e^{-mu_+ x} (x >= 0).
+                      ep_2, u3, V):
+    """Add the decaying homogeneous modes C_- e^{mu_- x} (x <= 0) and
+    C_+ e^{-mu_+ x} (x >= 0) to u3 at the integer nodes and to u2 at the
+    half nodes (V[N] = u2(0)), in place.
 
     Only the integer nodes take an exponential.  A half node's value is
     its interface-side neighbour's times the decaying half-cell factor
     em_2 = e^{-mu_- h/2} or ep_2 = e^{-mu_+ h/2}, as e^{mu_- (x_{j+1} -
     h/2)} and e^{-mu_+ (x_j + h/2)}: nothing grows, however thin the layer.
     """
-    N, m = grid.N, grid.mid
-    hm = _decaying_exp(mu_m, grid.x[: m + 1])
-    hp = _decaying_exp(-mu_p, grid.x[m:])
-    u3h = np.empty(N + 1, dtype=complex)
-    u3h[: m + 1] = C_minus * (-1j * V_m) * hm
-    u3h[m:] = C_plus * (1j * V_p) * hp
-    u3h[m] = C_minus * (-1j * V_m)
-    Vh = np.empty(N + 1, dtype=complex)
-    Vh[:m] = C_minus * mu_m * em_2 * hm[1:]
-    Vh[m:N] = C_plus * mu_p * ep_2 * hp[:-1]
-    Vh[N] = C_minus * mu_m
-    return u3h, Vh
+    N, m, x = grid.N, grid.mid, grid.x
+    e, t = np.empty((2, m + 1), dtype=complex)  # e: one side's exponentials
+    _decaying_exp(mu_m, x[: m + 1], e)
+    c = C_minus * (-1j * V_m)
+    np.multiply(c, e, out=t)
+    t[m] = c                                # the interface node
+    u3[: m + 1] += t
+    V[:m] += np.multiply(C_minus * mu_m * em_2, e[1:], out=t[:m])
+    V[N] += C_minus * mu_m
+    _decaying_exp(-mu_p, x[m:], e)
+    u3[m + 1:] += np.multiply(C_plus * (1j * V_p), e[1:], out=t[:m])
+    V[m:N] += np.multiply(C_plus * mu_p * ep_2, e[:-1], out=t[:m])
 
 
-def _decaying_exp(mu, x):
-    """exp(mu * x) at sorted nodes x where Re(mu * x) <= 0 by construction
-    (underflow-safe)."""
-    z = mu * np.asarray(x, dtype=float)
-    re = np.minimum(z.real, 0.0)
-    out = np.zeros(z.shape, dtype=complex)
+def _decaying_exp(mu, x, out):
+    """exp(mu * x) into out at sorted nodes x where Re(mu * x) <= 0 by
+    construction (underflow-safe); returns out."""
+    z = np.multiply(mu, x, out=out)
+    re = np.minimum(z.real, 0.0, out=z.real)
     # Re(mu x) is monotone along sorted nodes: the entries above exp's
-    # underflow limit are one run, and only that run is evaluated
-    live = np.flatnonzero(re >= -745.0)
-    if live.size:
-        run = slice(live[0], live[-1] + 1)
-        out[run] = np.exp(re[run] + 1j * z.imag[run])
-    return out
+    # underflow limit are one run at an end, and only that run is evaluated
+    k, n = int(np.count_nonzero(re >= -745.0)), z.size
+    live = slice(0, k) if re[0] >= re[-1] else slice(n - k, n)
+    np.exp(z[live], out=z[live])
+    z[: live.start] = z[live.stop:] = 0.0
+    return z
 
 
 # ----------------------------------------------------------------------

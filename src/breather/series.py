@@ -57,6 +57,7 @@ from .pencil import eigenfunction, spectral_quantities
 from .resolvent import (
     GridFunction,
     SampledRHS,
+    _homogeneous_part,
     _interp_sides,
     _join_limits,
     _node_knots,
@@ -64,7 +65,6 @@ from .resolvent import (
     _split_limits,
     _times_sides,
     _u2_prime,
-    reconstruct_u3,
     solve_analytic,
     solve_fd,
 )
@@ -174,32 +174,34 @@ def _conj_cached(gf):
 # Grid-function component samples per side and node family
 # ----------------------------------------------------------------------
 
-def _side_samples(gf):
-    """Whole-grid arrays of (u1, u2) on both node families.
+def _side_samples(gf, u1):
+    """Whole-grid arrays of (u1, u2) on both node families, given gf's u1.
 
     Returns (int_comps, half_comps), where int_comps[p] and half_comps[p]
     (p = 0 for u1, 1 for u2) are the samples on the integer nodes, in the
     ``_join_limits`` layout (minus side [:m+1] ending with the left
     interface limits, plus side [m+1:] starting with the right ones), and
-    on the half nodes (minus side [:m], plus side [m:]).  u1 is
+    on the half nodes (minus side [:m], plus side [m:]); int_comps[0] is
+    u1 itself.  u1 is
     interpolated to half nodes by 2-point averaging (one-sided
     extrapolation in the cell right of the interface, where the stored
     node value is a left limit); u2 is averaged onto integer nodes, with
     the exact interface value V[N] as both of its limits.  Every weight
     is real, so the samples of conj(gf) are the conjugates of these.
     """
-    g = gf.grid
-    N, m = g.N, g.mid
-    U, V = gf.U, gf.V
+    V, N, m = gf.V, gf.grid.N, gf.grid.mid
     u2_int = np.zeros(N + 2, dtype=complex)
     np.add(V[: m - 1], V[1:m], out=u2_int[1:m])
     np.add(V[m: N - 1], V[m + 1: N], out=u2_int[m + 2: N + 1])
     u2_int *= 0.5
     u2_int[m] = u2_int[m + 1] = V[N]
-    u1_half = 0.5 * (U[:-1] + U[1:])
-    if m + 2 <= N:
-        u1_half[m] = 1.5 * U[m + 1] - 0.5 * U[m + 2]
-    return ((_join_limits(g, U, gf.u1_right), u2_int), (u1_half, V[:N]))
+    # the cells' means, the plus side's from its stored nodes u1[m+2:]
+    u1_half = np.empty(N, dtype=complex)
+    np.add(u1[:m], u1[1: m + 1], out=u1_half[:m])
+    np.add(u1[m + 2: N + 1], u1[m + 3:], out=u1_half[m + 1:])
+    np.multiply(0.5, u1_half, out=u1_half)
+    u1_half[m] = 1.5 * u1[m + 2] - 0.5 * u1[m + 3]
+    return ((u1, u2_int), (u1_half, V[:N]))
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +306,8 @@ def assemble_h(ctx, table, n, nu):
     A negative-n factor enters its product chains as the conjugated
     samples of its n >= 0 entry, each used slice conjugated once per call.
     Samples come from the build's cache inside ``build_series`` and from
-    the entries as they stand outside.
+    the entries as they stand outside.  Inside a build, the source carries
+    its joined h1 as ``_joined``, for the build to hand to the solve.
 
     Needs all table entries with level < nu and raises ValueError naming
     the first one missing.  Returns a NonlinearRHS; for nu = 1, |n| > nu
@@ -347,7 +350,8 @@ def assemble_h(ctx, table, n, nu):
                     raise ValueError(
                         f"h^({n},{nu}) needs the table entry "
                         f"u^({f[0]},{f[1]}), which is missing")
-                cache[key] = _side_samples(gf)
+                cache[key] = _side_samples(
+                    gf, _join_limits(grid, gf.U, gf.u1_right))
             samples.append((f, cache[key]))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
@@ -380,8 +384,11 @@ def assemble_h(ctx, table, n, nu):
         # left in its real part
         h1.real = 0.0
         h2.real = 0.0
-    h1, h1_right = _split_limits(grid, h1)
-    return NonlinearRHS(grid, h1, h2, h1_right)
+    h1_left, h1_right = _split_limits(grid, h1)
+    rhs = NonlinearRHS(grid, h1_left, h2, h1_right)
+    if table._samples is not None:
+        rhs._joined = h1
+    return rhs
 
 
 # ----------------------------------------------------------------------
@@ -389,32 +396,28 @@ def assemble_h(ctx, table, n, nu):
 # ----------------------------------------------------------------------
 
 def _seed_entry(ctx, grid, eps):
+    """eps phi (u2(0) = mu_-): the decaying modes of the (1, 1) problem
+    with C_- = eps, C_+ = eps mu_-/mu_+, sampled as ``solve_analytic``
+    samples them, and u1 = k u3/V per side (no source)."""
     phi = eigenfunction(ctx)
-    m = grid.mid
-    U, W = phi.components(grid.x, (0, 2))
-    U *= eps
-    U[m] = eps * (-1j * ctx.k)                       # left limit
-    W *= eps
-    W[m] = eps * (-1j * phi.V_minus)                 # left limit
-    V = np.empty(grid.N + 1, dtype=complex)
-    V[: grid.N] = eps * phi.components(grid.x_half, (1,))[0]
-    V[grid.N] = eps * phi.value_at_interface
-    ratio = phi.mu_minus / phi.mu_plus
-    return GridFunction(
-        grid, U, V,
-        u1_right=eps * 1j * ctx.k * ratio,
-        W=W, w_right=eps * 1j * ratio * phi.V_plus,
-        residual=0.0,
-    )
+    N, h = grid.N, grid.h
+    c_plus = eps * (phi.mu_minus / phi.mu_plus)
+    W, V = np.zeros(N + 1, dtype=complex), np.zeros(N + 1, dtype=complex)
+    _homogeneous_part(grid, eps, c_plus, phi.mu_minus, phi.mu_plus,
+                      phi.V_minus, phi.V_plus, np.exp(-0.5 * h * phi.mu_minus),
+                      np.exp(-0.5 * h * phi.mu_plus), W, V)
+    w_right = c_plus * (1j * phi.V_plus)
+    U = ctx.k * W
+    U[: grid.mid + 1] /= phi.V_minus
+    U[grid.mid + 1:] /= phi.V_plus
+    return GridFunction(grid, U, V, u1_right=ctx.k * w_right / phi.V_plus,
+                        W=W, w_right=w_right, residual=0.0)
 
 
 def _entry_norm_sq(gf):
-    h = gf.grid.h
-    s = float(np.sum(np.abs(gf.U) ** 2)
-              + np.sum(np.abs(gf.V[: gf.grid.N]) ** 2))
-    if gf.W is not None:
-        s += float(np.sum(np.abs(gf.W) ** 2))
-    return h * s
+    V = gf.V[: gf.grid.N]
+    s = np.vdot(gf.U, gf.U).real + np.vdot(V, V).real
+    return gf.grid.h * float(s + np.vdot(gf.W, gf.W).real)
 
 
 def build_series(ctx, grid, eps, nu_max, solver="fd"):
@@ -433,11 +436,13 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
 
     def _solve_one(n, nu):
         h = assemble_h(ctx, table, n, nu)
+        u1 = vars(h).pop("_joined", None)
         # n + nu odd: zero by parity, so the source needs no scan
         if (n + nu) % 2 or h.is_zero:
             z = table._zero
             return h, GridFunction(grid, z, z, W=z, w_right=0j, residual=0.0)
         r = SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right)
+        r._joined = u1      # the solve leaves the joined u1 in it
         try:
             if solver == "fd":
                 gf = solve_fd(ctx, n, nu, r)
@@ -449,8 +454,8 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
             raise OverflowGuard(f"solve failed at ({n},{nu}): {exc}") from exc
         except (ValueError, ArithmeticError) as exc:
             raise SolverError(f"solve failed at ({n},{nu}): {exc}") from exc
-        if gf.W is None:
-            gf.W, gf.w_right = reconstruct_u3(ctx, n, nu, gf)
+        if nu < nu_max:     # sampled as a factor of the next levels
+            table._samples[(n, nu)] = _side_samples(gf, u1)
         return h, gf
 
     growth = 0
@@ -499,9 +504,7 @@ def _synthesize_complex(table, x, y, t, M=None):
             gf = table.get(abs(n), nu)
             if gf is None:
                 continue
-            vals = [gf.eval_u1(x), gf.eval_u2(x)]
-            if gf.W is not None:
-                vals.append(gf.eval_u3(x))
+            vals = [gf.eval_u1(x), gf.eval_u2(x), gf.eval_u3(x)]
             phase = np.exp(-1j * n * (ctx.omega_R * t - ctx.k * y)) * damp
             for c, v in enumerate(vals):
                 if n < 0:

@@ -20,7 +20,14 @@ import pytest
 
 from breather.errors import OverflowGuard
 from breather.pencil import PencilContext
-from breather.resolvent import GridFunction, StaggeredGrid, _join_limits
+from breather.resolvent import (
+    GridFunction,
+    SampledRHS,
+    StaggeredGrid,
+    _join_limits,
+    solve_analytic,
+    solve_fd,
+)
 from breather.series import (
     _factor_multisets,
     _side_samples,
@@ -177,8 +184,8 @@ class TestAssembledSources:
                     b = table.get(n_ - mm, nu_ - mu)
                     if a is None or b is None:
                         continue
-                    sa = _side_samples(a)[0]
-                    sb = _side_samples(b)[0]
+                    sa = samples_of(a)[0]
+                    sb = samples_of(b)[0]
                     for p in (1, 2):
                         for q in (1, 2):
                             bc = beta_coeff(
@@ -208,14 +215,16 @@ class TestAssembledSources:
         U, V = (rng.standard_normal((2, g.N + 1))
                 + 1j * rng.standard_normal((2, g.N + 1)))
         gf = GridFunction(g, U, V, u1_right=2.5 - 1j)
-        (u1, u2), (u1_half, v) = _side_samples(gf)
+        joined = _join_limits(g, U, 2.5 - 1j)
+        (u1, u2), (u1_half, v) = _side_samples(gf, joined)
         m, N = g.mid, g.N
-        assert np.array_equal(u1, _join_limits(g, U, 2.5 - 1j))
+        assert u1 is joined
         assert np.array_equal(v, V[:N])
         want = np.concatenate(([0.0], 0.5 * (V[: m - 1] + V[1:m]),
                                [V[N], V[N]],
                                0.5 * (V[m: N - 1] + V[m + 1: N]), [0.0]))
         assert np.array_equal(u2, want)
+        assert np.array_equal(u1_half[:m], 0.5 * (U[: m] + U[1: m + 1]))
         assert np.array_equal(u1_half[m + 1:],
                               0.5 * (U[m + 1: -1] + U[m + 2:]))
         assert u1_half[m] == 1.5 * U[m + 1] - 0.5 * U[m + 2]
@@ -238,6 +247,11 @@ class TestAssembledSources:
         # ... two levels past it needs a level that was never built
         with pytest.raises(ValueError, match=r"h\^\(1,7\) .* u\^\(2,6\)"):
             assemble_h(ctx, table, 1, table.nu_max + 2)
+
+
+def samples_of(gf):
+    """``_side_samples`` of a grid function as it stands."""
+    return _side_samples(gf, _join_limits(gf.grid, gf.U, gf.u1_right))
 
 
 def _side_ranges(grid):
@@ -274,7 +288,7 @@ def _ordered_source(ctx, table, n, nu):
                 # only the odd harmonic (0, 1) is not stored: it vanishes
                 assert (0, 1) in factors
                 continue
-            samples = [_side_samples(gf) for gf in gfs]
+            samples = [samples_of(gf) for gf in gfs]
             order = len(factors)
             ft = ft_chi2_truncated if order == 2 else ft_chi3_truncated
             chi = ft(nl, *(ctx.omega(*f) for f in factors))
@@ -429,7 +443,7 @@ class TestBuildMemory:
         assert abs(held - own) <= 0.02 * own
         assert abs(after - held) <= 0.001 * own
         for gf in table.entries.values():
-            assert "_sides" not in vars(gf) and "_conj" not in vars(gf)
+            assert not {"_sides", "_conj", "_joined"} & set(vars(gf))
         assert table.get(-2, 2) is table.get(-2, 2)
 
     def test_zero_harmonics_share_one_read_only_array(self, ctx):
@@ -461,6 +475,32 @@ class TestBuildMemory:
         for key in odd:
             h = assemble_h(ctx, table, *key)
             assert h.is_zero and not h.h1.flags.writeable
+
+
+class TestBuildSolves:
+    @pytest.mark.parametrize("solver, nu_max", [("fd", 10), ("analytic", 6)])
+    def test_entries_are_public_solves(self, ctx, solver, nu_max):
+        """Inside a build, each source reaches its solve joined, and the
+        solve leaves the joined u1 in that buffer for the samples.  Every
+        stored entry is what the public solve returns on the stored
+        source, bit for bit, and no joined copy outlives the build."""
+        grid = StaggeredGrid(40.0, 2000)
+        table = build_series(ctx, grid, eps=0.5, nu_max=nu_max,
+                             solver=solver)
+        solve = solve_fd if solver == "fd" else solve_analytic
+        solved = 0
+        for (n, nu), gf in table.entries.items():
+            h = table.h_entries.get((n, nu))
+            assert "_joined" not in vars(gf)
+            if nu < 2 or (n + nu) % 2:
+                continue
+            assert "_joined" not in vars(h)
+            ref = solve(ctx, n, nu,
+                        SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right))
+            for f in ("U", "V", "W", "u1_right", "w_right", "residual"):
+                assert np.array_equal(getattr(gf, f), getattr(ref, f)), f
+            solved += 1
+        assert solved == sum(nu // 2 + 1 for nu in range(2, nu_max + 1))
 
 
 class TestDecayAndSolvers:
