@@ -61,9 +61,14 @@ Every staggered field, here and in ``series``, is evaluated between its
 samples by ``_interp_sides``: linear interpolation of x < 0 on the
 minus-side knots and of x >= 0 on the plus-side knots, each side
 carrying its own limit at x = 0.  The integer-node fields jump at x = 0;
-the stored left limit at node N/2 and the right limit are worked on
-together in the ``_join_limits`` layout.  A solve turns r1 in that
-layout into u1 in place (in a build, in the buffer ``r._joined``).
+each is stored once with both limits, as N+2 values f_0, ..., f_m (the
+left limit at m = N/2), f_{m+1}, ..., f_N, then the right limit f(0+)
+last, as V keeps u2(0) last.  Each side is one contiguous range, minus
+[:m+1] and plus [m+1:], so elementwise work takes a side at a time;
+only a neighbour operation treats the first plus cell, from f(0+) to
+f_{m+1}, on its own.  The public fields (U, W, r1, h1) view the first
+N+1 values.  A solve reads r1 and writes u1 into one fresh array, the
+storage of the entry it returns.
 """
 
 import math
@@ -108,11 +113,6 @@ class StaggeredGrid:
         if self.N <= 0 or self.N % 2:
             raise ValueError("N must be a positive even integer")
 
-    @classmethod
-    def from_node_count(cls, d, nodes):
-        """Grid with the given number of integer nodes (nodes = N + 1)."""
-        return cls(d, nodes - 1)
-
     @property
     def h(self):
         return 2.0 * self.d / self.N
@@ -133,7 +133,45 @@ class StaggeredGrid:
         return -self.d + self.h * (np.arange(self.N) + 0.5)
 
 
-@dataclass
+def _node_layout(grid, f, right, name, default=None):
+    """Integer-node samples as stored: f itself if it has N+2 values and
+    no separate right limit is given, else f (N+1 values, the left limit
+    at N/2) with the right limit (``default`` if None) appended."""
+    if f is not None:
+        f = np.asarray(f, dtype=complex)
+        if f.shape == (grid.N + 2,) and right is None:
+            return f
+        right = default if right is None else right
+        if f.shape == (grid.N + 1,) and right is not None:
+            return np.append(f, right)
+    raise ValueError(f"{name} must have length N+1 and a right interface "
+                     f"limit, or length N+2")
+
+
+def _left_limits(name):
+    """The first N+1 values of the stored integer-node samples ``name``
+    (the left limit at N/2), as a property; assignment writes them."""
+    def get(self):
+        f = getattr(self, name)
+        return None if f is None else f[:-1]
+
+    def put(self, value):
+        getattr(self, name)[:-1] = value
+    return property(get, put)
+
+
+def _right_limit(name):
+    """The right interface limit of the stored integer-node samples
+    ``name`` (their last value), as a property; assignment writes it."""
+    def get(self):
+        f = getattr(self, name)
+        return None if f is None else f[-1]
+
+    def put(self, value):
+        getattr(self, name)[-1] = value
+    return property(get, put)
+
+
 class GridFunction:
     """Staggered samples of a field on a grid.
 
@@ -141,41 +179,41 @@ class GridFunction:
     interface node N/2, and u1_right its right limit; V holds u2 at the
     N half nodes plus one extra slot V[N] for the interface value u2(0).
     Optionally carries the reconstructed u3 (W, again with the left-limit
-    convention, and its right limit w_right: the two are set together),
+    convention, and its right limit w_right: the two are given together),
     and the relative residual of the solve that produced it.
+
+    u1 and u3 are stored once each, in the integer-node layout (``_U``,
+    ``_W``: N+2 values, the right limit last).  U and W view their first
+    N+1 values, u1_right and w_right read the last one, and assigning any
+    of them writes the stored array.  U and W may also be given in that
+    layout, without right limits; they are then stored without a copy.
     """
 
-    grid: StaggeredGrid
-    U: np.ndarray
-    V: np.ndarray
-    u1_right: complex = 0j
-    W: np.ndarray = None
-    w_right: complex = None
-    residual: float = None
+    U, u1_right = _left_limits("_U"), _right_limit("_U")
+    W, w_right = _left_limits("_W"), _right_limit("_W")
 
-    def __post_init__(self):
-        N = self.grid.N
-        self.U = np.asarray(self.U, dtype=complex)
-        self.V = np.asarray(self.V, dtype=complex)
-        if self.U.shape != (N + 1,) or self.V.shape != (N + 1,):
-            raise ValueError("U and V must both have length N+1")
+    def __init__(self, grid, U, V, u1_right=None, W=None, w_right=None,
+                 residual=None):
+        self.grid = grid
+        self._U = _node_layout(grid, U, u1_right, "U", default=0j)
+        self.V = np.asarray(V, dtype=complex)
+        if self.V.shape != (grid.N + 1,):
+            raise ValueError("V must have length N+1")
+        self._W = (None if W is None and w_right is None
+                   else _node_layout(grid, W, w_right, "W"))
+        self.residual = residual
 
     def conjugate(self):
         """The grid function of the (-n, nu) entry: componentwise conjugate."""
         return GridFunction(
-            grid=self.grid,
-            U=np.conj(self.U),
-            V=np.conj(self.V),
-            u1_right=np.conj(self.u1_right),
-            W=None if self.W is None else np.conj(self.W),
-            w_right=None if self.w_right is None else np.conj(self.w_right),
+            self.grid, np.conj(self._U), np.conj(self.V),
+            W=None if self._W is None else np.conj(self._W),
             residual=self.residual,
         )
 
     # -- pointwise evaluation (side-aware linear interpolation) ---------
     def eval_u1(self, x):
-        u1 = _join_limits(self.grid, self.U, self.u1_right)
-        return _interp_sides(x, *_node_knots(self.grid, u1))
+        return _interp_sides(x, *_node_knots(self.grid, self._U))
 
     def eval_u2(self, x):
         g, m, N = self.grid, self.grid.mid, self.grid.N
@@ -189,10 +227,9 @@ class GridFunction:
         )
 
     def eval_u3(self, x):
-        if self.W is None:
+        if self._W is None:
             raise ValueError("u3 samples not attached")
-        u3 = _join_limits(self.grid, self.W, self.w_right)
-        return _interp_sides(x, *_node_knots(self.grid, u3))
+        return _interp_sides(x, *_node_knots(self.grid, self._W))
 
 
 def _interp_sides(x, xm, fm, xp, fp):
@@ -206,71 +243,53 @@ def _interp_sides(x, xm, fm, xp, fp):
     return out
 
 
-def _join_limits(grid, f, f_right):
-    """Integer-node samples f (left limit f[m] at the interface node m)
-    and their right limit as N+2 values: the minus side [:m+1] ends with
-    the left limit, the plus side [m+1:] starts with the right one."""
-    m = grid.mid
-    return np.concatenate((f[: m + 1], [f_right], f[m + 1:]))
-
-
-def _split_limits(grid, f):
-    """``_join_limits`` undone: (f with the left limit, right limit)."""
-    m = grid.mid
-    return np.concatenate((f[: m + 1], f[m + 2:])), complex(f[m + 1])
-
-
 def _times_sides(grid, f, minus, plus):
-    """f (``_join_limits`` layout) times minus on [:m+1], plus on [m+1:],
-    in place; returns f."""
+    """f (integer-node layout) times minus on [:m+1], plus on [m+1:], in
+    place; returns f."""
     m = grid.mid
     np.multiply(f[: m + 1], minus, out=f[: m + 1])
     np.multiply(f[m + 1:], plus, out=f[m + 1:])
     return f
 
 
-def _per_cell(grid, c):
-    """One value per integer-node cell from c, one value per neighbour
-    pair of an array in the ``_join_limits`` layout (its ``np.diff``, say):
-    drops the pair (f(0-), f(0+)), which spans no cell."""
-    return np.delete(c, grid.mid)
+def _cell_diff(grid, f, out=None):
+    """f_{j+1} - f_j over the N integer-node cells of f (integer-node
+    layout): the first plus cell starts at the right limit f[N+1]."""
+    N, m = grid.N, grid.mid
+    out = np.subtract(f[1: N + 1], f[:N], out=out)
+    out[m] = f[m + 1] - f[N + 1]
+    return out
 
 
 def _node_knots(grid, f):
-    """Knots of integer-node samples f in the ``_join_limits`` layout, for
-    ``_interp_sides``."""
-    m = grid.mid
-    x = _join_limits(grid, grid.x, 0.0)
-    return x[: m + 1], f[: m + 1], x[m + 1:], f[m + 1:]
+    """Knots of integer-node samples f (integer-node layout) for
+    ``_interp_sides``: the plus side starts at the right limit f[N+1]."""
+    m, N, x = grid.mid, grid.N, grid.x
+    return (x[: m + 1], f[: m + 1], np.concatenate(([0.0], x[m + 1:])),
+            np.concatenate((f[N + 1:], f[m + 1: N + 1])))
 
 
-@dataclass
 class SampledRHS:
     """Right-hand side samples on a staggered grid.
 
-    r1 lives on integer nodes (left-limit convention at N/2, with the
-    right limit stored separately), r2 on half nodes, and the optional
+    r1 lives on integer nodes (left-limit convention at N/2, and the
+    right limit r1_right), stored once as ``_r1`` in the integer-node
+    layout as GridFunction stores U; r2 on half nodes, and the optional
     r3 on half nodes (only the analytic solver accepts a nonzero r3).
     """
 
-    grid: StaggeredGrid
-    r1: np.ndarray
-    r2: np.ndarray
-    r1_right: complex = 0j
-    r3: np.ndarray = None
+    r1, r1_right = _left_limits("_r1"), _right_limit("_r1")
 
-    def __post_init__(self):
-        N = self.grid.N
-        self.r1 = np.asarray(self.r1, dtype=complex)
-        self.r2 = np.asarray(self.r2, dtype=complex)
-        if self.r1.shape != (N + 1,):
-            raise ValueError("r1 must have length N+1 (integer nodes)")
+    def __init__(self, grid, r1, r2, r1_right=None, r3=None):
+        N = grid.N
+        self.grid = grid
+        self._r1 = _node_layout(grid, r1, r1_right, "r1", default=0j)
+        self.r2 = np.asarray(r2, dtype=complex)
         if self.r2.shape != (N,):
             raise ValueError("r2 must have length N (half nodes)")
-        if self.r3 is not None:
-            self.r3 = np.asarray(self.r3, dtype=complex)
-            if self.r3.shape != (N,):
-                raise ValueError("r3 must have length N (half nodes)")
+        self.r3 = None if r3 is None else np.asarray(r3, dtype=complex)
+        if self.r3 is not None and self.r3.shape != (N,):
+            raise ValueError("r3 must have length N (half nodes)")
 
     @classmethod
     def zero(cls, grid):
@@ -285,11 +304,10 @@ class SampledRHS:
         limit) and the plus tuple for x >= 0.
         """
         m = grid.mid
-        x, xh = _join_limits(grid, grid.x, 0.0), grid.x_half
+        x, xh = np.append(grid.x, 0.0), grid.x_half   # integer-node layout
         r1 = np.empty(grid.N + 2, dtype=complex)
         r1[: m + 1] = minus[0](x[: m + 1])
         r1[m + 1:] = plus[0](x[m + 1:])
-        r1, r1_right = _split_limits(grid, r1)
         r2 = np.empty(grid.N, dtype=complex)
         r2[:m] = minus[1](xh[:m])
         r2[m:] = plus[1](xh[m:])
@@ -298,7 +316,7 @@ class SampledRHS:
             r3 = np.empty(grid.N, dtype=complex)
             r3[:m] = minus[2](xh[:m])
             r3[m:] = plus[2](xh[m:])
-        return cls(grid, r1, r2, r1_right=r1_right, r3=r3)
+        return cls(grid, r1, r2, r3=r3)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +387,7 @@ def _solve_v_band(grid, sides, omega, r2, f1, star, star_rhs):
 
         -off S_j V + c2 V_j = f2_j - e (f1_{j+1} - f1_j) = f2_j - e df1_j
 
-    with f1 in the ``_join_limits`` layout (None: no f1 term) and S_j the
+    with f1 in the integer-node layout (None: no f1 term) and S_j the
     weights of -h^2 u2'': (-1, 2, -1) inside, (3, -1) on (V_j, neighbour)
     at the walls, and (4, -4/3, -8/3) on (V_j, far neighbour, V*) next to
     the interface.  All rows of a side share one scale, and each diagonal
@@ -388,18 +406,19 @@ def _solve_v_band(grid, sides, omega, r2, f1, star, star_rhs):
     du = np.empty(N - 1, dtype=complex)     # entry (j, j+1)
     b = np.empty(N + 1, dtype=complex)
     col_star, scaled = [], []
-    for s, rows, wall, adj, far_diag, far, nodes in (
-        ("minus", slice(0, m), 0, m - 1, dl, m - 2, slice(0, m + 1)),
-        ("plus", slice(m, N), N - 1, m, du, m, slice(m + 1, N + 2)),
+    if f1 is not None:      # df1, in d before its rows are set
+        _cell_diff(grid, f1, out=d)
+    for s, rows, wall, adj, far_diag, far in (
+        ("minus", slice(0, m), 0, m - 1, dl, m - 2),
+        ("plus", slice(m, N), N - 1, m, du, m),
     ):
         off, c2, e = sides[s]
         L = _row_scale((off, c2))
         off, c2 = _descale(off, L), _descale(c2, L)
         br = np.multiply(-omega, r2[rows], out=b[rows])
         br *= math.exp(min(-L, 700.0))
-        if f1 is not None:      # e df1, in the rows of d before they are set
-            df1 = np.subtract(f1[nodes][1:], f1[nodes][:-1], out=d[rows])
-            br -= np.multiply(_descale(e, L), df1, out=df1)
+        if f1 is not None:
+            br -= np.multiply(_descale(e, L), d[rows], out=d[rows])
         d[rows] = -2.0 * off + c2
         d[wall] = -3.0 * off + c2
         d[adj] = -4.0 * off + c2
@@ -481,13 +500,6 @@ def spsolve(tri, b, col_star, star):
 # Finite-difference solver
 # ----------------------------------------------------------------------
 
-def _owned_r1(r):
-    """r1 in the ``_join_limits`` layout, for the solve to overwrite: the
-    buffer a build handed over as ``r._joined``, else a fresh join."""
-    r1 = vars(r).pop("_joined", None)
-    return _join_limits(r.grid, r.r1, r.r1_right) if r1 is None else r1
-
-
 def solve_fd(ctx, n, nu, r):
     """Staggered-grid solve of the interface system, reduced to u2.
 
@@ -496,7 +508,8 @@ def solve_fd(ctx, n, nu, r):
     bordered half-line tridiagonals of ``spsolve``, and U and the right
     interface limit of u1 follow pointwise, then u3 from u1 and u2'.
     Returns a GridFunction (U at integer nodes, V at half nodes plus
-    V[N] = u2(0), W) with the right limits of u1 and u3.
+    V[N] = u2(0), W) with the right limits of u1 and u3.  r is only
+    read: u1 is formed in one fresh array, which the result stores.
     """
     grid = r.grid
     if r.r3 is not None and np.any(r.r3 != 0):
@@ -506,13 +519,12 @@ def solve_fd(ctx, n, nu, r):
     sq = spectral_quantities(ctx, n, nu)
     sV = {"minus": sq.V_minus, "plus": sq.V_plus}
     nk = n * ctx.k
-    u1 = _owned_r1(r)
 
     if nk == 0:
         # u1 is algebraic and the u2 equation is scalar and C^1
-        _times_sides(grid, np.negative(u1, out=u1),
-                     _to_complex_soft(1.0 / sV["minus"]),
-                     _to_complex_soft(1.0 / sV["plus"]))
+        u1 = _times_sides(grid, np.negative(r._r1),
+                          _to_complex_soft(1.0 / sV["minus"]),
+                          _to_complex_soft(1.0 / sV["plus"]))
         sides = {s: (-1.0 / h**2, sV[s] * omega, 0.0) for s in sV}
         # continuity of u2' across the interface closes the system
         star = (-1.0, 9.0, -16.0, 9.0, -1.0)
@@ -538,7 +550,7 @@ def solve_fd(ctx, n, nu, r):
             inv_c1[s] = _to_complex_soft(1.0 / c1[s])
             e = dk / c1[s]
             sides[s] = (-(inv_h * inv_h) - e * inv_h, sV[s] * omega, e)
-        f1 = np.multiply(1j * omega / nk, u1, out=u1)
+        f1 = u1 = np.multiply(1j * omega / nk, r._r1)
 
         # jump row c1_+ u1(0+) + D_+V = f1(0+) with u1(0+) = U_m +
         # i (D_-V - D_+V)/nk and U_m = (f1_m - D_-V)/c1_-; t = i c1_+/(3h nk)
@@ -549,15 +561,12 @@ def solve_fd(ctx, n, nu, r):
         star = (tq, tq * (-9.0), t * 16.0 - (q + 1.0) * (8.0 * ih3),
                 t * (-9.0) + 9.0 * ih3, t - ih3)
         V, res = _solve_v_band(grid, sides, omega, r.r2, f1, star,
-                               ((1.0, f1[m + 1]), (-q, f1[m])))
+                               ((1.0, f1[grid.N + 1]), (-q, f1[m])))
         du = _u2_prime(V, grid)
         _times_sides(grid, np.subtract(f1, du, out=f1),
                      inv_c1["minus"], inv_c1["plus"])
 
-    W, w_right = _u3(ctx, n, nu, u1, du)
-    U, u1_right = _split_limits(grid, u1)
-    return GridFunction(grid, U, V, u1_right=u1_right, W=W, w_right=w_right,
-                        residual=res)
+    return GridFunction(grid, u1, V, W=_u3(ctx, n, nu, u1, du), residual=res)
 
 
 # ----------------------------------------------------------------------
@@ -565,40 +574,29 @@ def solve_fd(ctx, n, nu, r):
 # ----------------------------------------------------------------------
 
 def _u2_prime(V, grid):
-    """u2' at the integer nodes in the ``_join_limits`` layout, with the
+    """u2' at the integer nodes in the integer-node layout, with the
     solver's stencils."""
     N, h, m = grid.N, grid.h, grid.mid
     du = np.empty(N + 2, dtype=complex)
-    # (V_j - V_{j-1})/h at the inner nodes j of each side; node j sits at
-    # j on the minus side and at j + 1 on the plus side
-    for j, out in ((slice(1, m), du[1:m]), (slice(m + 1, N), du[m + 2:-1])):
-        np.subtract(V[j], V[j.start - 1: j.stop - 1], out=out)
-        np.divide(out, h, out=out)
+    # (V_j - V_{j-1})/h at the inner nodes j (node m is set below)
+    np.subtract(V[1:N], V[: N - 1], out=du[1:N])
+    np.divide(du[1:N], h, out=du[1:N])
     du[0] = 2.0 * V[0] / h
-    du[N + 1] = -2.0 * V[N - 1] / h
+    du[N] = -2.0 * V[N - 1] / h
     du[m] = (8.0 * V[N] - 9.0 * V[m - 1] + V[m - 2]) / (3.0 * h)
-    du[m + 1] = (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h)
+    du[N + 1] = (-8.0 * V[N] + 9.0 * V[m] - V[m + 1]) / (3.0 * h)
     return du
 
 
 def _u3(ctx, n, nu, u1, du):
-    """u3 = (u2' - i nk u1)/(i omega) from u1 and u2' in the
-    ``_join_limits`` layout.  Returns (W, w_right): W at the integer nodes
-    with the left limit at node N/2, and the right interface limit."""
+    """u3 = (u2' - i nk u1)/(i omega) from u1 and u2', all three in the
+    integer-node layout."""
     omega = ctx.omega(n, nu)
     if omega == 0:
         raise ZeroFrequency("u3 reconstruction needs omega != 0")
-    m = u1.size // 2 - 1
-    W = np.empty(u1.size - 1, dtype=complex)
-    limits = []
-    # the plus side first, one slot early: W[m] holds the right limit
-    # until the minus side writes the left one over it
-    for out, j in ((W[m:], slice(m + 1, None)), (W[: m + 1], slice(m + 1))):
-        np.subtract(du[j], np.multiply(1j * n * ctx.k, u1[j], out=out),
-                    out=out)
-        np.divide(out, 1j * omega, out=out)
-        limits.append(complex(W[m]))
-    return W, limits[0]
+    u3 = np.multiply(1j * n * ctx.k, u1)
+    np.subtract(du, u3, out=u3)
+    return np.divide(u3, 1j * omega, out=u3)
 
 
 # ----------------------------------------------------------------------
@@ -653,15 +651,17 @@ def solve_analytic(ctx, n, nu, r):
     # u2 at the half nodes (V[N] = u2(0)) and u3 at the integer nodes hold
     # the source densities rho1 and rho2 at the half nodes until formed
     V = np.empty(N + 1, dtype=complex)
-    u3 = np.empty(N + 1, dtype=complex)
-    r1 = _owned_r1(r)
+    u3 = np.empty(N + 2, dtype=complex)
+    r1 = r._r1
     tmp = np.empty(m + 1, dtype=complex)
     odd = tmp[:m]
-    for sV, sM, cells, nodes in ((sVm, sMm, slice(0, m), slice(0, m + 1)),
-                                 (sVp, sMp, slice(m, N), slice(m + 1, N + 2))):
-        # r1 at a half node: the mean of its cell's two node values
-        np.multiply(0.5, np.add(r1[nodes][:-1], r1[nodes][1:], out=odd),
-                    out=odd)
+    for sV, sM, cells in ((sVm, sMm, slice(0, m)), (sVp, sMp, slice(m, N))):
+        # r1 at a half node: the mean of its cell's two node values (the
+        # first plus cell starts at the right limit r1[N+1])
+        np.add(r1[cells], r1[cells.start + 1: cells.stop + 1], out=odd)
+        if cells.start:
+            odd[0] = r1[N + 1] + r1[m + 1]
+        np.multiply(0.5, odd, out=odd)
         odd *= nk * _to_complex_soft(1.0 / (sV * sM))
         if r.r3 is not None:
             odd += np.multiply(r.r3[cells], _to_complex_soft(1.0 / sM),
@@ -714,23 +714,20 @@ def solve_analytic(ctx, n, nu, r):
     V[N] = 0.5j * mu_m * (P[m] + Q[m])
     # the shared node x = 0 keeps the minus-side value, written last (the
     # matching conditions make u2 and u3 continuous there)
-    np.multiply(0.5 * V_p, np.subtract(A, B, out=A), out=u3[m:])
+    np.multiply(0.5 * V_p, np.subtract(A, B, out=A), out=u3[m: N + 1])
     np.multiply(0.5 * V_m, np.subtract(P, Q, out=P), out=u3[: m + 1])
     del A, B, P, Q
     _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
                       ep_2, u3, V)
-    u3_right = u3[m]   # continuous across the interface by construction
+    u3[N + 1] = u3[m]   # continuous across the interface by construction
 
-    # u1 per side from the first component equation, in r1's buffer; the
-    # plus side of u3 in the _join_limits layout is u3[m:]
-    for nodes, u3s, sV in ((slice(0, m + 1), u3[: m + 1], sVm),
-                           (slice(m + 1, N + 2), u3[m:], sVp)):
-        u1 = r1[nodes]
-        np.subtract(np.multiply(nk, u3s, out=tmp), u1, out=u1)
-        u1 *= _to_complex_soft(1.0 / sV)
-    U, u1_right = _split_limits(grid, r1)
-    return GridFunction(grid, U, V, u1_right=u1_right,
-                        W=u3, w_right=u3_right)
+    # u1 per side from the first component equation
+    u1 = np.empty(N + 2, dtype=complex)
+    for nodes, sV in ((slice(0, m + 1), sVm), (slice(m + 1, N + 2), sVp)):
+        np.subtract(np.multiply(nk, u3[nodes], out=tmp), r1[nodes],
+                    out=u1[nodes])
+        u1[nodes] *= _to_complex_soft(1.0 / sV)
+    return GridFunction(grid, u1, V, W=u3)
 
 
 def _decay_sweep(rho, K, band, backward):
@@ -756,8 +753,9 @@ def _decay_sweep(rho, K, band, backward):
 def _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
                       ep_2, u3, V):
     """Add the decaying homogeneous modes C_- e^{mu_- x} (x <= 0) and
-    C_+ e^{-mu_+ x} (x >= 0) to u3 at the integer nodes and to u2 at the
-    half nodes (V[N] = u2(0)), in place.
+    C_+ e^{-mu_+ x} (x >= 0) to u3 at the integer nodes (integer-node
+    layout, right limit u3[N+1] left to the caller) and to u2 at the half
+    nodes (V[N] = u2(0)), in place.
 
     Only the integer nodes take an exponential.  A half node's value is
     its interface-side neighbour's times the decaying half-cell factor
@@ -774,7 +772,7 @@ def _homogeneous_part(grid, C_minus, C_plus, mu_m, mu_p, V_m, V_p, em_2,
     V[:m] += np.multiply(C_minus * mu_m * em_2, e[1:], out=t[:m])
     V[N] += C_minus * mu_m
     _decaying_exp(-mu_p, x[m:], e)
-    u3[m + 1:] += np.multiply(C_plus * (1j * V_p), e[1:], out=t[:m])
+    u3[m + 1: N + 1] += np.multiply(C_plus * (1j * V_p), e[1:], out=t[:m])
     V[m:N] += np.multiply(C_plus * mu_p * ep_2, e[:-1], out=t[:m])
 
 

@@ -57,12 +57,13 @@ from .pencil import eigenfunction, spectral_quantities
 from .resolvent import (
     GridFunction,
     SampledRHS,
+    _cell_diff,
     _homogeneous_part,
     _interp_sides,
-    _join_limits,
+    _left_limits,
     _node_knots,
-    _per_cell,
-    _split_limits,
+    _node_layout,
+    _right_limit,
     _times_sides,
     _u2_prime,
     solve_analytic,
@@ -89,29 +90,30 @@ __all__ = [
 # Types
 # ----------------------------------------------------------------------
 
-@dataclass
 class NonlinearRHS:
     """One level of the nonlinear source: two active components.
 
     h1 lives at integer nodes (left-limit convention at the interface,
-    right limit stored separately), h2 at half nodes; the third
-    component vanishes identically in TM polarization.
+    and the right limit h1_right), stored once as ``_h1`` in the
+    integer-node layout of ``resolvent`` as GridFunction stores U; h2 at
+    half nodes.  The third component vanishes identically in TM
+    polarization.
     """
 
-    grid: object
-    h1: np.ndarray
-    h2: np.ndarray
-    h1_right: complex = 0j
+    h1, h1_right = _left_limits("_h1"), _right_limit("_h1")
+
+    def __init__(self, grid, h1, h2, h1_right=None):
+        self.grid = grid
+        self._h1 = _node_layout(grid, h1, h1_right, "h1", default=0j)
+        self.h2 = h2
 
     @property
     def is_zero(self):
-        return (self.h1_right == 0 and not self.h1.any()
-                and not self.h2.any())
+        return not self._h1.any() and not self.h2.any()
 
     def conjugate_negated(self):
         """The (-n, nu) source: h^{-n,nu} = -conj(h^{n,nu})."""
-        return NonlinearRHS(self.grid, -np.conj(self.h1), -np.conj(self.h2),
-                            -np.conj(self.h1_right))
+        return NonlinearRHS(self.grid, -np.conj(self._h1), -np.conj(self.h2))
 
 
 @dataclass
@@ -122,7 +124,7 @@ class CoefficientTable:
     conjugates and returns None outside the cone (those entries are
     identically zero).  The nonlinear sources of each level are kept for
     the displacement-field reconstruction.  Every zero entry and zero
-    source views ``_zero``, one read-only array of N+1 zeros.  A built
+    source views ``_zero``, one read-only array of N+2 zeros.  A built
     table holds nothing else: the factor samples (``_samples``) live for
     one build.
     """
@@ -138,12 +140,13 @@ class CoefficientTable:
     _zero: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._zero = np.zeros(self.grid.N + 1, dtype=complex)
+        self._zero = np.zeros(self.grid.N + 2, dtype=complex)
         self._zero.flags.writeable = False
 
     def _zero_source(self):
         """A zero source: h1 and h2 view the table's zero array."""
-        return NonlinearRHS(self.grid, self._zero, self._zero[:-1])
+        return NonlinearRHS(self.grid, self._zero,
+                            self._zero[: self.grid.N])
 
     def get(self, n, nu):
         if abs(n) > nu or nu < 1 or nu > self.nu_max:
@@ -174,33 +177,29 @@ def _conj_cached(gf):
 # Grid-function component samples per side and node family
 # ----------------------------------------------------------------------
 
-def _side_samples(gf, u1):
-    """Whole-grid arrays of (u1, u2) on both node families, given gf's u1.
+def _side_samples(gf):
+    """Whole-grid arrays of (u1, u2) on both node families.
 
     Returns (int_comps, half_comps), where int_comps[p] and half_comps[p]
     (p = 0 for u1, 1 for u2) are the samples on the integer nodes, in the
-    ``_join_limits`` layout (minus side [:m+1] ending with the left
-    interface limits, plus side [m+1:] starting with the right ones), and
-    on the half nodes (minus side [:m], plus side [m:]); int_comps[0] is
-    u1 itself.  u1 is
-    interpolated to half nodes by 2-point averaging (one-sided
-    extrapolation in the cell right of the interface, where the stored
-    node value is a left limit); u2 is averaged onto integer nodes, with
-    the exact interface value V[N] as both of its limits.  Every weight
-    is real, so the samples of conj(gf) are the conjugates of these.
+    integer-node layout of ``resolvent`` (minus side [:m+1] ending with
+    the left interface limits, plus side [m+1:] ending with the right
+    ones), and on the half nodes (minus side [:m], plus side [m:]);
+    int_comps[0] is gf's stored u1 itself.  u1 is interpolated to half
+    nodes by 2-point averaging (one-sided extrapolation from the two
+    nodes right of the interface in the cell next to it); u2 is averaged
+    onto integer nodes, with the exact interface value V[N] as both of
+    its limits.  Every weight is real, so the samples of conj(gf) are the
+    conjugates of these.
     """
-    V, N, m = gf.V, gf.grid.N, gf.grid.mid
+    u1, V, N, m = gf._U, gf.V, gf.grid.N, gf.grid.mid
     u2_int = np.zeros(N + 2, dtype=complex)
-    np.add(V[: m - 1], V[1:m], out=u2_int[1:m])
-    np.add(V[m: N - 1], V[m + 1: N], out=u2_int[m + 2: N + 1])
+    np.add(V[: N - 1], V[1:N], out=u2_int[1:N])
     u2_int *= 0.5
-    u2_int[m] = u2_int[m + 1] = V[N]
-    # the cells' means, the plus side's from its stored nodes u1[m+2:]
-    u1_half = np.empty(N, dtype=complex)
-    np.add(u1[:m], u1[1: m + 1], out=u1_half[:m])
-    np.add(u1[m + 2: N + 1], u1[m + 3:], out=u1_half[m + 1:])
+    u2_int[m] = u2_int[N + 1] = V[N]
+    u1_half = np.add(u1[:N], u1[1: N + 1])
     np.multiply(0.5, u1_half, out=u1_half)
-    u1_half[m] = 1.5 * u1[m + 2] - 0.5 * u1[m + 3]
+    u1_half[m] = 1.5 * u1[m + 1] - 0.5 * u1[m + 2]
     return ((u1, u2_int), (u1_half, V[:N]))
 
 
@@ -306,8 +305,7 @@ def assemble_h(ctx, table, n, nu):
     A negative-n factor enters its product chains as the conjugated
     samples of its n >= 0 entry, each used slice conjugated once per call.
     Samples come from the build's cache inside ``build_series`` and from
-    the entries as they stand outside.  Inside a build, the source carries
-    its joined h1 as ``_joined``, for the build to hand to the solve.
+    the entries as they stand outside.
 
     Needs all table entries with level < nu and raises ValueError naming
     the first one missing.  Returns a NonlinearRHS; for nu = 1, |n| > nu
@@ -322,7 +320,7 @@ def assemble_h(ctx, table, n, nu):
     pref = {2: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**2,
             3: -ctx.omega(n, nu) * itf.eps0 * itf.mu0**3}
 
-    # h1 in the _join_limits layout and h2 on the half nodes; each side's
+    # h1 in the integer-node layout and h2 on the half nodes; each side's
     # nodes are contiguous there, so a material covers one range of each
     h = (np.zeros(N + 2, dtype=complex), np.zeros(N, dtype=complex))
     start = {"minus": (0, 0), "plus": (m + 1, m)}
@@ -350,8 +348,7 @@ def assemble_h(ctx, table, n, nu):
                     raise ValueError(
                         f"h^({n},{nu}) needs the table entry "
                         f"u^({f[0]},{f[1]}), which is missing")
-                cache[key] = _side_samples(
-                    gf, _join_limits(grid, gf.U, gf.u1_right))
+                cache[key] = _side_samples(gf)
             samples.append((f, cache[key]))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
@@ -384,11 +381,7 @@ def assemble_h(ctx, table, n, nu):
         # left in its real part
         h1.real = 0.0
         h2.real = 0.0
-    h1_left, h1_right = _split_limits(grid, h1)
-    rhs = NonlinearRHS(grid, h1_left, h2, h1_right)
-    if table._samples is not None:
-        rhs._joined = h1
-    return rhs
+    return NonlinearRHS(grid, h1, h2)
 
 
 # ----------------------------------------------------------------------
@@ -402,16 +395,17 @@ def _seed_entry(ctx, grid, eps):
     phi = eigenfunction(ctx)
     N, h = grid.N, grid.h
     c_plus = eps * (phi.mu_minus / phi.mu_plus)
-    W, V = np.zeros(N + 1, dtype=complex), np.zeros(N + 1, dtype=complex)
+    W, V = np.zeros(N + 2, dtype=complex), np.zeros(N + 1, dtype=complex)
     _homogeneous_part(grid, eps, c_plus, phi.mu_minus, phi.mu_plus,
                       phi.V_minus, phi.V_plus, np.exp(-0.5 * h * phi.mu_minus),
                       np.exp(-0.5 * h * phi.mu_plus), W, V)
-    w_right = c_plus * (1j * phi.V_plus)
+    # the right limits u3(0+) and u1(0+) in scalar arithmetic
+    w_right = W[N + 1] = c_plus * (1j * phi.V_plus)
     U = ctx.k * W
     U[: grid.mid + 1] /= phi.V_minus
-    U[grid.mid + 1:] /= phi.V_plus
-    return GridFunction(grid, U, V, u1_right=ctx.k * w_right / phi.V_plus,
-                        W=W, w_right=w_right, residual=0.0)
+    U[grid.mid + 1: N + 1] /= phi.V_plus
+    U[N + 1] = ctx.k * w_right / phi.V_plus
+    return GridFunction(grid, U, V, W=W, residual=0.0)
 
 
 def _entry_norm_sq(gf):
@@ -436,13 +430,11 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
 
     def _solve_one(n, nu):
         h = assemble_h(ctx, table, n, nu)
-        u1 = vars(h).pop("_joined", None)
         # n + nu odd: zero by parity, so the source needs no scan
         if (n + nu) % 2 or h.is_zero:
             z = table._zero
-            return h, GridFunction(grid, z, z, W=z, w_right=0j, residual=0.0)
-        r = SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right)
-        r._joined = u1      # the solve leaves the joined u1 in it
+            return h, GridFunction(grid, z, z[:-1], W=z, residual=0.0)
+        r = SampledRHS(grid, h._h1, h.h2)
         try:
             if solver == "fd":
                 gf = solve_fd(ctx, n, nu, r)
@@ -454,8 +446,6 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
             raise OverflowGuard(f"solve failed at ({n},{nu}): {exc}") from exc
         except (ValueError, ArithmeticError) as exc:
             raise SolverError(f"solve failed at ({n},{nu}): {exc}") from exc
-        if nu < nu_max:     # sampled as a factor of the next levels
-            table._samples[(n, nu)] = _side_samples(gf, u1)
         return h, gf
 
     growth = 0
@@ -523,8 +513,8 @@ def synthesize(table, x, y, t, M=None):
 
 
 def d_field_modal(ctx, table, n, nu, route="operator"):
-    """Modal displacement field (D1 at integer nodes in the
-    ``_join_limits`` layout, D2 at half nodes, D2 left and right
+    """Modal displacement field (D1 at integer nodes in the integer-node
+    layout of ``resolvent``, D2 at half nodes, D2 left and right
     interface limits).
 
     D2 jumps at x = 0 with the permittivity; its right limit takes the
@@ -545,10 +535,9 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
         return (np.zeros(grid.N + 2, dtype=complex),
                 np.zeros(grid.N, dtype=complex), 0j, 0j)
     m = grid.mid
-    u1, V = _join_limits(grid, gf.U, gf.u1_right), gf.V
-    if n < 0:       # u^(-n,nu) = conj(u^(n,nu)), conjugated and not kept
-        np.conjugate(u1, out=u1)
-        V = np.conj(V)
+    # D1 starts as u1, its sides multiplied below; u^(-n,nu) =
+    # conj(u^(n,nu)), conjugated and not kept
+    D1, V = (np.conj(gf._U), np.conj(gf.V)) if n < 0 else (gf._U.copy(), gf.V)
     itf = ctx.interface
 
     if route == "operator":
@@ -563,8 +552,7 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
             # zero; the product V*u is the bounded physical quantity and
             # vanishes at double precision there
             Vm = 0j
-        D1 = -(_times_sides(grid, u1, Vm, Vp)
-               + _join_limits(grid, h.h1, h.h1_right)) / omega
+        D1 = -(_times_sides(grid, D1, Vm, Vp) + h._h1) / omega
         D2 = np.empty(grid.N, dtype=complex)
         D2[:m] = -(Vm * V[:m] + h.h2[:m]) / omega
         D2[m:] = -(Vp * V[m: grid.N] + h.h2[m:]) / omega
@@ -583,7 +571,7 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     eps_p = itf.permittivity("plus", omega)
     if not (np.isfinite(eps_m.real) and np.isfinite(eps_m.imag)):
         eps_m = 0j   # see the operator-route note: u vanishes there
-    D1 = _times_sides(grid, u1, itf.mu0 * eps_m, itf.mu0 * eps_p)
+    _times_sides(grid, D1, itf.mu0 * eps_m, itf.mu0 * eps_p)
     D2 = np.empty(grid.N, dtype=complex)
     D2[:m] = itf.mu0 * eps_m * V[:m]
     D2[m:] = itf.mu0 * eps_p * V[m: grid.N]
@@ -592,7 +580,7 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
 
     # quadratic + cubic polarization sums = -h/omega, reassembled fresh
     h = assemble_h(ctx, table, n, nu)
-    D1 += -_join_limits(grid, h.h1, h.h1_right) / omega
+    D1 += -h._h1 / omega
     D2 += -h.h2 / omega
     D2_right += -(1.5 * h.h2[m] - 0.5 * h.h2[m + 1]) / omega
     return D1, D2, D2_left, D2_right
@@ -610,7 +598,7 @@ def divergence_residual(ctx, table, n, nu):
     """
     grid = table.grid
     D1, D2, _, _ = d_field_modal(ctx, table, n, nu, route="operator")
-    res = _per_cell(grid, np.diff(D1)) / grid.h + 1j * n * ctx.k * D2
+    res = _cell_diff(grid, D1) / grid.h + 1j * n * ctx.k * D2
     return math.sqrt(grid.h * float(np.sum(np.abs(res) ** 2)))
 
 
@@ -633,8 +621,7 @@ def maxwell_residual(ctx, table, sample_points, M=None):
             if gf is None:
                 continue
             D1, D2, D2m, D2p = d_field_modal(ctx, table, n, nu)
-            w = _join_limits(grid, gf.W, gf.w_right)
-            du3 = _per_cell(grid, np.diff(w)) / h
+            du3 = _cell_diff(grid, gf._W) / h
             knots = (
                 _node_knots(grid, D1),
                 # D2 on the half nodes, each side ending at its own limit

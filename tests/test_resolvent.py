@@ -25,7 +25,6 @@ from breather.resolvent import (
     GridFunction,
     SampledRHS,
     StaggeredGrid,
-    _join_limits,
     _u2_prime,
     _u3,
     fd_convergence_study,
@@ -85,9 +84,9 @@ class TestGrid:
         assert g.x[g.mid] == 0.0
         assert np.allclose(g.x_half, g.x[:-1] + g.h / 2)
 
-    def test_from_node_count(self):
-        g = StaggeredGrid.from_node_count(40.0, 2001)
-        assert g.N == 2000
+    def test_node_count(self):
+        g = StaggeredGrid(40.0, 2001 - 1)
+        assert g.N == 2000 and g.x.size == 2001
 
     def test_rejects_odd(self):
         with pytest.raises(Exception):
@@ -191,14 +190,15 @@ class TestReconstruction:
         V[: g.N] = phi(xh)[1]
         V[g.N] = phi.mu_minus      # phi_2(0) from either side
         ratio = phi.mu_minus / phi.mu_plus
-        u1 = _join_limits(g, U, 1j * ctx.k * ratio)
-        u3, u3_right = _u3(ctx, 1, 1, u1, _u2_prime(V, g))
+        u1 = np.append(U, 1j * ctx.k * ratio)   # the right limit last
+        u3 = _u3(ctx, 1, 1, u1, _u2_prime(V, g))
+        assert u3.shape == (g.N + 2,)
         phi3 = vals[2].copy()
         phi3[m] = -1j * phi.V_minus
-        rel = np.max(np.abs(u3 - phi3)) / np.max(np.abs(phi3))
+        rel = np.max(np.abs(u3[: g.N + 1] - phi3)) / np.max(np.abs(phi3))
         assert rel < 1e-3
         phi3_right = 1j * ratio * phi.V_plus
-        assert abs(u3_right - phi3_right) < 1e-3 * np.max(np.abs(phi3))
+        assert abs(u3[g.N + 1] - phi3_right) < 1e-3 * np.max(np.abs(phi3))
 
 
 class TestEvaluation:
@@ -230,6 +230,36 @@ class TestEvaluation:
 
     def test_u3_right_limit_at_interface(self):
         assert self.random_gf().eval_u3(0.0)[()] == -0.5 + 3j
+
+    def test_shape_checks(self):
+        """U, V and W need N+1 values, W comes with w_right, and an
+        integer-node field given as N+2 values (the right limit last) is
+        stored as it is; SampledRHS checks r1 and r2 alike."""
+        g = StaggeredGrid(4.0, 8)
+        z = lambda size: np.zeros(size, dtype=complex)
+        for kwargs in (
+            dict(U=z(8), V=z(9)),
+            dict(U=z(9), V=z(10)),
+            dict(U=z(9), V=z(9), W=z(9)),               # no w_right
+            dict(U=z(9), V=z(9), W=z(8), w_right=1j),   # W too short
+            dict(U=z(9), V=z(9), w_right=1j),           # no W
+            dict(U=z(10), V=z(9), u1_right=1j),         # two right limits
+        ):
+            with pytest.raises(ValueError):
+                GridFunction(g, **kwargs)
+        u1, u3 = np.arange(10.0) + 0j, 1j * np.arange(10.0)
+        gf = GridFunction(g, u1, z(9), W=u3)
+        assert gf.U.base is u1 and gf.W.base is u3
+        assert gf.u1_right == 9.0 and gf.w_right == 9j
+        gf.U, gf.u1_right = 2 * gf.U, -1.0
+        assert np.array_equal(u1, np.append(2 * np.arange(9.0), -1.0))
+        gf.U *= 0.5
+        assert np.array_equal(u1, np.append(np.arange(9.0), -1.0))
+        with pytest.raises(ValueError):
+            SampledRHS(g, z(8), z(8))
+        with pytest.raises(ValueError):
+            SampledRHS(g, z(9), z(9))
+        assert SampledRHS(g, z(9), z(8)).r1_right == 0
 
     def test_midpoints_are_averages(self):
         gf = self.random_gf()
@@ -500,14 +530,14 @@ class TestSolveMemory:
     """Every N-size array a solve allocates is an output (U, V, W) or one
     of a fixed set of working arrays.  Over its outputs, the peak traced
     memory of one call at N = 20000 measured 5.0 N-size arrays for
-    solve_fd, n = 0 as well (the joined r1 that becomes u1; dl, d, du and
-    b; the two columns of zgtsv's right side) and 3.5 for solve_analytic
-    (the joined r1, the band and the four half-line sums, half an array
-    of scratch).  Before the solves worked in place: 11-12 and 10."""
+    solve_fd, n = 0 as well (dl, d, du and b; the two columns of zgtsv's
+    right side; f1 is formed in the u1 output) and 2.5 for
+    solve_analytic (the band and the four half-line sums, half an array
+    of scratch; r1 is only read: a working copy of it reads 3.5)."""
 
     @pytest.mark.parametrize("solver, n, nu, arrays", [
         ("solve_fd", 1, 2, 5.25), ("solve_fd", 0, 2, 5.25),
-        ("solve_analytic", 1, 2, 3.75), ("solve_analytic", 2, 4, 3.75)])
+        ("solve_analytic", 1, 2, 2.75), ("solve_analytic", 2, 4, 2.75)])
     def test_peak_over_outputs(self, ctx, solver, n, nu, arrays):
         g = StaggeredGrid(40.0, 20000)
         r = random_rhs(g)
@@ -649,7 +679,7 @@ class TestHalfNodeModes:
         Vh[:m] = C_minus * mu_m * exp(mu_m, xh[:m])
         Vh[m:N] = C_plus * mu_p * exp(-mu_p, xh[m:])
         Vh[N] = C_minus * mu_m
-        u3 += u3h
+        u3[: N + 1] += u3h      # the caller sets the right limit u3[N+1]
         V += Vh
 
     @pytest.mark.parametrize("N", [400, 2000])

@@ -24,7 +24,6 @@ from breather.resolvent import (
     GridFunction,
     SampledRHS,
     StaggeredGrid,
-    _join_limits,
     solve_analytic,
     solve_fd,
 )
@@ -184,8 +183,8 @@ class TestAssembledSources:
                     b = table.get(n_ - mm, nu_ - mu)
                     if a is None or b is None:
                         continue
-                    sa = samples_of(a)[0]
-                    sb = samples_of(b)[0]
+                    sa = _side_samples(a)[0]
+                    sb = _side_samples(b)[0]
                     for p in (1, 2):
                         for q in (1, 2):
                             bc = beta_coeff(
@@ -209,20 +208,21 @@ class TestAssembledSources:
     def test_side_samples_layout(self):
         """u2 on the integer nodes is the two-point average of its half
         nodes, zero at the walls and u2(0) = V[N] at both interface
-        limits; u1 keeps its two limits."""
+        limits (the right one last); u1 is the entry's stored array, with
+        its two limits."""
         g = StaggeredGrid(40.0, 12)
         rng = np.random.default_rng(7)
         U, V = (rng.standard_normal((2, g.N + 1))
                 + 1j * rng.standard_normal((2, g.N + 1)))
         gf = GridFunction(g, U, V, u1_right=2.5 - 1j)
-        joined = _join_limits(g, U, 2.5 - 1j)
-        (u1, u2), (u1_half, v) = _side_samples(gf, joined)
+        (u1, u2), (u1_half, v) = _side_samples(gf)
         m, N = g.mid, g.N
-        assert u1 is joined
+        assert u1 is gf._U
+        assert np.array_equal(u1, np.append(U, 2.5 - 1j))
         assert np.array_equal(v, V[:N])
-        want = np.concatenate(([0.0], 0.5 * (V[: m - 1] + V[1:m]),
-                               [V[N], V[N]],
-                               0.5 * (V[m: N - 1] + V[m + 1: N]), [0.0]))
+        want = np.concatenate(([0.0], 0.5 * (V[: m - 1] + V[1:m]), [V[N]],
+                               0.5 * (V[m: N - 1] + V[m + 1: N]), [0.0],
+                               [V[N]]))
         assert np.array_equal(u2, want)
         assert np.array_equal(u1_half[:m], 0.5 * (U[: m] + U[1: m + 1]))
         assert np.array_equal(u1_half[m + 1:],
@@ -249,11 +249,6 @@ class TestAssembledSources:
             assemble_h(ctx, table, 1, table.nu_max + 2)
 
 
-def samples_of(gf):
-    """``_side_samples`` of a grid function as it stands."""
-    return _side_samples(gf, _join_limits(gf.grid, gf.U, gf.u1_right))
-
-
 def _side_ranges(grid):
     """Per side, the (integer-node, half-node) index ranges of
     ``_side_samples`` and the source arrays."""
@@ -263,7 +258,7 @@ def _side_ranges(grid):
 
 
 def _ordered_source(ctx, table, n, nu):
-    """h^{n,nu} as [h1 (interface limits joined), h2], summed over every
+    """h^{n,nu} as [h1 (integer-node layout), h2], summed over every
     ordered tuple of cone factors with the full chi2/chi3 tensors, each
     side with its own material; zero on a linear side.  The products and
     the sum are carried in extended precision (where numpy's longdouble
@@ -288,7 +283,7 @@ def _ordered_source(ctx, table, n, nu):
                 # only the odd harmonic (0, 1) is not stored: it vanishes
                 assert (0, 1) in factors
                 continue
-            samples = [samples_of(gf) for gf in gfs]
+            samples = [_side_samples(gf) for gf in gfs]
             order = len(factors)
             ft = ft_chi2_truncated if order == 2 else ft_chi3_truncated
             chi = ft(nl, *(ctx.omega(*f) for f in factors))
@@ -325,7 +320,7 @@ class TestGeneralCouplings:
         for nu in range(2, table.nu_max + 1):
             for n in range(0, nu + 1):
                 h = assemble_h(ctx, table, n, nu)
-                got = [_join_limits(table.grid, h.h1, h.h1_right), h.h2]
+                got = [h._h1, h.h2]
                 ref = _ordered_source(ctx, table, n, nu)
                 for side, rng in ranges.items():
                     for a, b, r in zip(got, ref, rng):
@@ -443,7 +438,7 @@ class TestBuildMemory:
         assert abs(held - own) <= 0.02 * own
         assert abs(after - held) <= 0.001 * own
         for gf in table.entries.values():
-            assert not {"_sides", "_conj", "_joined"} & set(vars(gf))
+            assert set(vars(gf)) == {"grid", "_U", "V", "_W", "residual"}
         assert table.get(-2, 2) is table.get(-2, 2)
 
     def test_zero_harmonics_share_one_read_only_array(self, ctx):
@@ -460,7 +455,7 @@ class TestBuildMemory:
         owners = {id(_owner(a)) for a in views}
         assert len(owners) == 1
         zero = _owner(views[0])
-        assert zero.shape == (grid.N + 1,) and not zero.any()
+        assert zero.shape == (grid.N + 2,) and not zero.any()
         for a in views:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -480,21 +475,28 @@ class TestBuildMemory:
 class TestBuildSolves:
     @pytest.mark.parametrize("solver, nu_max", [("fd", 10), ("analytic", 6)])
     def test_entries_are_public_solves(self, ctx, solver, nu_max):
-        """Inside a build, each source reaches its solve joined, and the
-        solve leaves the joined u1 in that buffer for the samples.  Every
-        stored entry is what the public solve returns on the stored
-        source, bit for bit, and no joined copy outlives the build."""
+        """Every stored entry is what the public solve returns on the
+        stored source, bit for bit.  Each entry's U and W and each
+        source's h1 view the first N+1 values of one N+2 array whose last
+        value is the right interface limit."""
         grid = StaggeredGrid(40.0, 2000)
+        N = grid.N
         table = build_series(ctx, grid, eps=0.5, nu_max=nu_max,
                              solver=solver)
         solve = solve_fd if solver == "fd" else solve_analytic
+        stored = [(gf.U, gf.u1_right) for gf in table.entries.values()]
+        stored += [(gf.W, gf.w_right) for gf in table.entries.values()]
+        stored += [(h.h1, h.h1_right) for h in table.h_entries.values()]
+        for view, right in stored:
+            buf = _owner(view)
+            assert buf.shape == (N + 2,) and view.shape == (N + 1,)
+            assert view.ctypes.data == buf.ctypes.data
+            assert buf[N + 1] == right
         solved = 0
         for (n, nu), gf in table.entries.items():
             h = table.h_entries.get((n, nu))
-            assert "_joined" not in vars(gf)
             if nu < 2 or (n + nu) % 2:
                 continue
-            assert "_joined" not in vars(h)
             ref = solve(ctx, n, nu,
                         SampledRHS(grid, h.h1, h.h2, r1_right=h.h1_right))
             for f in ("U", "V", "W", "u1_right", "w_right", "residual"):

@@ -7,7 +7,8 @@ Each pair runs ``python3 perfbench/run.py --workload W --trace 0
 --seconds S --seed K`` once in each checkout (from its root, so each
 imports its own ``src``): the parent first in even pairs, the change
 first in odd ones, both with seed K + pair index.  Prints every pair's
-end-to-end metrics, then per metric the two medians, the parent's
+end-to-end metrics, then each side's failed and attempted operations
+summed over its runs, and per metric the two medians, the parent's
 quartiles and the number of pairs the change won.  The metrics and their
 better direction are read from CHANGE's BENCHMARK.json.
 """
@@ -44,6 +45,7 @@ def main(argv=None):
 
     values = {side: {name: [] for name in names}
               for side in ("parent", "change")}
+    ops = {side: [0, 0] for side in values}     # failed, attempted
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         line = [f"pair {i} (seed {args.seed + i}, {order[0]} first):"]
@@ -52,12 +54,17 @@ def main(argv=None):
                       args.seed + i)
             for name in names:
                 values[side][name].append(res["metrics"][name]["value"])
+            ops[side][0] += res["failed"]
+            ops[side][1] += res["attempted"]
             line.append(f"{side} correct={res['correct']} failed="
                         f"{res['failed']}/{res['attempted']} " + " ".join(
                             f"{n}={res['metrics'][n]['value']:.4f}"
                             for n in names))
         print("\n  ".join(line), flush=True)
 
+    print("failed operations: " + ", ".join(
+        f"{side} {f}/{a} ({f / a if a else 0.0:.3f})"
+        for side, (f, a) in ops.items()))
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
         par, chg = values["parent"][name], values["change"][name]
