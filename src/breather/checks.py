@@ -20,6 +20,7 @@ Three groups of checks:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ from .pencil import (
     untruncated_eigenvalues,
     winding_count_function,
 )
+from .series import _cone_multisets
 from .susceptibility import Constant, MaterialInterface, drude_model
 
 __all__ = [
@@ -337,8 +339,10 @@ def gamma_bound_sweep(ctx, nl, nu_max):
     """Fit the smallest constants dominating the coupling coefficients.
 
     Sweeps all quadratic (and cubic) frequency combinations inside the
-    cone up to ``nu_max`` and fits the minimal ``c_beta`` (``c_gamma``)
-    such that the sampled coefficient magnitudes stay below
+    cone up to ``nu_max``, one per multiset of cone points of any parity
+    (``series._cone_multisets`` with step 1, levels 2..nu_max), and fits
+    the minimal ``c_beta`` (``c_gamma``) such that the sampled
+    coefficient magnitudes stay below
     ``c * nu * exp(sqrt(2) T_N |omega_I| nu)`` (``sqrt(3)`` for the cubic
     ones).  By construction of the fit there are no violations; the
     per-level maxima are returned so callers can inspect the actual
@@ -361,23 +365,15 @@ def gamma_bound_sweep(ctx, nl, nu_max):
     T_N = nl.T_N
     c2max = float(np.max(np.abs(nl.c2)))
     c3max = float(np.max(np.abs(nl.c3)))
-    cone = [(n, nu) for nu in range(1, nu_max) for n in range(-nu, nu + 1)]
-
     # (n, nu, frequency tuple) of every sampled coefficient, one per
     # multiset of cone factors: the transforms are symmetric in their
     # arguments, so every ordering has the same magnitude
-    pairs = [
-        (m_ + l_, mu + lam, (ctx.omega(m_, mu), ctx.omega(l_, lam)))
-        for i, (m_, mu) in enumerate(cone)
-        for l_, lam in cone[i:] if mu + lam <= nu_max
-    ]
-    triples = [
-        (m_ + l_ + p_, mu + lam + rho,
-         (ctx.omega(m_, mu), ctx.omega(l_, lam), ctx.omega(p_, rho)))
-        for i, (m_, mu) in enumerate(cone)
-        for j, (l_, lam) in enumerate(cone[i:], i) if mu + lam < nu_max
-        for p_, rho in cone[j:] if mu + lam + rho <= nu_max
-    ]
+    om = functools.cache(ctx.omega)
+    levels = range(2, nu_max + 1)
+    pairs = [(a[0] + b[0], nu, (om(*a), om(*b)))
+             for nu in levels for a, b in _cone_multisets(nu, 2, 1)]
+    triples = [(a[0] + b[0] + c[0], nu, (om(*a), om(*b), om(*c)))
+               for nu in levels for a, b, c in _cone_multisets(nu, 3, 1)]
     nl.fill_cache(ws for _, _, ws in pairs + triples)
 
     def level_maxima(samples, order, cmax, chi):

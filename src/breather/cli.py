@@ -26,7 +26,7 @@ from .checks import (
     drude_truncation_demo,
     gamma_bound_sweep,
 )
-from .config import load_config, seed_root
+from .config import _require, load_config, seed_root
 from .errors import BreatherError, ConfigError, ResolventViolation
 from .pencil import (
     ContourRectangle,
@@ -346,10 +346,10 @@ def cmd_check(cfg, out, args):
 def _run_drude(cfg):
     raw = cfg.raw
     params = DrudeParams(
-        c_D=float(raw.get("c_D", 4.0)),
-        gamma=float(raw.get("gamma", 0.5)),
-        alpha=float(raw.get("alpha", 2.0)),
-        k=float(raw.get("k", 3.0)),
+        c_D=_require(raw, "c_D", float, 4.0),
+        gamma=_require(raw, "gamma", float, 0.5),
+        alpha=_require(raw, "alpha", float, 2.0),
+        k=_require(raw, "k", float, 3.0),
         eps0=cfg.interface.eps0,
         mu0=cfg.interface.mu0,
     )

@@ -47,15 +47,20 @@ def default_config_path():
     return resources.files("breather").joinpath("data", "example_paper.json")
 
 
-def _require(data, key, kind):
-    if key not in data:
-        raise ConfigError(f"config: missing required field '{key}'")
-    value = data[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require(data, key, kind, default=...):
+    """data[key] of type kind (an int passes as float), or the default."""
+    value = data.get(key)
+    if value is None:
+        if default is ...:
+            raise ConfigError(f"config: missing required field '{key}'")
+        return default
+    if kind is float and _is_real(value):
         return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, kind):
+    if isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise ConfigError(
         f"config: field '{key}' must be {kind.__name__}, got {value!r}"
@@ -63,15 +68,15 @@ def _require(data, key, kind):
 
 
 def _coupling_tensor(value, shape, name):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_real(value):
         tensor = np.zeros(shape)
         for j in range(3):
             tensor[(j,) * len(shape)] = float(value)
         return tensor
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
+    arr = np.asarray(value, dtype=object)
+    if arr.shape != shape or not all(map(_is_real, arr.flat)):
         raise ConfigError(f"config: '{name}' must be a scalar or shape {shape}")
-    return arr
+    return arr.astype(float)
 
 
 def seed_root(probe):
@@ -142,12 +147,12 @@ def config_from_dict(data, **overrides):
         else:
             data[key] = value
 
-    eps0 = float(data.get("eps0", 1.0))
-    mu0 = float(data.get("mu0", 1.0))
+    eps0 = _require(data, "eps0", float, 1.0)
+    mu0 = _require(data, "mu0", float, 1.0)
     model = data.get("model", "lorentz")
     gamma = _require(data, "gamma", float)
 
-    T = data.get("T")
+    T = _require(data, "T", float, None)
     if "j" in data and T is not None:
         raise ConfigError("config: give either 'T' or 'j', not both")
     # the Lorentz model and the j -> T window both need omega_star
@@ -162,8 +167,6 @@ def config_from_dict(data, **overrides):
         if j < 1 or j % 2 == 0:
             raise ConfigError(f"config: 'j' must be a positive odd integer, got {j}")
         T = window_T(j, gamma, omega_star)
-    elif T is not None:
-        T = float(T)
 
     if model == "lorentz":
         c_L = _require(data, "c_L", float)
@@ -213,14 +216,14 @@ def config_from_dict(data, **overrides):
     grid = data.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("config: 'grid' must be an object {d, N}")
-    grid_d = float(grid.get("d", 40.0))
-    grid_n = int(grid.get("N", 2000))
+    grid_d = _require(grid, "d", float, 40.0)
+    grid_n = _require(grid, "N", int, 2000)
     if grid_n % 2 != 0:
         grid_n -= 1          # odd values are node counts; N = nodes - 1
     if grid_d <= 0 or grid_n < 4:
         raise ConfigError(f"config: invalid grid d={grid_d}, N={grid_n}")
 
-    nu_max = int(data.get("nu_max", 5))
+    nu_max = _require(data, "nu_max", int, 5)
     if nu_max < 1:
         raise ConfigError(f"config: nu_max must be >= 1, got {nu_max}")
     solver = data.get("solver", "fd")
@@ -229,8 +232,9 @@ def config_from_dict(data, **overrides):
 
     omega0 = data.get("omega0")
     if omega0 is not None:
-        if isinstance(omega0, list) and len(omega0) == 2:
-            omega0 = complex(omega0[0], omega0[1])
+        if (isinstance(omega0, list) and len(omega0) == 2
+                and all(map(_is_real, omega0))):
+            omega0 = complex(*omega0)
         else:
             raise ConfigError("config: 'omega0' must be a [real, imag] pair")
 
@@ -239,7 +243,7 @@ def config_from_dict(data, **overrides):
         k=_require(data, "k", float),
         grid_d=grid_d,
         grid_n=grid_n,
-        eps=float(data.get("eps", 0.5)),
+        eps=_require(data, "eps", float, 0.5),
         nu_max=nu_max,
         solver=solver,
         T=T,

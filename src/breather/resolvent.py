@@ -292,10 +292,6 @@ class SampledRHS:
             raise ValueError("r3 must have length N (half nodes)")
 
     @classmethod
-    def zero(cls, grid):
-        return cls(grid, np.zeros(grid.N + 1), np.zeros(grid.N))
-
-    @classmethod
     def from_sides(cls, grid, minus, plus):
         """Sample per-side callables (f1, f2[, f3]) on the grid.
 

@@ -17,10 +17,13 @@ sources, all of them views of one read-only zero array.
 The chi2/chi3 transforms are a coupling tensor times a scalar transform
 that is symmetric in its frequency arguments, and every ordering of a
 term's factors lies in the cone with it.  So each source is summed once
-per multiset of factors: its multiplicity times the scalar transform
-times the coupling tensor averaged over its field indices, restricted to
-the in-plane components and to its nonzero entries (two product chains
-per term for diagonal tensors).  This is exact for any coupling tensor.
+per multiset of factors: its number of orderings times the scalar
+transform times the coupling tensor averaged over its field indices,
+restricted to the in-plane components and to its nonzero entries (two
+product chains per term for diagonal tensors).  This is exact for any
+coupling tensor.  The multisets are enumerated directly, sorted, by
+``_cone_multisets``; the sum runs over the quadratic ones, then the
+cubic ones, each in ascending level tuples and then ascending m.
 Before each level, the distinct chi2/chi3 frequency tuples its sources
 need are evaluated in one batch per transform order, and the assembly
 then reads them from the transform cache.
@@ -40,7 +43,6 @@ import functools
 import itertools
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,53 +214,50 @@ def _active_sides(ctx):
             if ctx.interface.nl_side(s) is not None]
 
 
-def _source_terms(n, nu):
-    """Factor indices of the ordered terms of h^{n,nu}, in summation order.
+def _cone_multisets(nu, order, step):
+    """Multisets of ``order`` cone points (m, mu), |m| <= mu, whose levels
+    sum to nu, each as its factors sorted by (mu, m).
 
-    Yields ((m, mu), (n-m, nu-mu)) for the quadratic sum, then
-    ((m, mu), (l, lam), (n-m-l, nu-mu-lam)) for the cubic one, clipped to
-    the cone.  Terms with a factor of odd parity (m + mu odd) are
-    skipped: those harmonics vanish identically, and so does every
-    source with n + nu odd.  Cone membership and parity are properties
-    of each factor, so every ordering of a yielded tuple is yielded too;
-    ``_factor_multisets`` groups them.
+    The outer loops run over the non-decreasing level tuples in
+    lexicographic order, the inner ones over the m values, each starting
+    at the previous factor's m where the levels are equal.  step = 2
+    keeps only the factors with m + mu even, step = 1 all of them.
     """
-    if (n + nu) % 2:
+    if order == 2:
+        for mu in range(1, nu // 2 + 1):
+            lam = nu - mu
+            for m in range(-mu, mu + 1, step):
+                for l in range(m if lam == mu else -lam, lam + 1, step):
+                    yield (m, mu), (l, lam)
         return
-    for mu in range(1, nu):
-        mu2 = nu - mu
-        for mm in range(max(-mu, n - mu2), min(mu, n + mu2) + 1):
-            if (mm + mu) % 2 == 0:
-                yield (mm, mu), (n - mm, mu2)
-    for mu in range(1, nu - 1):
-        for lam in range(1, nu - mu):
-            kap = nu - mu - lam
-            for mm in range(-mu, mu + 1):
-                if (mm + mu) % 2:
-                    continue
-                rem = n - mm
-                for ll in range(max(-lam, rem - kap), min(lam, rem + kap) + 1):
-                    if (ll + lam) % 2 == 0:
-                        yield (mm, mu), (ll, lam), (rem - ll, kap)
+    for mu in range(1, nu // 3 + 1):
+        for lam in range(mu, (nu - mu) // 2 + 1):
+            rho = nu - mu - lam
+            for m in range(-mu, mu + 1, step):
+                for l in range(m if lam == mu else -lam, lam + 1, step):
+                    for p in range(l if rho == lam else -rho, rho + 1, step):
+                        yield (m, mu), (l, lam), (p, rho)
 
 
 @functools.cache
-def _factor_multisets(n, nu):
-    """The terms of ``_source_terms(n, nu)`` grouped by factor multiset.
+def _factor_multisets(nu):
+    """The factor multisets of every source of level nu, by harmonic.
 
-    Returns ((factors, number of orderings), ...), one entry per
-    multiset in order of first appearance; the multiplicities add up to
-    the number of ordered terms.  Each multiset is represented by its
-    first ordering in summation order; the transform cache gives every
-    ordering the same bits.
+    Returns {n: ((factors, number of orderings), ...)} for |n| <= nu,
+    quadratic multisets before cubic ones, each group in the order of
+    ``_cone_multisets``: this is the summation order.  Only factors with
+    m + mu even enter (the others vanish), so the groups with n + nu odd
+    are empty.  The number of orderings is order! / prod(run lengths!)
+    of the sorted factors.
     """
-    first = {}
-    counts = Counter()
-    for factors in _source_terms(n, nu):
-        key = tuple(sorted(factors))
-        first.setdefault(key, factors)
-        counts[key] += 1
-    return tuple((first[key], mult) for key, mult in counts.items())
+    groups = {n: [] for n in range(-nu, nu + 1)}
+    for order in (2, 3):
+        for factors in _cone_multisets(nu, order, 2):
+            runs = math.prod(math.factorial(len(list(g)))
+                             for _, g in itertools.groupby(factors))
+            groups[sum(f[0] for f in factors)].append(
+                (factors, math.factorial(order) // runs))
+    return {n: tuple(g) for n, g in groups.items()}
 
 
 @functools.cache
@@ -285,9 +284,9 @@ def _fill_level_cache(ctx, nu):
     nls = {id(nl): nl for nl in map(ctx.interface.nl_side, _active_sides(ctx))}
     if not nls:
         return
+    groups = _factor_multisets(nu)
     tuples = [tuple(ctx.omega(*f) for f in factors)
-              for n in range(0, nu + 1)
-              for factors, _ in _factor_multisets(n, nu)]
+              for n in range(0, nu + 1) for factors, _ in groups[n]]
     for nl in nls.values():
         nl.fill_cache(tuples)
 
@@ -338,7 +337,7 @@ def assemble_h(ctx, table, n, nu):
 
     cache = {} if table._samples is None else table._samples
     conj = {}       # negative factors' conjugated slices, for this call
-    for factors, mult in _factor_multisets(n, nu):
+    for factors, mult in _factor_multisets(nu)[n]:
         samples = []
         for f in factors:
             key = (abs(f[0]), f[1])     # u^(-m,mu) = conj(u^(m,mu))

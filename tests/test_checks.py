@@ -156,6 +156,31 @@ class TestCouplingBounds:
         assert out["gamma_profile"] == profile(
             3, c3max, nl._scalar_chi3_truncated)
 
+    def test_samples_every_multiset_once(self, ctx, nl, monkeypatch):
+        """The sweep samples one ordering of every multiset of cone points
+        of either parity, none twice."""
+        nu_max = 5
+        sampled = []
+        fill = NonlinearSusceptibility.fill_cache
+
+        def spy(self, tuples):
+            tuples = list(tuples)
+            sampled.extend(tuples)
+            return fill(self, tuples)
+
+        monkeypatch.setattr(NonlinearSusceptibility, "fill_cache", spy)
+        gamma_bound_sweep(ctx, nl, nu_max)
+        cone = [(n, nu) for nu in range(1, nu_max) for n in range(-nu, nu + 1)]
+        want = {tuple(sorted(fs)) for order in (2, 3)
+                for fs in itertools.product(cone, repeat=order)
+                if sum(f[1] for f in fs) <= nu_max}
+
+        def key(ws):
+            return tuple(sorted((w.real, w.imag) for w in ws))
+
+        assert sorted(map(key, sampled)) == sorted(
+            key([ctx.omega(*f) for f in fs]) for fs in want)
+
 
 class TestDrudeDemo:
     def test_param_validation(self):

@@ -244,6 +244,19 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("verb, key", [("eigen", "nu_max"),
+                                           ("drude-demo", "c_D")])
+    def test_malformed_value_exit_two(self, tmp_path, capsys, verb, key):
+        data = read_json(default_config_path())
+        data[key] = "x"
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code = main([verb, "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"'{key}'" in err["message"]
+
     def test_check_without_memory_window_exit_two(self, tmp_path, capsys):
         """With no 'j' or 'T' the minus side is untruncated: the cone
         cannot be classified, and check says so instead of crashing."""

@@ -94,6 +94,28 @@ class TestValidation:
         assert cfg.interface.nl_minus is None
         assert cfg.interface.nl_plus is None
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("eps0", "x", "'eps0' must be float"),
+        ("mu0", [1.0], "'mu0' must be float"),
+        ("T", "100", "'T' must be float"),
+        ("eps", "0.5", "'eps' must be float"),
+        ("nu_max", "x", "'nu_max' must be int"),
+        ("nu_max", 2.9, "'nu_max' must be int"),
+        ("nu_max", True, "'nu_max' must be int"),
+        ("grid", {"d": "40", "N": 2000}, "'d' must be float"),
+        ("grid", {"d": 40.0, "N": 300.9}, "'N' must be int"),
+        ("c2", "x", "'c2'"),
+        ("c2", [[["x"] * 3] * 3] * 3, "'c2'"),
+        ("c3", [[1.0, 2.0]], "'c3'"),
+        ("omega0", ["1.8", -0.1], "omega0"),
+        ("omega0", [1.8, None], "omega0"),
+    ])
+    def test_malformed_value(self, key, value, match):
+        """Every typed field is type-checked: a malformed value raises
+        ConfigError naming it, and no float is truncated to an int."""
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({**base_dict(), key: value})
+
     def test_explicit_omega0_pair(self):
         d = {**base_dict(), "omega0": [1.8178532310080142,
                                        -0.14883348930017135]}

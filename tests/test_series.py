@@ -28,9 +28,9 @@ from breather.resolvent import (
     solve_fd,
 )
 from breather.series import (
+    _cone_multisets,
     _factor_multisets,
     _side_samples,
-    _source_terms,
     _synthesize_complex,
     assemble_h,
     build_series,
@@ -332,25 +332,62 @@ class TestGeneralCouplings:
                         assert np.max(np.abs(a[r] - b[r])) <= 1e-14 * scale
 
 
+def _ordered_cone_tuples(order, step, nu_max):
+    """{nu: [every ordered tuple of ``order`` cone points (m, mu), |m| <=
+    mu, with m + mu even for step 2, whose levels sum to nu]} for nu <=
+    nu_max: a brute-force scan of the cone's order-fold product."""
+    cone = np.array([(m, mu) for mu in range(1, nu_max)
+                     for m in range(-mu, mu + 1) if (m + mu) % step == 0])
+    level = sum(np.ix_(*[cone[:, 1]] * order))
+    out = {nu: [] for nu in range(nu_max + 1)}
+    for idx in np.argwhere(level <= nu_max):
+        fs = tuple(map(tuple, cone[idx].tolist()))
+        out[sum(f[1] for f in fs)].append(fs)
+    return out
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_cone_multisets_match_brute_force(step):
+    """Every ordered tuple of cone points sorts to exactly one yielded
+    multiset, which is yielded once, its factors sorted by (mu, m), in
+    ascending level tuples and then ascending m."""
+    for order in (2, 3):
+        ordered = _ordered_cone_tuples(order, step, 12)
+        for nu, tuples in ordered.items():
+            want = sorted({tuple(sorted(fs, key=lambda f: (f[1], f[0])))
+                           for fs in tuples},
+                          key=lambda fs: ([f[1] for f in fs],
+                                          [f[0] for f in fs]))
+            assert list(_cone_multisets(nu, order, step)) == want
+
+
 def test_factor_multiplicities():
-    """Grouping the ordered terms by multiset loses and adds none."""
+    """The per-level groups lose and add no ordered term: each multiset
+    counts its distinct orderings, the groups with n + nu odd are empty,
+    and each group lists its quadratic, then its cubic multisets in the
+    order of ``_cone_multisets``."""
+    ordered = {order: _ordered_cone_tuples(order, 2, 12) for order in (2, 3)}
     for nu in range(0, 13):
-        for n in range(-nu - 1, nu + 2):
-            ordered = list(_source_terms(n, nu))
-            groups = _factor_multisets(n, nu)
+        groups = _factor_multisets(nu)
+        assert set(groups) == set(range(-nu, nu + 1))
+        for n, group in groups.items():
+            terms = [fs for order in (2, 3) for fs in ordered[order][nu]
+                     if sum(f[0] for f in fs) == n]
             if (n + nu) % 2:
-                assert not ordered and not groups
-            assert sum(mult for _, mult in groups) == len(ordered)
-            assert len(set(ordered)) == len(ordered)
+                assert not terms and group == ()
+            assert sum(mult for _, mult in group) == len(terms)
             perms = set()
-            for factors, mult in groups:
+            for factors, mult in group:
                 distinct = set(itertools.permutations(factors))
                 denom = math.prod(map(math.factorial,
                                       Counter(factors).values()))
                 assert mult == len(distinct)
                 assert mult == math.factorial(len(factors)) // denom
                 perms |= distinct
-            assert perms == set(ordered)
+            assert perms == set(terms)
+            assert [f for f, _ in group] == [
+                fs for order in (2, 3) for fs in _cone_multisets(nu, order, 2)
+                if sum(f[0] for f in fs) == n]
 
 
 class TestFieldDiagnostics:

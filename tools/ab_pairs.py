@@ -9,8 +9,14 @@ imports its own ``src``): the parent first in even pairs, the change
 first in odd ones, both with seed K + pair index.  Prints every pair's
 end-to-end metrics, then each side's failed and attempted operations
 summed over its runs, and per metric the two medians, the parent's
-quartiles and the number of pairs the change won.  The metrics and their
-better direction are read from CHANGE's BENCHMARK.json.
+quartiles and the number of pairs the change won.  The metrics, their
+better direction and their bounds are read from CHANGE's BENCHMARK.json.
+
+Per metric with a bound it also applies the refusal rule: "unresolved"
+when the parent's interquartile distance over its median exceeds the
+bound, otherwise "refused" when the change's median is worse than the
+parent's by more than the bound (relative to the parent's median), and
+"within bound" when it is not.
 """
 
 import argparse
@@ -76,6 +82,13 @@ def main(argv=None):
               f"(quartiles {q1:.4f}, {q3:.4f}; IQR {q3 - q1:.4f}), change "
               f"median {cm:.4f} ({100.0 * (cm - med) / med:+.1f}%), change "
               f"better in {wins}/{len(par)} pairs")
+        if "bound" in m:
+            bound, spread = m["bound"], (q3 - q1) / med
+            worse = (cm - med if lower else med - cm) / med
+            verdict = ("unresolved" if spread > bound
+                       else "refused" if worse > bound else "within bound")
+            print(f"  refusal rule: {verdict} (bound {bound}, change worse "
+                  f"by {worse:+.3f}, parent IQR/median {spread:.3f})")
         print("  parent " + " ".join(f"{v:.4f}" for v in par))
         print("  change " + " ".join(f"{v:.4f}" for v in chg))
     return 0
