@@ -347,9 +347,10 @@ def _run_drude(cfg):
     raw = cfg.raw
     params = DrudeParams(
         c_D=_require(raw, "c_D", float, 4.0),
-        gamma=_require(raw, "gamma", float, 0.5),
-        alpha=_require(raw, "alpha", float, 2.0),
-        k=_require(raw, "k", float, 3.0),
+        # config_from_dict has already required these three
+        gamma=_require(raw, "gamma", float),
+        alpha=_require(raw, "alpha", float),
+        k=_require(raw, "k", float),
         eps0=cfg.interface.eps0,
         mu0=cfg.interface.mu0,
     )

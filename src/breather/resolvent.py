@@ -75,7 +75,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ._scaled import ScaledComplex
 from .errors import OverflowGuard, SingularSystem, SpectrumError, ZeroFrequency
@@ -459,6 +458,8 @@ def spsolve(tri, b, col_star, star):
     g.  This needs only each half-line problem to be nonsingular, never
     a division by an off-diagonal.  zgtsv overwrites tri; b is kept.
     """
+    # imported here, so that the verbs that never solve do not load it
+    from scipy.linalg import lapack
     dl, d, du = tri
     N = d.size
     m = N // 2
@@ -736,6 +737,7 @@ def _decay_sweep(rho, K, band, backward):
     Either is a unit-bidiagonal band solve in place, with -c in every
     entry of the (2, n) ``band``: the unit diagonal is never read.
     """
+    from scipy.linalg import lapack
     y = np.empty(rho.size + 1, dtype=complex)
     f = np.multiply(rho, K, out=y[:-1] if backward else y[1:])
     y[-1 if backward else 0] = 0.0

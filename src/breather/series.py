@@ -23,7 +23,10 @@ restricted to the in-plane components and to its nonzero entries (two
 product chains per term for diagonal tensors).  This is exact for any
 coupling tensor.  The multisets are enumerated directly, sorted, by
 ``_cone_multisets``; the sum runs over the quadratic ones, then the
-cubic ones, each in ascending level tuples and then ascending m.
+cubic ones, each in ascending level tuples and then ascending m.  It
+walks x in tiles of a few thousand points, reading the stored fields
+(``assemble_h``); tiles keep that order and the untiled sum's element
+alignment, so tiling moves no bit.
 Before each level, the distinct chi2/chi3 frequency tuples its sources
 need are evaluated in one batch per transform order, and the assembly
 then reads them from the transform cache.
@@ -127,8 +130,7 @@ class CoefficientTable:
     identically zero).  The nonlinear sources of each level are kept for
     the displacement-field reconstruction.  Every zero entry and zero
     source views ``_zero``, one read-only array of N+2 zeros.  A built
-    table holds nothing else: the factor samples (``_samples``) live for
-    one build.
+    table holds nothing else.
     """
 
     ctx: object
@@ -138,7 +140,6 @@ class CoefficientTable:
     entries: dict = field(default_factory=dict)
     h_entries: dict = field(default_factory=dict)
     norms: dict = field(default_factory=dict)
-    _samples: dict = field(default=None, init=False, repr=False)
     _zero: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -176,33 +177,50 @@ def _conj_cached(gf):
 
 
 # ----------------------------------------------------------------------
-# Grid-function component samples per side and node family
+# Grid-function component samples per node family, one tile at a time
 # ----------------------------------------------------------------------
 
-def _side_samples(gf):
-    """Whole-grid arrays of (u1, u2) on both node families.
+# points per tile of the source assembly.  A multiple of any vector width:
+# numpy's vectorized complex multiply may fuse multiply and add, so an
+# element's last bit can depend on its place in the vector loop, and
+# tiles that start on the untiled loop's alignment keep every bit
+_TILE = 8192
 
-    Returns (int_comps, half_comps), where int_comps[p] and half_comps[p]
-    (p = 0 for u1, 1 for u2) are the samples on the integer nodes, in the
-    integer-node layout of ``resolvent`` (minus side [:m+1] ending with
-    the left interface limits, plus side [m+1:] ending with the right
-    ones), and on the half nodes (minus side [:m], plus side [m:]);
-    int_comps[0] is gf's stored u1 itself.  u1 is interpolated to half
-    nodes by 2-point averaging (one-sided extrapolation from the two
-    nodes right of the interface in the cell next to it); u2 is averaged
-    onto integer nodes, with the exact interface value V[N] as both of
-    its limits.  Every weight is real, so the samples of conj(gf) are the
-    conjugates of these.
+
+def _tile_samples(gf, j, p, a, b, out):
+    """Component p of gf (0: u1, 1: u2) on the nodes [a, b) of family j
+    (0: integer nodes in the integer-node layout of ``resolvent``, minus
+    side [:m+1], plus side [m+1:] with the right limit last; 1: half
+    nodes, minus side [:m], plus side [m:]).
+
+    A component on its own family is a view of the stored field: u1 is
+    ``gf._U``, u2 is ``V[:N]``.  The other two are formed in out: u2 is
+    averaged onto integer nodes, zero at the walls and with the exact
+    interface value V[N] as both of its limits; u1 is averaged onto half
+    nodes, with one-sided extrapolation from the two nodes right of the
+    interface in the cell next to it.  Every weight is real, so the
+    samples of conj(gf) are the conjugates of these.
     """
-    u1, V, N, m = gf._U, gf.V, gf.grid.N, gf.grid.mid
-    u2_int = np.zeros(N + 2, dtype=complex)
-    np.add(V[: N - 1], V[1:N], out=u2_int[1:N])
-    u2_int *= 0.5
-    u2_int[m] = u2_int[N + 1] = V[N]
-    u1_half = np.add(u1[:N], u1[1: N + 1])
-    np.multiply(0.5, u1_half, out=u1_half)
-    u1_half[m] = 1.5 * u1[m + 1] - 0.5 * u1[m + 2]
-    return ((u1, u2_int), (u1_half, V[:N]))
+    if j == p:
+        return (gf._U if j == 0 else gf.V)[a:b]
+    N, m = gf.grid.N, gf.grid.mid
+    if j == 0:
+        V = gf.V
+        lo = max(a, 1)
+        hi = max(min(b, N), lo)
+        avg = out[lo - a: hi - a]
+        np.add(V[lo - 1: hi - 1], V[lo:hi], out=avg)
+        avg *= 0.5
+        for i, v in ((0, 0.0), (N, 0.0), (m, V[N]), (N + 1, V[N])):
+            if a <= i < b:
+                out[i - a] = v
+        return out
+    u1 = gf._U
+    np.add(u1[a:b], u1[a + 1: b + 1], out=out)
+    np.multiply(0.5, out, out=out)
+    if a <= m < b:
+        out[m - a] = 1.5 * u1[m + 1] - 0.5 * u1[m + 2]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +319,14 @@ def assemble_h(ctx, table, n, nu):
     term with the coupling tensor averaged over its field indices
     (``_symmetric_couplings``); this holds for any coupling tensor.
 
-    A negative-n factor enters its product chains as the conjugated
-    samples of its n >= 0 entry, each used slice conjugated once per call.
-    Samples come from the build's cache inside ``build_series`` and from
-    the entries as they stand outside.
+    Each material's node ranges are walked in tiles of ``_TILE`` points
+    from the range's first node.  A tile reads its factors from the
+    entries as they stand (``_tile_samples``), and forms only the
+    averaged samples its couplings ask for and the conjugates of its
+    negative-n factors, once per tile, in tile-sized scratch allocated
+    once per call: only h1 and h2 are N-sized.  Each node receives its
+    terms in the order of the untiled sum: multisets in
+    ``_factor_multisets`` order, then couplings.
 
     Needs all table entries with level < nu and raises ValueError naming
     the first one missing.  Returns a NonlinearRHS; for nu = 1, |n| > nu
@@ -328,50 +350,57 @@ def assemble_h(ctx, table, n, nu):
     for side in sides:
         nl = itf.nl_side(side)
         by_nl.setdefault(id(nl), (nl, []))[1].append(side)
-    materials = []
-    for nl, nl_sides in by_nl.values():
-        rng = tuple(map(slice, start[nl_sides[0]], stop[nl_sides[-1]]))
-        # per source component: the product
-        terms = tuple(np.empty(r.stop - r.start, dtype=complex) for r in rng)
-        materials.append((nl, rng, terms))
+    materials = [(nl, tuple(map(slice, start[s[0]], stop[s[-1]])))
+                 for nl, s in by_nl.values()]
 
-    cache = {} if table._samples is None else table._samples
-    conj = {}       # negative factors' conjugated slices, for this call
+    # per material and source component: its terms (factors, field
+    # component of each factor, coefficient) in summation order, and the
+    # (factor, field component) samples they read
+    walks = [(j, r, [], {})
+             for _, rng in materials for j, r in enumerate(rng)]
+    entries = {}
     for factors, mult in _factor_multisets(nu)[n]:
-        samples = []
         for f in factors:
             key = (abs(f[0]), f[1])     # u^(-m,mu) = conj(u^(m,mu))
-            if key not in cache:
-                gf = table.get(*key)
-                if gf is None:
+            if key not in entries:
+                entries[key] = table.get(*key)
+                if entries[key] is None:
                     raise ValueError(
                         f"h^({n},{nu}) needs the table entry "
                         f"u^({f[0]},{f[1]}), which is missing")
-                cache[key] = _side_samples(gf)
-            samples.append((f, cache[key]))
         ws = [ctx.omega(*f) for f in factors]
         order = len(factors)
-        for i, (nl, rng, terms) in enumerate(materials):
+        for i, (nl, _) in enumerate(materials):
             chi = (nl._scalar_chi2_truncated if order == 2
                    else nl._scalar_chi3_truncated)(*ws)
             coef = pref[order] * mult * chi
-            # j: source component; comps: field component of each factor
             for j, comps, c in _couplings(nl, order):
-                ops = []
-                for (f, s_), p in zip(samples, comps):
-                    if f[0] >= 0:
-                        ops.append(s_[j][p][rng[j]])
-                        continue
-                    ck = (f, j, p, i)
-                    if ck not in conj:
-                        conj[ck] = np.conjugate(s_[j][p][rng[j]])
-                    ops.append(conj[ck])
-                term = terms[j]
+                _, _, terms, reads = walks[2 * i + j]
+                terms.append((factors, comps, coef * c))
+                reads.update(dict.fromkeys(zip(factors, comps)))
+    # a conjugated or averaged sample takes a scratch row, the product one
+    rows = 1 + max(sum(f[0] < 0 or p != j for f, p in reads)
+                   for j, _, _, reads in walks)
+    width = min(_TILE, max(r.stop - r.start for _, r, _, _ in walks))
+    scratch = np.empty((rows, width), dtype=complex)
+
+    for j, r, terms, reads in walks:
+        for a in range(r.start, r.stop, _TILE):
+            b = min(a + _TILE, r.stop)
+            free = iter(scratch[:, : b - a])
+            term = next(free)
+            samples = {}
+            for f, p in reads:
+                out = None if f[0] >= 0 and p == j else next(free)
+                s = _tile_samples(entries[abs(f[0]), f[1]], j, p, a, b, out)
+                samples[f, p] = np.conjugate(s, out=out) if f[0] < 0 else s
+            acc = h[j][a:b]
+            for factors, comps, c in terms:
+                ops = [samples[fp] for fp in zip(factors, comps)]
                 np.multiply(ops[0], ops[1], out=term)
                 for op in ops[2:]:
                     term *= op
-                term *= coef * c
-                acc = h[j][rng[j]]
+                term *= c
                 acc += term
 
     h1, h2 = h
@@ -448,8 +477,6 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
         return h, gf
 
     growth = 0
-    # factor samples, filled by assemble_h and dropped with the build
-    table._samples = {}
     for nu in range(2, nu_max + 1):
         _fill_level_cache(ctx, nu)
         lvl = 0.0
@@ -474,7 +501,6 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
                 growth = 0
         else:
             growth = 0
-    table._samples = None
     return table
 
 

@@ -349,18 +349,39 @@ class TestLogging:
 
 
 class TestImportFootprint:
-    def test_cli_skips_sparse_and_signal(self):
-        """Neither scipy.sparse nor scipy.signal is loaded by the CLI; each
-        costs start-up time and resident memory on every verb."""
+    @staticmethod
+    def loaded_after(code, modules):
+        """The modules of ``modules`` loaded after running code in a fresh
+        interpreter on this package's source."""
         src = os.path.dirname(os.path.dirname(breather.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import sys, breather.cli; print(sorted(m for m in "
-                "('scipy.sparse', 'scipy.signal') if m in sys.modules))")
+        code += (f"\nimport sys; print(sorted(m for m in {modules!r} "
+                 "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_cli_skips_sparse_and_signal(self):
+        """Neither scipy.sparse nor scipy.signal is loaded by the CLI; each
+        costs start-up time and resident memory on every verb."""
+        modules = ("scipy.sparse", "scipy.signal")
+        assert self.loaded_after("import breather.cli", modules) == "[]"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (None, "[]"),
+        (["spectrum"], "[]"),
+        (["check", "--nu-max", "6"], "[]"),
+        (["breather", "--nu-max", "2", "--grid-n", "4"], "['scipy.linalg']"),
+    ], ids=["import", "spectrum", "check", "breather"])
+    def test_only_a_solve_loads_linalg(self, tmp_path, argv, loaded):
+        """scipy.linalg is imported where a solve runs, so neither the
+        import of the CLI nor the verbs that run no solve load it."""
+        code = "from breather.cli import main"
+        if argv is not None:
+            code += f"\nassert main({argv + ['--out', str(tmp_path)]!r}) == 0"
+        assert self.loaded_after(code, ("scipy.linalg",)) == loaded
 
 
 class TestPublicNames:

@@ -27,11 +27,12 @@ from breather.resolvent import (
     solve_analytic,
     solve_fd,
 )
+import breather.series as series
 from breather.series import (
     _cone_multisets,
     _factor_multisets,
-    _side_samples,
     _synthesize_complex,
+    _tile_samples,
     assemble_h,
     build_series,
     d_field_modal,
@@ -46,6 +47,32 @@ from breather.susceptibility import (
     ft_chi2_truncated,
     ft_chi3_truncated,
 )
+
+
+def _side_samples(gf):
+    """Whole-grid arrays of (u1, u2) on both node families: the oracle of
+    ``_tile_samples``.
+
+    Returns (int_comps, half_comps), where int_comps[p] and half_comps[p]
+    (p = 0 for u1, 1 for u2) are the samples on the integer nodes, in the
+    integer-node layout of ``resolvent`` (minus side [:m+1] ending with
+    the left interface limits, plus side [m+1:] ending with the right
+    ones), and on the half nodes (minus side [:m], plus side [m:]);
+    int_comps[0] is gf's stored u1 itself.  u1 is interpolated to half
+    nodes by 2-point averaging (one-sided extrapolation from the two
+    nodes right of the interface in the cell next to it); u2 is averaged
+    onto integer nodes, with the exact interface value V[N] as both of
+    its limits.
+    """
+    u1, V, N, m = gf._U, gf.V, gf.grid.N, gf.grid.mid
+    u2_int = np.zeros(N + 2, dtype=complex)
+    np.add(V[: N - 1], V[1:N], out=u2_int[1:N])
+    u2_int *= 0.5
+    u2_int[m] = u2_int[N + 1] = V[N]
+    u1_half = np.add(u1[:N], u1[1: N + 1])
+    np.multiply(0.5, u1_half, out=u1_half)
+    u1_half[m] = 1.5 * u1[m + 1] - 0.5 * u1[m + 2]
+    return ((u1, u2_int), (u1_half, V[:N]))
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +256,35 @@ class TestAssembledSources:
                               0.5 * (U[m + 1: -1] + U[m + 2:]))
         assert u1_half[m] == 1.5 * U[m + 1] - 0.5 * U[m + 2]
 
+    def test_tile_samples_match_whole_grid(self):
+        """Per tile, each component on each node family equals the
+        whole-grid samples bit for bit, over tile cuts at m, m+1, N and
+        N+1 (where they fall inside the family) and at all of them at
+        once; a stored component on its own family is a view."""
+        g = StaggeredGrid(40.0, 40)
+        rng = np.random.default_rng(11)
+        U, V = (rng.standard_normal((2, g.N + 1))
+                + 1j * rng.standard_normal((2, g.N + 1)))
+        gf = GridFunction(g, U, V, u1_right=2.5 - 1j)
+        whole = _side_samples(gf)
+        m, N = g.mid, g.N
+        cuts = (m, m + 1, N, N + 1)
+        for j, size in ((0, N + 2), (1, N)):
+            inner = [c for c in cuts if 0 < c < size]
+            for tiles in [[c] for c in inner] + [inner]:
+                edges = [0, *tiles, size]
+                for p in (0, 1):
+                    parts = []
+                    for a, b in zip(edges[:-1], edges[1:]):
+                        out = np.full(b - a, np.nan, dtype=complex)
+                        s = _tile_samples(gf, j, p, a, b, out)
+                        if j == p:
+                            field = gf._U if j == 0 else gf.V
+                            assert np.shares_memory(s, field)
+                        parts.append(s.copy())
+                    got = np.concatenate(parts)
+                    assert np.array_equal(got, whole[j][p]), (j, p, tiles)
+
     def test_assembly_reads_entries_as_they_are(self, ctx):
         """Outside a build, the sources are products of the entries as
         they stand: doubling u^(1,1) quadruples the quadratic h^(2,2)."""
@@ -302,11 +358,20 @@ class TestGeneralCouplings:
                              [["minus"], ["plus"], ["minus", "plus"]],
                              ids=["minus", "plus", "both"])
     def test_sources_match_ordered_sum(self, general_coupling_ctx,
-                                       nonlinear_sides):
+                                       nonlinear_sides, monkeypatch):
         """The multiset sum with symmetrized couplings equals the ordered
         sum for coupling tensors without any index symmetry, with a
         different material on each side or a linear side; a linear
-        side's sources, its interface limit included, are exactly zero."""
+        side's sources, its interface limit included, are exactly zero.
+        Tiles of 96 points cut every node range into at least three, the
+        interface nodes m and m+1 inside a tile of the two-sided range,
+        so the averaged samples are formed per tile and the plus side's
+        integer-node tiles start at m+1."""
+        monkeypatch.setattr(series, "_TILE", 96)
+        grid = StaggeredGrid(40.0, 400)
+        m = grid.mid
+        assert m // 96 == (m + 1) // 96 and m % 96
+        assert min(m, grid.N - m) > 2 * 96
         itf = general_coupling_ctx.interface
         assert itf.nl_minus is not itf.nl_plus
         ctx = PencilContext(
@@ -314,9 +379,8 @@ class TestGeneralCouplings:
                 minus=itf.minus, plus=itf.plus,
                 **{f"nl_{s}": itf.nl_side(s) for s in nonlinear_sides}),
             k=general_coupling_ctx.k, omega0=general_coupling_ctx.omega0)
-        table = build_series(ctx, StaggeredGrid(40.0, 400), eps=0.5,
-                             nu_max=4, solver="fd")
-        ranges = _side_ranges(table.grid)
+        table = build_series(ctx, grid, eps=0.5, nu_max=4, solver="fd")
+        ranges = _side_ranges(grid)
         for nu in range(2, table.nu_max + 1):
             for n in range(0, nu + 1):
                 h = assemble_h(ctx, table, n, nu)
@@ -476,7 +540,34 @@ class TestBuildMemory:
         assert abs(after - held) <= 0.001 * own
         for gf in table.entries.values():
             assert set(vars(gf)) == {"grid", "_U", "V", "_W", "residual"}
+        assert set(vars(table)) == {"ctx", "grid", "eps", "nu_max", "entries",
+                                    "h_entries", "norms", "_zero"}
         assert table.get(-2, 2) is table.get(-2, 2)
+
+    def test_source_peak_is_outputs_plus_tiles(self, ctx, monkeypatch):
+        """One assemble_h call at N 20000 peaks at its outputs h1 and h2
+        plus one tile-sized scratch row for the product and one for each
+        conjugated factor, a bound that does not grow with N; and cutting
+        the ranges into tiles moves no bit against one tile each."""
+        grid = StaggeredGrid(40.0, 20000)
+        table = build_series(ctx, grid, eps=0.5, nu_max=3, solver="fd")
+        n, nu = 0, 4
+        conjugated = {f for factors, _ in _factor_multisets(nu)[n]
+                      for f in factors if f[0] < 0}
+        assert series._TILE < grid.N // 2 and len(conjugated) == 3
+        tracemalloc.start()
+        try:
+            h = assemble_h(ctx, table, n, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = h._h1.nbytes + h.h2.nbytes
+        rows = 1 + len(conjugated)
+        assert peak <= outputs + rows * series._TILE * 16 + 64 * 1024
+        monkeypatch.setattr(series, "_TILE", grid.N + 2)
+        one = assemble_h(ctx, table, n, nu)
+        assert np.array_equal(one._h1, h._h1)
+        assert np.array_equal(one.h2, h.h2)
 
     def test_zero_harmonics_share_one_read_only_array(self, ctx):
         """Every n + nu odd entry (U, V, W) and source (h1, h2) views one
