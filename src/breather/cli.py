@@ -1,4 +1,4 @@
-"""Command-line driver: spectrum, eigen, breather, check, converge, drude-demo.
+"""Command-line driver: spectrum, eigen, breather, check, converge.
 
 Every verb reads one JSON config (``--config``, bundled example when
 omitted) and writes deterministic CSV/JSON/SVG artifacts into ``--out``.
@@ -367,17 +367,6 @@ def _run_drude(cfg):
     }
 
 
-def cmd_drude_demo(cfg, out, args):
-    result = _run_drude(cfg)
-    _write_json(os.path.join(out, "drude_demo.json"), result)
-    print(f"drude-demo: {result['untruncated_count']} untruncated roots "
-          "in the strip")
-    for T, c in result["counts"]:
-        print(f"drude-demo: T={T:g} count="
-              f"{'contour-failed' if c is None else c}")
-    return 0
-
-
 def manufactured_rhs(ctx, n=1, nu=2):
     """Operator-consistent smooth forcing for grid-refinement studies.
 
@@ -503,10 +492,6 @@ def _build_parser():
     p.add_argument("--n-list", default="2000,4000,8000")
     p.add_argument("--t-schedule", default="51,101,201,401,801,1601")
     p.set_defaults(func=cmd_converge)
-
-    p = common(sub.add_parser("drude-demo", help="truncation zero counts "
-                              "for the lossy metal"))
-    p.set_defaults(func=cmd_drude_demo)
 
     return parser
 

@@ -147,28 +147,19 @@ def _node_layout(grid, f, right, name, default=None):
                      f"limit, or length N+2")
 
 
-def _left_limits(name):
-    """The first N+1 values of the stored integer-node samples ``name``
-    (the left limit at N/2), as a property; assignment writes them."""
-    def get(self):
-        f = getattr(self, name)
-        return None if f is None else f[:-1]
+def _limits(name):
+    """The first N+1 values (the left limit at N/2) and the last value
+    (the right interface limit) of the stored integer-node samples
+    ``name``, as two properties; assignment writes the stored array."""
+    def limit(index):
+        def get(self):
+            f = getattr(self, name)
+            return None if f is None else f[index]
 
-    def put(self, value):
-        getattr(self, name)[:-1] = value
-    return property(get, put)
-
-
-def _right_limit(name):
-    """The right interface limit of the stored integer-node samples
-    ``name`` (their last value), as a property; assignment writes it."""
-    def get(self):
-        f = getattr(self, name)
-        return None if f is None else f[-1]
-
-    def put(self, value):
-        getattr(self, name)[-1] = value
-    return property(get, put)
+        def put(self, value):
+            getattr(self, name)[index] = value
+        return property(get, put)
+    return limit(slice(-1)), limit(-1)
 
 
 class GridFunction:
@@ -188,8 +179,8 @@ class GridFunction:
     layout, without right limits; they are then stored without a copy.
     """
 
-    U, u1_right = _left_limits("_U"), _right_limit("_U")
-    W, w_right = _left_limits("_W"), _right_limit("_W")
+    U, u1_right = _limits("_U")
+    W, w_right = _limits("_W")
 
     def __init__(self, grid, U, V, u1_right=None, W=None, w_right=None,
                  residual=None):
@@ -277,7 +268,7 @@ class SampledRHS:
     r3 on half nodes (only the analytic solver accepts a nonzero r3).
     """
 
-    r1, r1_right = _left_limits("_r1"), _right_limit("_r1")
+    r1, r1_right = _limits("_r1")
 
     def __init__(self, grid, r1, r2, r1_right=None, r3=None):
         N = grid.N

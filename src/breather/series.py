@@ -11,8 +11,8 @@ enforces u^{-n,nu} = conj(u^{n,nu}) exactly.
 Seeded at (1, 1), the quadratic and cubic sums preserve the parity of
 n - nu, so every harmonic with n + nu odd vanishes identically.  The
 sources skip every term with such a factor and return zero for those
-harmonics outright; the table still stores their (zero) entries and
-sources, all of them views of one read-only zero array.
+harmonics outright.  The table stores their (zero) entries as views of
+one read-only zero array, and no source: each is assembled when read.
 
 The chi2/chi3 transforms are a coupling tensor times a scalar transform
 that is symmetric in its frequency arguments, and every ordering of a
@@ -46,6 +46,8 @@ import functools
 import itertools
 import math
 import warnings
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +67,9 @@ from .resolvent import (
     _cell_diff,
     _homogeneous_part,
     _interp_sides,
-    _left_limits,
+    _limits,
     _node_knots,
     _node_layout,
-    _right_limit,
     _times_sides,
     _u2_prime,
     solve_analytic,
@@ -105,7 +106,7 @@ class NonlinearRHS:
     polarization.
     """
 
-    h1, h1_right = _left_limits("_h1"), _right_limit("_h1")
+    h1, h1_right = _limits("_h1")
 
     def __init__(self, grid, h1, h2, h1_right=None):
         self.grid = grid
@@ -127,10 +128,10 @@ class CoefficientTable:
 
     Only n >= 0 is stored; ``get`` serves negative harmonics as exact
     conjugates and returns None outside the cone (those entries are
-    identically zero).  The nonlinear sources of each level are kept for
-    the displacement-field reconstruction.  Every zero entry and zero
-    source views ``_zero``, one read-only array of N+2 zeros.  A built
-    table holds nothing else.
+    identically zero).  Every zero entry views ``_zero``, one read-only
+    array of N+2 zeros.  A built table holds nothing else: ``h_entries``
+    assembles each source on every read, so a caller that reads one twice
+    should hold it.
     """
 
     ctx: object
@@ -138,11 +139,12 @@ class CoefficientTable:
     eps: float
     nu_max: int
     entries: dict = field(default_factory=dict)
-    h_entries: dict = field(default_factory=dict)
+    h_entries: Mapping = field(init=False, repr=False)
     norms: dict = field(default_factory=dict)
     _zero: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.h_entries = _Sources(self)
         self._zero = np.zeros(self.grid.N + 2, dtype=complex)
         self._zero.flags.writeable = False
 
@@ -152,28 +154,51 @@ class CoefficientTable:
                             self._zero[: self.grid.N])
 
     def get(self, n, nu):
-        if abs(n) > nu or nu < 1 or nu > self.nu_max:
-            return None
-        if n >= 0:
-            return self.entries.get((n, nu))
-        gf = self.entries.get((-n, nu))
-        return None if gf is None else _conj_cached(gf)
+        gf = self.entries.get((abs(n), nu))
+        if n >= 0 or gf is None:
+            return gf
+        if not hasattr(gf, "_conj"):
+            gf._conj = gf.conjugate()   # u^(-n,nu), made once
+        return gf._conj
 
     def get_h(self, n, nu):
-        if abs(n) > nu or nu < 2:
-            return None
-        if n >= 0:
-            return self.h_entries.get((n, nu))
-        h = self.h_entries.get((-n, nu))
-        return None if h is None else h.conjugate_negated()
+        """h^{n,nu}, assembled on each call; None unless u^{|n|,nu} with
+        nu >= 2 is stored."""
+        h = self.h_entries.get((abs(n), nu))
+        return h if n >= 0 or h is None else h.conjugate_negated()
 
 
-def _conj_cached(gf):
-    cached = getattr(gf, "_conj", None)
-    if cached is None:
-        cached = gf.conjugate()
-        gf._conj = cached
-    return cached
+class _Sources(Mapping):
+    """The sources of a table's stored harmonics with nu >= 2, read only:
+    a read calls ``assemble_h``, which reads lower levels only and so
+    returns the bits the solve consumed.  Holds the table weakly, caches
+    nothing, and deep-copies to a dict of the sources."""
+
+    def __init__(self, table):
+        self._table = weakref.ref(table)
+
+    def _live(self):
+        table = self._table()
+        if table is None:
+            raise ReferenceError("source read after its table was freed")
+        return table
+
+    def __contains__(self, key):
+        return key in self._live().entries and key[1] >= 2
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        return assemble_h(self._live().ctx, self._live(), *key)
+
+    def __iter__(self):
+        return (key for key in self._live().entries if key[1] >= 2)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __deepcopy__(self, memo):
+        return dict(self)
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +473,8 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
     solver: 'fd' (staggered scheme) or 'analytic' (variation of
     constants).  Emits DivergenceWarning when the per-level norms grow
     for three consecutive levels (seed amplitude past the convergence
-    radius).
+    radius).  Each source lives as long as its solve: the table keeps the
+    harmonics only, and ``h_entries`` assembles a source again when read.
     """
     if solver not in ("fd", "analytic"):
         raise ValueError("solver must be 'fd' or 'analytic'")
@@ -461,7 +487,7 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
         # n + nu odd: zero by parity, so the source needs no scan
         if (n + nu) % 2 or h.is_zero:
             z = table._zero
-            return h, GridFunction(grid, z, z[:-1], W=z, residual=0.0)
+            return GridFunction(grid, z, z[:-1], W=z, residual=0.0)
         r = SampledRHS(grid, h._h1, h.h2)
         try:
             if solver == "fd":
@@ -474,16 +500,14 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
             raise OverflowGuard(f"solve failed at ({n},{nu}): {exc}") from exc
         except (ValueError, ArithmeticError) as exc:
             raise SolverError(f"solve failed at ({n},{nu}): {exc}") from exc
-        return h, gf
+        return gf
 
     growth = 0
     for nu in range(2, nu_max + 1):
         _fill_level_cache(ctx, nu)
         lvl = 0.0
         for n in range(0, nu + 1):
-            h, gf = _solve_one(n, nu)
-            table.entries[(n, nu)] = gf
-            table.h_entries[(n, nu)] = h
+            gf = table.entries[(n, nu)] = _solve_one(n, nu)
             if (n + nu) % 2:
                 continue
             w = 1.0 if n == 0 else 2.0      # negative-n mirror by symmetry
@@ -546,10 +570,10 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     nonlinear part h2(0+) extrapolated from the first two plus-side
     half nodes.
 
-    route='operator': D = -(B u_E + h)/omega^{(n,nu)} using the stored
-    nonlinear source.  route='convolution': the explicit polarization
-    sums (linear transform term plus quadratic and cubic coefficients),
-    recomputed from scratch.
+    route='operator': D = -(B u_E + h)/omega^{(n,nu)} with the source
+    ``table.get_h`` assembles on each call.  route='convolution': the
+    explicit polarization sums (linear transform term plus quadratic and
+    cubic coefficients), recomputed from scratch.
     """
     omega = ctx.omega(n, nu)
     if omega == 0:
@@ -566,9 +590,7 @@ def d_field_modal(ctx, table, n, nu, route="operator"):
     itf = ctx.interface
 
     if route == "operator":
-        h = table.get_h(n, nu)
-        if h is None:
-            h = table._zero_source()
+        h = table.get_h(n, nu) or table._zero_source()     # none at nu = 1
         sq = spectral_quantities(ctx, n, nu)
         Vm = sq.V_minus.to_complex(strict=False)
         Vp = sq.V_plus.to_complex(strict=False)

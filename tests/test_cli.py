@@ -218,10 +218,20 @@ class TestCheck:
 class TestDrudeDemo:
     def test_counts(self, tmp_path):
         out = str(tmp_path)
-        assert main(["drude-demo", "--out", out]) == 0
-        demo = read_json(os.path.join(out, "drude_demo.json"))
+        assert main(["check", "--drude-demo", "--sweep-nu", "2",
+                     "--out", out]) == 0
+        demo = read_json(os.path.join(out, "check_report.json"))["drude_demo"]
         assert demo["untruncated_count"] >= 1
         assert demo["counts"][-1][1] == 0
+
+    def test_one_route(self, tmp_path, capsys):
+        """The counts are written by ``check --drude-demo`` only: there
+        is no ``drude-demo`` verb."""
+        with pytest.raises(SystemExit) as exc:
+            main(["drude-demo", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'drude-demo'" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 class TestConverge:
@@ -244,14 +254,16 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("verb, key", [("eigen", "nu_max"),
-                                           ("drude-demo", "c_D")])
+    @pytest.mark.parametrize("verb, key", [
+        (["eigen"], "nu_max"),
+        (["check", "--drude-demo", "--sweep-nu", "2"], "c_D"),
+    ], ids=["eigen-nu_max", "drude-demo-c_D"])
     def test_malformed_value_exit_two(self, tmp_path, capsys, verb, key):
         data = read_json(default_config_path())
         data[key] = "x"
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
-        code = main([verb, "--config", str(path), "--out", str(tmp_path)])
+        code = main(verb + ["--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"

@@ -10,9 +10,12 @@ every ordered factor tuple, for general coupling tensors too.
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import math
 import tracemalloc
+import types
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -513,31 +516,53 @@ def _owner(a):
     return a
 
 
+def _reachable_arrays(obj, skip):
+    """The buffers (by id) of every array reachable from obj through
+    ``gc.get_referents``, not walking into the objects in skip, classes
+    or modules."""
+    seen, found, todo = {id(o) for o in skip}, {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found[id(_owner(o))] = _owner(o)
+        todo.extend(gc.get_referents(o))
+    return found
+
+
 class TestBuildMemory:
-    def test_built_table_holds_only_harmonics_and_sources(self, ctx):
+    def test_built_table_holds_only_harmonics(self, ctx):
         """What a build leaves allocated is the table's own buffers, under
-        U, V and W of each entry and h1, h2 of each source, within 2%.
-        Each buffer counts once: the zero harmonics share one.  No entry
-        keeps factor samples or a conjugate copy, synthesis leaves the
-        held memory as it was, and a negative harmonic is still served
-        as one cached object."""
+        U, V and W of each entry and its zero array, within 2%: no source
+        is held.  Each buffer counts once: the zero harmonics share one.
+        No array but these is reachable from the table, no entry keeps
+        factor samples or a conjugate copy, synthesis and reading every
+        source leave the held memory as it was, and a negative harmonic
+        is still served as one cached object."""
         grid = StaggeredGrid(40.0, 20000)
+        # the first solve imports scipy.linalg (about 10 MB traced), and
+        # the transform and multiset caches outlive tables: fill them first
+        build_series(ctx, StaggeredGrid(40.0, 400), eps=0.5, nu_max=4)
         tracemalloc.start()
         try:
             table = build_series(ctx, grid, eps=0.5, nu_max=4, solver="fd")
             held = tracemalloc.get_traced_memory()[0]
             synthesize(table, np.linspace(-5.0, 5.0, 11), 0.3, 0.7)
             after = tracemalloc.get_traced_memory()[0]
+            assert len([table.h_entries[k] for k in table.h_entries]) == 12
+            after_reads = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        arrays = ([a for gf in table.entries.values()
-                   for a in (gf.U, gf.V, gf.W)]
-                  + [a for h in table.h_entries.values()
-                     for a in (h.h1, h.h2)])
-        owners = {id(o): o for o in map(_owner, arrays)}
+        owners = {id(o): o for gf in table.entries.values()
+                  for o in map(_owner, (gf.U, gf.V, gf.W))}
+        assert id(table._zero) in owners
         own = sum(o.nbytes for o in owners.values())
         assert abs(held - own) <= 0.02 * own
         assert abs(after - held) <= 0.001 * own
+        assert abs(after_reads - held) <= 0.001 * own
+        assert _reachable_arrays(table, [ctx, grid]).keys() == owners.keys()
         for gf in table.entries.values():
             assert set(vars(gf)) == {"grid", "_U", "V", "_W", "residual"}
         assert set(vars(table)) == {"ctx", "grid", "eps", "nu_max", "entries",
@@ -598,6 +623,116 @@ class TestBuildMemory:
         for key in odd:
             h = assemble_h(ctx, table, *key)
             assert h.is_zero and not h.h1.flags.writeable
+
+
+def _consumed_sources(monkeypatch, build):
+    """Run build() and return {(n, nu): (r1, r2)}, copies of the source
+    each solve consumed (the integer-node r1 with its right limit)."""
+    consumed = {}
+
+    def recording(solve):
+        def run(ctx, n, nu, r):
+            consumed[(n, nu)] = (r._r1.copy(), r.r2.copy())
+            return solve(ctx, n, nu, r)
+        return run
+
+    for name in ("solve_fd", "solve_analytic"):
+        monkeypatch.setattr(series, name, recording(getattr(series, name)))
+    try:
+        return build(), consumed
+    finally:
+        monkeypatch.undo()
+
+
+class TestOnDemandSources:
+    @pytest.mark.parametrize("case", ["fd", "analytic", "general"])
+    def test_reads_equal_consumed_sources(self, request, case, monkeypatch):
+        """Every source read through ``h_entries`` or ``get_h`` (either
+        sign of n) is, bit for bit, the one the solve consumed, again
+        after a second build on the same context; the zero harmonics read
+        as zero sources.  The keys are the stored (n, nu), nu >= 2, and
+        the residual diagnostics return the same floats as with the
+        consumed sources stored in the table."""
+        ctx = request.getfixturevalue(
+            "general_coupling_ctx" if case == "general" else "ctx")
+        solver, nu_max = {"fd": ("fd", 10), "analytic": ("analytic", 6),
+                          "general": ("fd", 4)}[case]
+        grid = StaggeredGrid(40.0, 2000)
+
+        def build():
+            return build_series(ctx, grid, eps=0.5, nu_max=nu_max,
+                                solver=solver)
+
+        first = None
+        for _ in range(2):
+            table, consumed = _consumed_sources(monkeypatch, build)
+            first = first or consumed
+            assert consumed.keys() == first.keys()
+            keys = [k for k in table.entries if k[1] >= 2]
+            assert list(table.h_entries) == keys
+            assert len(table.h_entries) == len(keys)
+            assert (1, 1) not in table.h_entries
+            assert table.get_h(1, 1) is None
+            assert table.get_h(0, nu_max + 2) is None
+            for n, nu in keys:
+                h = table.h_entries[(n, nu)]
+                if (n, nu) not in consumed:
+                    assert h.is_zero and table.get_h(-n, nu).is_zero
+                    continue
+                r1, r2 = consumed[(n, nu)]
+                assert np.array_equal(r1, first[(n, nu)][0])
+                assert np.array_equal(r2, first[(n, nu)][1])
+                for got in (h, table.get_h(n, nu)):
+                    assert np.array_equal(got._h1, r1)
+                    assert np.array_equal(got.h2, r2)
+                mirror = table.get_h(-n, nu)
+                assert np.array_equal(mirror._h1, -np.conj(r1))
+                assert np.array_equal(mirror.h2, -np.conj(r2))
+        if case == "general":
+            return
+        pts = [(x_, 0.3, 0.8) for x_ in (-7.0, -2.0, 1.5, 6.0)]
+        on_read = ([divergence_residual(ctx, table, n, nu)
+                    for n, nu in ((0, 2), (1, 2), (2, 4), (-2, 4))],
+                   maxwell_residual(ctx, table, pts))
+        table.h_entries = {
+            key: series.NonlinearRHS(grid, *consumed[key])
+            if key in consumed else table.h_entries[key] for key in keys}
+        assert on_read == ([divergence_residual(ctx, table, n, nu)
+                            for n, nu in ((0, 2), (1, 2), (2, 4), (-2, 4))],
+                           maxwell_residual(ctx, table, pts))
+
+    def test_reads_are_fresh(self, ctx, table):
+        """Two reads of one source are distinct arrays with equal bits,
+        and a deep copy of the sources is a dict of them."""
+        a, b = table.h_entries[(2, 4)], table.h_entries[(2, 4)]
+        assert a is not b and not np.shares_memory(a._h1, b._h1)
+        assert not np.shares_memory(a.h2, b.h2)
+        assert np.array_equal(a._h1, b._h1) and np.array_equal(a.h2, b.h2)
+        copied = copy.deepcopy(table.h_entries)
+        assert type(copied) is dict and copied.keys() == set(table.h_entries)
+        assert np.array_equal(copied[(2, 4)]._h1, a._h1)
+        with pytest.raises(TypeError):
+            table.h_entries[(2, 4)] = a
+
+    def test_table_freed_at_once(self, ctx):
+        """The sources hold their table weakly: with the cyclic collector
+        off, a dropped table is freed at once, and a read through its
+        sources afterwards raises a clear error."""
+        gc.disable()
+        try:
+            table = build_series(ctx, StaggeredGrid(40.0, 400), eps=0.5,
+                                 nu_max=3, solver="fd")
+            table.get(-1, 1)
+            sources, ref = table.h_entries, weakref.ref(table)
+            assert not sources[(0, 2)].is_zero
+            del table
+            assert ref() is None
+        finally:
+            gc.enable()
+        for read in (lambda: sources[(0, 2)], lambda: list(sources),
+                     lambda: (0, 2) in sources):
+            with pytest.raises(ReferenceError, match="table was freed"):
+                read()
 
 
 class TestBuildSolves:

@@ -5,13 +5,16 @@
 One pass does what the benchmark's ``fine_grid`` workload times: FD and
 analytic builds at nu_max 4 on N = 32000 and 128000, then the
 manufactured-forcing refinement ladder (2000, 4000, 8000) on the bundled
-config.  One untimed warm-up pass on small grids runs first.  Each layer
-is wrapped where its callers look it up and measured with ``getrusage``
-(minor faults) and ``perf_counter`` around every call; the figures are
-inclusive, so layers nest: ``spsolve`` inside ``solve_fd``,
-``_homogeneous_part`` inside ``solve_analytic`` (and the seed),
-``solve_fd`` inside ``fd_convergence_study``.  Prints one line per pass:
-its time and faults, then calls, seconds and faults per layer.
+config.  As in the workload, both tables of a grid stay alive until they
+are dropped before the next grid.  One untimed warm-up pass on small grids
+runs first.  Each layer is wrapped where its callers look it up and
+measured with ``getrusage`` (minor faults) and ``perf_counter`` around
+every call; the figures are inclusive, so layers nest: ``spsolve`` inside
+``solve_fd``, ``_homogeneous_part`` inside ``solve_analytic`` (and the
+seed), ``solve_fd`` inside ``fd_convergence_study``.  Prints one line per
+pass: its time and faults, then calls, seconds and faults per layer; and
+after the passes the process's peak resident set (``ru_maxrss``).  The
+process runs with the allocator's default settings.
 """
 
 import argparse
@@ -36,8 +39,12 @@ GRIDS = (32000, 128000)
 LADDER = (2000, 4000, 8000)
 
 
+def _usage():
+    return resource.getrusage(resource.RUSAGE_SELF)
+
+
 def _faults():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return _usage().ru_minflt
 
 
 def _wrap(stats, name, fn):
@@ -57,8 +64,10 @@ def run_pass(cfg, grids, ladder):
     ctx = cfg.context()
     for N in grids:
         grid = resolvent.StaggeredGrid(cfg.grid_d, N)
-        for solver in ("fd", "analytic"):
-            series.build_series(ctx, grid, cfg.eps, NU_MAX, solver=solver)
+        tables = [series.build_series(ctx, grid, cfg.eps, NU_MAX,
+                                      solver=solver)
+                  for solver in ("fd", "analytic")]
+        del tables
     resolvent.fd_convergence_study(ctx, 1, 2, cli.manufactured_rhs(ctx),
                                    ladder, d=cfg.grid_d)
 
@@ -83,6 +92,7 @@ def main(argv=None):
         print(f"pass {k}: {wall:.3f} s, {faults / 1e3:.1f}k faults; "
               + "; ".join(f"{name} {c}x {t:.3f} s {f / 1e3:.1f}k"
                           for name, (c, t, f) in stats.items()), flush=True)
+    print(f"ru_maxrss {_usage().ru_maxrss / 1024:.1f} MiB")  # KiB on Linux
     return 0
 
 
