@@ -55,7 +55,8 @@ log-scaled arithmetic and equilibrated, one scale per side and one for
 the jump row.  The system is then solved as a bordered one: one
 tridiagonal LU over both half lines (LAPACK ``zgtsv``) with two right
 sides, the data and the response to V*, then V* from the jump row's
-scalar Schur complement.  U, u1(0+) and u3 then follow pointwise.
+scalar Schur complement.  U and u1(0+) then follow pointwise; the
+result stores no u3, which is formed from u1 and u2' when read.
 
 Every staggered field, here and in ``series``, is evaluated between its
 samples by ``_interp_sides``: linear interpolation of x < 0 on the
@@ -177,10 +178,13 @@ class GridFunction:
     N+1 values, u1_right and w_right read the last one, and assigning any
     of them writes the stored array.  U and W may also be given in that
     layout, without right limits; they are then stored without a copy.
+    A ``solve_fd`` result stores no W: it forms u3 from U and V on each
+    read (``_DerivedU3``).
     """
 
     U, u1_right = _limits("_U")
     W, w_right = _limits("_W")
+    _W = None
 
     def __init__(self, grid, U, V, u1_right=None, W=None, w_right=None,
                  residual=None):
@@ -189,8 +193,8 @@ class GridFunction:
         self.V = np.asarray(V, dtype=complex)
         if self.V.shape != (grid.N + 1,):
             raise ValueError("V must have length N+1")
-        self._W = (None if W is None and w_right is None
-                   else _node_layout(grid, W, w_right, "W"))
+        if W is not None or w_right is not None:
+            self._W = _node_layout(grid, W, w_right, "W")
         self.residual = residual
 
     def conjugate(self):
@@ -217,9 +221,35 @@ class GridFunction:
         )
 
     def eval_u3(self, x):
-        if self._W is None:
+        W = self._W
+        if W is None:
             raise ValueError("u3 samples not attached")
-        return _interp_sides(x, *_node_knots(self.grid, self._W))
+        return _interp_sides(x, *_node_knots(self.grid, W))
+
+
+class _DerivedU3(GridFunction):
+    """A grid function that stores u1 and u2 only, as ``solve_fd`` returns
+    them: u3 = (u2' - i nk u1)/(i omega) is formed from U and V on every
+    read of W, w_right or eval_u3, with ``_u3``'s operations and the
+    solver's u2' stencils, into a fresh read-only array.  It keeps the two
+    scalars i nk and i omega (nonzero); its conjugate conjugates them, so
+    the conjugate's W equals conj(W) (up to the signs of exact zeros)."""
+
+    def __init__(self, grid, U, V, ink, iomega, residual):
+        super().__init__(grid, U, V, residual=residual)
+        self._ink, self._iomega = ink, iomega
+
+    @property
+    def _W(self):
+        W = _u3_formed(self._U, _u2_prime(self.V, self.grid), self._ink,
+                       self._iomega)
+        W.flags.writeable = False
+        return W
+
+    def conjugate(self):
+        return _DerivedU3(self.grid, np.conj(self._U), np.conj(self.V),
+                          self._ink.conjugate(), self._iomega.conjugate(),
+                          self.residual)
 
 
 def _interp_sides(x, xm, fm, xp, fp):
@@ -381,19 +411,21 @@ def _solve_v_band(grid, sides, omega, r2, f1, star, star_rhs):
     rounded value, as the stencil's do.  ``star`` holds the interface
     row's coefficients on (V_{m-2}, V_{m-1}, V*, V_m, V_{m+1}) and
     ``star_rhs`` its right side as (coefficient, value) pairs.
-    ``spsolve`` solves the system.
+    ``spsolve`` solves the system, in the storage of the diagonal.
 
     Returns V in the GridFunction layout (V[N] = u2(0)) and the relative
     residual of the equilibrated system.
     """
     N, m = grid.N, grid.mid
     dl = np.empty(N - 1, dtype=complex)     # entry (j+1, j)
-    d = np.empty(N, dtype=complex)
     du = np.empty(N - 1, dtype=complex)     # entry (j, j+1)
     b = np.empty(N + 1, dtype=complex)
+    # the diagonal, then V: made last, as it outlives the others; d[N]
+    # is not part of the band, and takes V*
+    d = np.empty(N + 1, dtype=complex)
     col_star, scaled = [], []
     if f1 is not None:      # df1, in d before its rows are set
-        _cell_diff(grid, f1, out=d)
+        _cell_diff(grid, f1, out=d[:N])
     for s, rows, wall, adj, far_diag, far in (
         ("minus", slice(0, m), 0, m - 1, dl, m - 2),
         ("plus", slice(m, N), N - 1, m, du, m),
@@ -423,7 +455,8 @@ def _solve_v_band(grid, sides, omega, r2, f1, star, star_rhs):
     if not np.all(np.isfinite(z.view(float))):
         raise SingularSystem("direct solve produced non-finite entries")
     bnorm = float(np.linalg.norm(b))
-    res = (_bordered_residual(scaled, col_star, star, z, b, d, dl)
+    res = (_bordered_residual(scaled, col_star, star, z, b,
+                              np.empty(N, dtype=complex), dl)
            / max(bnorm, 1e-300))
     if bnorm > 0 and res > 1e-8:
         raise SingularSystem(
@@ -436,7 +469,8 @@ def spsolve(tri, b, col_star, star):
     """Direct solve of the bordered system A z = b in u2.
 
     z = (V_0, ..., V_{N-1}, V*).  Rows 0..N-1 are the tridiagonal
-    tri = (dl, d, du), with dl[j] = A[j+1, j] and du[j] = A[j, j+1], plus
+    tri = (dl, d, du), with dl[j] = A[j+1, j], d[j] = A[j, j] (d has one
+    more value, d[N], which is not read) and du[j] = A[j, j+1], plus
     the column of V*: col_star = (A[m-1, N], A[m, N]) in the two
     interface-adjacent rows (m = N/2).  The tridiagonal splits at the
     interface (dl[m-1] = du[m-1] = 0), so each half line is its own
@@ -447,17 +481,19 @@ def spsolve(tri, b, col_star, star):
     takes two right sides: the rows y of b, and the response g to V*.
     The jump row's scalar Schur complement then gives V*, and V = y - V*
     g.  This needs only each half-line problem to be nonsingular, never
-    a division by an off-diagonal.  zgtsv overwrites tri; b is kept.
+    a division by an off-diagonal.  zgtsv overwrites tri with its
+    factors, which are not read after it; z is formed in d, and d is
+    returned.  b is kept.
     """
     # imported here, so that the verbs that never solve do not load it
     from scipy.linalg import lapack
     dl, d, du = tri
-    N = d.size
+    N = d.size - 1
     m = N // 2
     yg = np.zeros((N, 2), dtype=complex, order="F")
     yg[:, 0] = b[:N]
     yg[m - 1, 1], yg[m, 1] = col_star
-    *_, info = lapack.zgtsv(dl, d, du, yg, overwrite_dl=True,
+    *_, info = lapack.zgtsv(dl, d[:N], du, yg, overwrite_dl=True,
                             overwrite_d=True, overwrite_du=True,
                             overwrite_b=True)
     if info < 0:
@@ -478,7 +514,7 @@ def spsolve(tri, b, col_star, star):
             f"of {N + 1}"
         )
     v = (b[N] - sum(t * y[j] for t, j in near)) / schur
-    z = np.empty(N + 1, dtype=complex)
+    z = d
     np.subtract(y, np.multiply(g, v, out=g), out=z[:N])
     z[N] = v
     return z
@@ -494,10 +530,12 @@ def solve_fd(ctx, n, nu, r):
     ``r`` is a SampledRHS with r3 = 0.  U is eliminated row by row
     through the first equation, the N+1 unknowns in V are found from the
     bordered half-line tridiagonals of ``spsolve``, and U and the right
-    interface limit of u1 follow pointwise, then u3 from u1 and u2'.
-    Returns a GridFunction (U at integer nodes, V at half nodes plus
-    V[N] = u2(0), W) with the right limits of u1 and u3.  r is only
-    read: u1 is formed in one fresh array, which the result stores.
+    interface limit of u1 follow pointwise.  Returns a GridFunction (U at
+    integer nodes with the right limit of u1, V at half nodes plus V[N] =
+    u2(0)) that stores no W: its u3 is formed from u1 and u2' when read
+    (``_DerivedU3``).  omega = 0 raises ZeroFrequency here, after the
+    solve.  r is only read: u1 is formed in one fresh array, which the
+    result stores.
     """
     grid = r.grid
     if r.r3 is not None and np.any(r.r3 != 0):
@@ -517,7 +555,6 @@ def solve_fd(ctx, n, nu, r):
         # continuity of u2' across the interface closes the system
         star = (-1.0, 9.0, -16.0, 9.0, -1.0)
         V, res = _solve_v_band(grid, sides, omega, r.r2, None, star, ())
-        du = _u2_prime(V, grid)
     else:
         # first equation u2' + c1 u1 = f1 at integer nodes, second
         # equation -u2'' + i nk u1' + c2 u2 = f2 at half nodes
@@ -554,7 +591,7 @@ def solve_fd(ctx, n, nu, r):
         _times_sides(grid, np.subtract(f1, du, out=f1),
                      inv_c1["minus"], inv_c1["plus"])
 
-    return GridFunction(grid, u1, V, W=_u3(ctx, n, nu, u1, du), residual=res)
+    return _DerivedU3(grid, u1, V, *_u3_scalars(ctx, n, nu), res)
 
 
 # ----------------------------------------------------------------------
@@ -576,15 +613,26 @@ def _u2_prime(V, grid):
     return du
 
 
-def _u3(ctx, n, nu, u1, du):
-    """u3 = (u2' - i nk u1)/(i omega) from u1 and u2', all three in the
-    integer-node layout."""
+def _u3_scalars(ctx, n, nu):
+    """(i nk, i omega), the scalars of u3 = (u2' - i nk u1)/(i omega)."""
     omega = ctx.omega(n, nu)
     if omega == 0:
         raise ZeroFrequency("u3 reconstruction needs omega != 0")
-    u3 = np.multiply(1j * n * ctx.k, u1)
+    return 1j * n * ctx.k, 1j * omega
+
+
+def _u3_formed(u1, du, ink, iomega):
+    """u3 = (du - ink u1)/iomega in a fresh array, from u1 and u2' in the
+    integer-node layout."""
+    u3 = np.multiply(ink, u1)
     np.subtract(du, u3, out=u3)
-    return np.divide(u3, 1j * omega, out=u3)
+    return np.divide(u3, iomega, out=u3)
+
+
+def _u3(ctx, n, nu, u1, du):
+    """u3 = (u2' - i nk u1)/(i omega) from u1 and u2', all three in the
+    integer-node layout."""
+    return _u3_formed(u1, du, *_u3_scalars(ctx, n, nu))
 
 
 # ----------------------------------------------------------------------

@@ -462,9 +462,10 @@ def _seed_entry(ctx, grid, eps):
 
 
 def _entry_norm_sq(gf):
-    V = gf.V[: gf.grid.N]
+    # W read once: a ``solve_fd`` entry forms it on each read
+    V, W = gf.V[: gf.grid.N], gf.W
     s = np.vdot(gf.U, gf.U).real + np.vdot(V, V).real
-    return gf.grid.h * float(s + np.vdot(gf.W, gf.W).real)
+    return gf.grid.h * float(s + np.vdot(W, W).real)
 
 
 def build_series(ctx, grid, eps, nu_max, solver="fd"):
@@ -668,8 +669,10 @@ def maxwell_residual(ctx, table, sample_points, M=None):
             if gf is None:
                 continue
             D1, D2, D2m, D2p = d_field_modal(ctx, table, n, nu)
-            du3 = _cell_diff(grid, gf._W) / h
+            W = gf._W   # read once: a ``solve_fd`` entry forms it on each read
+            du3 = _cell_diff(grid, W) / h
             knots = (
+                _node_knots(grid, W),
                 _node_knots(grid, D1),
                 # D2 on the half nodes, each side ending at its own limit
                 (np.concatenate((xh[:m], [0.0])),
@@ -692,8 +695,7 @@ def maxwell_residual(ctx, table, sample_points, M=None):
             ph = complex(np.exp(-1j * n * (ctx.omega_R * ts - ctx.k * ys))
                          * math.exp(nu * ctx.omega_I * ts))
             u1 = gf.eval_u1(x)[0]
-            u3 = gf.eval_u3(x)[0]
-            d1, d2, dxu3, dxu2 = (_interp_sides(x, *k)[0] for k in knots)
+            u3, d1, d2, dxu3, dxu2 = (_interp_sides(x, *k)[0] for k in knots)
             if n < 0:
                 # gf and the u3, u2' knots are those of u^(|n|,nu)
                 u1, u3, dxu3, dxu2 = (

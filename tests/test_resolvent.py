@@ -19,8 +19,8 @@ from scipy.sparse.linalg import spsolve
 
 from breather import resolvent
 from breather._scaled import ScaledComplex
-from breather.errors import ResolventViolation, SingularSystem
-from breather.pencil import eigenfunction, spectral_quantities
+from breather.errors import ResolventViolation, SingularSystem, ZeroFrequency
+from breather.pencil import PencilContext, eigenfunction, spectral_quantities
 from breather.resolvent import (
     GridFunction,
     SampledRHS,
@@ -203,6 +203,20 @@ class TestReconstruction:
         assert abs(u3[g.N + 1] - phi3_right) < 1e-3 * np.max(np.abs(phi3))
 
 
+class TestZeroFrequency:
+    def test_solve_fd_raises(self, ctx, monkeypatch):
+        """omega = 0 raises from solve_fd itself, not at a later read of
+        the u3 its result forms: here at (0, 2) with a real base
+        eigenvalue, on the spectral quantities of the reference one."""
+        real = PencilContext(ctx.interface, k=ctx.k, omega0=ctx.omega_R + 0j)
+        assert real.omega(0, 2) == 0
+        sq = spectral_quantities(ctx, 0, 2)
+        monkeypatch.setattr(resolvent, "spectral_quantities",
+                            lambda *args: sq)
+        with pytest.raises(ZeroFrequency):
+            solve_fd(real, 0, 2, random_rhs(StaggeredGrid(40.0, 400)))
+
+
 class TestEvaluation:
     """Side-aware linear interpolation of the staggered samples."""
 
@@ -327,12 +341,12 @@ def captured_spsolve(monkeypatch):
 def bordered_matrix(tri, col_star, star):
     """The N+1 x N+1 matrix that ``spsolve`` is given, as CSR."""
     dl, d, du = tri
-    N = d.size
+    N = d.size - 1      # d[N] is not part of the band
     m = N // 2
     j = np.arange(N - 1)
     rows = [np.arange(N), j + 1, j, [m - 1, m], [N] * 5]
     cols = [np.arange(N), j, j + 1, [N, N], [m - 2, m - 1, N, m, m + 1]]
-    vals = [d, dl, du, col_star, star]
+    vals = [d[:N], dl, du, col_star, star]
     A = csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                             np.concatenate(cols))),
                    shape=(N + 1, N + 1), dtype=complex)
@@ -529,13 +543,15 @@ class TestBandedSolve:
 
 
 class TestSolveMemory:
-    """Every N-size array a solve allocates is an output (U, V, W) or one
-    of a fixed set of working arrays.  Over its outputs, the peak traced
-    memory of one call at N = 20000 measured 5.0 N-size arrays for
-    solve_fd, n = 0 as well (dl, d, du and b; the two columns of zgtsv's
-    right side; f1 is formed in the u1 output) and 2.5 for
-    solve_analytic (the band and the four half-line sums, half an array
-    of scratch; r1 is only read: a working copy of it reads 3.5)."""
+    """Every N-size array a solve allocates is an output the result holds
+    (U and V for solve_fd, which stores no W; U, V and W for
+    solve_analytic) or one of a fixed set of working arrays.  Over its
+    outputs, the peak traced memory of one call at N = 20000 measured 5.0
+    N-size arrays for solve_fd, n = 0 as well (dl, du and b; the two
+    columns of zgtsv's right side; V is formed in the diagonal d, and f1
+    in the u1 output) and 2.5 for solve_analytic (the band and the four
+    half-line sums, half an array of scratch; r1 is only read: a working
+    copy of it reads 3.5)."""
 
     @pytest.mark.parametrize("solver, n, nu, arrays", [
         ("solve_fd", 1, 2, 5.25), ("solve_fd", 0, 2, 5.25),
@@ -551,7 +567,8 @@ class TestSolveMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out = sum(a.nbytes for a in (sol.U, sol.V, sol.W) if a is not None)
+        out = sum(a.nbytes for a in vars(sol).values()
+                  if isinstance(a, np.ndarray))
         assert peak - out <= arrays * (g.N + 1) * 16
 
 

@@ -27,6 +27,8 @@ from breather.resolvent import (
     GridFunction,
     SampledRHS,
     StaggeredGrid,
+    _u2_prime,
+    _u3,
     solve_analytic,
     solve_fd,
 )
@@ -534,13 +536,14 @@ def _reachable_arrays(obj, skip):
 
 class TestBuildMemory:
     def test_built_table_holds_only_harmonics(self, ctx):
-        """What a build leaves allocated is the table's own buffers, under
-        U, V and W of each entry and its zero array, within 2%: no source
-        is held.  Each buffer counts once: the zero harmonics share one.
-        No array but these is reachable from the table, no entry keeps
-        factor samples or a conjugate copy, synthesis and reading every
-        source leave the held memory as it was, and a negative harmonic
-        is still served as one cached object."""
+        """What an FD build leaves allocated is the table's own buffers, U
+        and V of each entry, the seed's W and the zero array, within 2%:
+        no source and no FD u3 is held.  Each buffer counts once: the zero
+        harmonics share one.  No array but these is reachable from the
+        table, no entry keeps factor samples or a conjugate copy,
+        synthesis and reading every source leave the held memory as it
+        was, and a negative harmonic is still served as one cached object,
+        which holds no W either."""
         grid = StaggeredGrid(40.0, 20000)
         # the first solve imports scipy.linalg (about 10 MB traced), and
         # the transform and multiset caches outlive tables: fill them first
@@ -555,19 +558,26 @@ class TestBuildMemory:
             after_reads = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        owners = {id(o): o for gf in table.entries.values()
-                  for o in map(_owner, (gf.U, gf.V, gf.W))}
+        seed = table.entries[(1, 1)]
+        fields = [a for gf in table.entries.values() for a in (gf.U, gf.V)]
+        owners = {id(o): o for o in map(_owner, fields + [seed.W])}
         assert id(table._zero) in owners
         own = sum(o.nbytes for o in owners.values())
         assert abs(held - own) <= 0.02 * own
         assert abs(after - held) <= 0.001 * own
         assert abs(after_reads - held) <= 0.001 * own
         assert _reachable_arrays(table, [ctx, grid]).keys() == owners.keys()
-        for gf in table.entries.values():
-            assert set(vars(gf)) == {"grid", "_U", "V", "_W", "residual"}
+        for (n, nu), gf in table.entries.items():
+            stored_w = nu == 1 or (n + nu) % 2      # the seed, zero entries
+            assert set(vars(gf)) == ({"grid", "_U", "V", "_W", "residual"}
+                                     if stored_w else
+                                     {"grid", "_U", "V", "_ink", "_iomega",
+                                      "residual"})
         assert set(vars(table)) == {"ctx", "grid", "eps", "nu_max", "entries",
                                     "h_entries", "norms", "_zero"}
         assert table.get(-2, 2) is table.get(-2, 2)
+        assert set(vars(table.get(-2, 2))) == {"grid", "_U", "V", "_ink",
+                                               "_iomega", "residual"}
 
     def test_source_peak_is_outputs_plus_tiles(self, ctx, monkeypatch):
         """One assemble_h call at N 20000 peaks at its outputs h1 and h2
@@ -768,6 +778,81 @@ class TestBuildSolves:
         assert solved == sum(nu // 2 + 1 for nu in range(2, nu_max + 1))
 
 
+class TestDerivedU3:
+    """An FD entry stores U and V only: W and w_right are formed from them
+    on each read, with the operations of ``_u3``."""
+
+    @pytest.mark.parametrize("N, nu_max", [(2000, 10), (20000, 4)])
+    def test_w_is_u3_of_the_stored_fields(self, ctx, N, nu_max):
+        """Every solved entry's W and w_right are ``_u3`` of its U and V,
+        bit for bit; a negative harmonic's are their conjugates (equal as
+        numbers: the signs of exact zeros may differ)."""
+        grid = StaggeredGrid(40.0, N)
+        table = build_series(ctx, grid, eps=0.5, nu_max=nu_max, solver="fd")
+        for (n, nu), gf in table.entries.items():
+            if nu < 2:
+                continue
+            ref = _u3(ctx, n, nu, gf._U, _u2_prime(gf.V, grid))
+            W, w_right = gf.W, gf.w_right
+            assert np.array_equal(W, ref[:-1]) and w_right == ref[-1]
+            if (n + nu) % 2 == 0:
+                assert gf._W.tobytes() == ref.tobytes()
+            if n:
+                neg = table.get(-n, nu)
+                assert np.array_equal(neg.W, np.conj(W))
+                assert neg.w_right == np.conj(w_right)
+
+    def test_readers_return_the_stored_w_floats(self, ctx, table):
+        """eval_u3, synthesize, maxwell_residual, divergence_residual and
+        decay_profile read the same u3 as when W was stored."""
+        x = np.array([-1.3, 0.0, 0.7])
+        pinned = {
+            (0, 2): [-4.356903199367189e-05, -7.297113712325683e-05,
+                     2.520284791411549e-05],
+            (2, 4): [5.593983558078359e-79 + 3.810083885677085e-80j,
+                     -2.8939625855526242e-08 - 7.507163280450432e-08j,
+                     -2.2343814426822557e-08 - 2.829951284435949e-08j],
+            (-3, 5): [1.0649724820499921e-187 - 4.458835084467825e-188j,
+                      -6.388145998863304e-10 + 8.041256904026107e-10j,
+                      -4.990175933240442e-10 + 6.650233887464873e-11j],
+        }
+        for key, vals in pinned.items():
+            assert table.get(*key).eval_u3(x) == pytest.approx(vals,
+                                                               rel=1e-13)
+        assert synthesize(table, x, 0.3, 0.7)[2] == pytest.approx(
+            [-0.2693653569086069, -14.385418829884562, 2.5720305521702613],
+            rel=1e-13)
+        assert maxwell_residual(
+            ctx, table, [(-1.3, 0.2, 0.4), (0.7, 0.0, 1.1)]
+        ) == pytest.approx(0.00521810822466796, rel=1e-12)
+        assert [divergence_residual(ctx, table, *key)
+                for key in ((0, 2), (-3, 5))] == pytest.approx(
+            [3.67941892742496e-18, 1.3466055170424446e-22], rel=1e-10)
+        assert [v for _, v in decay_profile(table)] == pytest.approx(
+            [29.149420557757992, 0.006531592089836455,
+             0.00014210318925237292, 1.5986926308636431e-07,
+             1.8371884263421982e-09], rel=1e-13)
+
+    def test_derived_w_is_read_only(self, table):
+        gf = table.entries[(0, 2)]
+        before = gf.W.copy()
+        for assign in (lambda: setattr(gf, "W", 2.0 * gf.W),
+                       lambda: setattr(gf, "w_right", 1j),
+                       lambda: gf.W.__setitem__(3, 1j)):
+            with pytest.raises(ValueError, match="read-only"):
+                assign()
+        with pytest.raises(AttributeError):
+            gf._W = before
+        assert np.array_equal(gf.W, before)
+
+    def test_deep_copy_serves_the_same_w(self, table):
+        gf = table.entries[(2, 4)]
+        copied = copy.deepcopy(gf)
+        assert copied._U is not gf._U and copied.V is not gf.V
+        assert np.array_equal(copied.W, gf.W)
+        assert copied.w_right == gf.w_right
+
+
 class TestDecayAndSolvers:
     def test_decay_profile_monotone_tail(self, table):
         prof = decay_profile(table)
@@ -775,6 +860,8 @@ class TestDecayAndSolvers:
         assert all(b < a for a, b in zip(vals[1:], vals[2:]))
 
     def test_fd_vs_analytic_builds(self, ctx, grid_ref):
+        # u3 is not compared: its gap is second order too, but reaches
+        # about 54 h^2 at (1, 3) on this scale
         tf = build_series(ctx, grid_ref, eps=0.5, nu_max=3, solver="fd")
         ta = build_series(ctx, grid_ref, eps=0.5, nu_max=3,
                           solver="analytic")
