@@ -20,8 +20,9 @@ whose right side is the corner entry of exp of the upper bidiagonal matrix
 with diagonal (0, x_1 T, ..., x_m T) and unit superdiagonal (McCurdy, Ng &
 Parlett, Math. Comp. 1984).  That exponential is taken by scaling and
 squaring (Al-Mohy & Higham, SIMAX 2009), so confluent and near-confluent
-nodes need no special case.  All functions are vectorized over numpy
-arrays of complex nodes.
+nodes need no special case; its diagonals are updated in place, and the
+last squaring round forms only the corner.  All functions are vectorized
+over numpy arrays of complex nodes.
 """
 
 import numpy as np
@@ -37,7 +38,8 @@ def _exp_divided_difference(w):
 
     Each element is scaled by its own power of two 2^-s, so that its nodes
     have modulus <= 1/2, and squared back s times; elements never mix, and
-    a batch gives the same bits as its members one at a time.
+    a batch gives the same bits as its members one at a time.  The last
+    squaring round forms only the returned corner X[0, m].
     """
     w = np.asarray(w, dtype=complex)
     s = np.maximum(np.frexp(2.0 * np.abs(w).max(axis=0))[1], 0)
@@ -46,17 +48,31 @@ def _exp_divided_difference(w):
     n = len(v)
     # X = exp(B), B = diag(v) + c * superdiagonal, is upper triangular and
     # kept as its diagonals, x[d][i] = X[i, i+d].  Horner on sum_k B^k/k!
-    # updates (B X)[i, j] = v_i X[i, j] + c X[i+1, j].
+    # updates (B X)[i, j] = v_i X[i, j] + c X[i+1, j], d = n-1 down to 0.
     x = [np.ones_like(v)] + [np.zeros_like(v[d:]) for d in range(1, n)]
+    vk, ck, tmp = np.empty_like(v), np.empty_like(c), np.empty_like(v)
     for k in range(_TAYLOR_DEGREE, 0, -1):
-        vk, ck = v / k, c / k
-        x = [1.0 + vk * x[0]] + [vk[:n - d] * x[d] + ck * x[d - 1][1:]
-                                 for d in range(1, n)]
-    for r in range(1, s.max(initial=0) + 1):
-        sq = [sum(x[e][:n - d] * x[d - e][e:e + n - d] for e in range(d + 1))
-              for d in range(n)]
-        x = [np.where(r <= s, new, old) for new, old in zip(sq, x)]
-    return x[-1][0]
+        np.divide(v, k, out=vk)
+        np.divide(c, k, out=ck)
+        for d in range(n - 1, 0, -1):
+            np.multiply(vk[:n - d], x[d], out=x[d])
+            np.multiply(ck, x[d - 1][1:], out=tmp[d:])
+            np.add(x[d], tmp[d:], out=x[d])
+        np.multiply(vk, x[0], out=x[0])
+        np.add(1.0, x[0], out=x[0])
+    # Squaring sums from 0 up, which turns -0.0 into +0.0, as Python's sum.
+    top = s.max(initial=0)
+    sq = [np.empty_like(row) for row in x]
+    for r in range(1, top):
+        for d, acc in enumerate(sq):
+            acc.fill(0)
+            for e in range(d + 1):
+                np.multiply(x[e][:n - d], x[d - e][e:], out=tmp[d:])
+                np.add(acc, tmp[d:], out=acc)
+        for row, new in zip(x, sq):
+            np.copyto(row, new, where=r <= s)
+    corner = sum(x[e][0] * x[n - 1 - e][e] for e in range(n))
+    return np.where(s >= max(top, 1), corner, x[-1][0])
 
 
 def g_window(z, T):

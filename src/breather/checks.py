@@ -374,19 +374,18 @@ def gamma_bound_sweep(ctx, nl, nu_max):
              for nu in levels for a, b in _cone_multisets(nu, 2, 1)]
     triples = [(a[0] + b[0] + c[0], nu, (om(*a), om(*b), om(*c)))
                for nu in levels for a, b, c in _cone_multisets(nu, 3, 1)]
-    nl.fill_cache(ws for _, _, ws in pairs + triples)
+    chis = nl.fill_cache(ws for _, _, ws in pairs + triples)
 
-    def level_maxima(samples, order, cmax, chi):
+    def level_maxima(samples, order, cmax, chis):
         level = {}
-        for n, nu, ws in samples:
-            mag = (abs(ctx.omega(n, nu)) * eps0 * mu0**order * cmax
-                   * abs(chi(*ws)))
+        for (n, nu, _), chi in zip(samples, chis):
+            mag = abs(ctx.omega(n, nu)) * eps0 * mu0**order * cmax * abs(chi)
             if mag > level.get(nu, 0.0):
                 level[nu] = mag
         return level
 
-    beta_level = level_maxima(pairs, 2, c2max, nl._scalar_chi2_truncated)
-    gamma_level = level_maxima(triples, 3, c3max, nl._scalar_chi3_truncated)
+    beta_level = level_maxima(pairs, 2, c2max, chis[:len(pairs)])
+    gamma_level = level_maxima(triples, 3, c3max, chis[len(pairs):])
 
     def fit(level, root):
         c = 0.0

@@ -593,20 +593,23 @@ def delta0_search(ctx, n, T, a):
 # Spectral-set membership
 # ----------------------------------------------------------------------
 
-def essential_spectrum_membership(ctx, n, omega):
-    """Which side's essential-spectrum curve (if any) passes through omega.
+def _permittivities(ctx, omega):
+    return [ctx.interface.permittivity_scaled(side, omega)
+            for side in ("plus", "minus")]
+
+
+def _essential_membership(ctx, n, omega, eps):
+    """Which side's essential-spectrum curve (if any) passes through omega,
+    eps the (plus, minus) permittivities there.
 
     The essential spectrum outside Omega_0 is where omega^2 mu0 eps_pm
     lands on [n^2 k^2, inf) (on (0, inf) when n k = 0), to within 1e-8
     in the imaginary part.
     """
-    omega = complex(omega)
     K = (n * ctx.k) ** 2
     hits = []
-    for side in ("plus", "minus"):
-        w = ctx.interface.permittivity_scaled(side, omega) * (
-            omega * omega * ctx.interface.mu0
-        )
+    for side, e in zip(("plus", "minus"), eps):
+        w = e * (omega * omega * ctx.interface.mu0)
         if w.is_zero:
             continue
         # |Im w| < _ESS_TOL_IM and Re w in the branch interval, in log space.
@@ -630,11 +633,12 @@ def in_Omega0(ctx, omega):
     """True iff |omega^2 eps_plus(omega)| or |omega^2 eps_minus(omega)|
     is below 1e-8."""
     omega = complex(omega)
-    for side in ("plus", "minus"):
-        w = ctx.interface.permittivity_scaled(side, omega) * (omega * omega)
-        if w.is_zero or w.log_mag < math.log(_OMEGA0_TOL):
-            return True
-    return False
+    return _in_Omega0(omega, _permittivities(ctx, omega))
+
+
+def _in_Omega0(omega, eps):
+    return any(w.is_zero or w.log_mag < math.log(_OMEGA0_TOL)
+               for w in (e * (omega * omega) for e in eps))
 
 
 def resolvent_membership(ctx, n, nu, T=None):
@@ -654,9 +658,10 @@ def resolvent_membership(ctx, n, nu, T=None):
                 f"{type(ctx.interface.minus).__name__} has none"
             )
     omega = ctx.omega(n, nu)
-    if in_Omega0(ctx, omega):
+    eps = _permittivities(ctx, omega)
+    if _in_Omega0(omega, eps):
         return "omega0_set"
-    if essential_spectrum_membership(ctx, n, omega) != "none":
+    if _essential_membership(ctx, n, omega, eps) != "none":
         return "essential"
     s, log_g = _log_abs_G(ctx, n, np.array([omega]), T)
     log_scale = math.log(coefficient_scale(ctx, n, omega))

@@ -321,15 +321,15 @@ def _couplings(nl, order):
     return _symmetric_couplings(c.shape, c.tobytes())
 
 
-def _fill_level_cache(ctx, nu):
+def _fill_cache(ctx, nu_max):
     """Evaluate, one batch per transform order, every chi2/chi3 tuple that
-    the sources of level nu will look up."""
+    the sources of levels 2..nu_max will look up."""
     nls = {id(nl): nl for nl in map(ctx.interface.nl_side, _active_sides(ctx))}
     if not nls:
         return
-    groups = _factor_multisets(nu)
     tuples = [tuple(ctx.omega(*f) for f in factors)
-              for n in range(0, nu + 1) for factors, _ in groups[n]]
+              for nu in range(2, nu_max + 1) for n in range(0, nu + 1)
+              for factors, _ in _factor_multisets(nu)[n]]
     for nl in nls.values():
         nl.fill_cache(tuples)
 
@@ -474,8 +474,9 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
     solver: 'fd' (staggered scheme) or 'analytic' (variation of
     constants).  Emits DivergenceWarning when the per-level norms grow
     for three consecutive levels (seed amplitude past the convergence
-    radius).  Each source lives as long as its solve: the table keeps the
-    harmonics only, and ``h_entries`` assembles a source again when read.
+    radius).  One fill serves the chi2/chi3 transforms of every level.
+    Each source lives as long as its solve: the table keeps the harmonics
+    only, and ``h_entries`` assembles a source again when read.
     """
     if solver not in ("fd", "analytic"):
         raise ValueError("solver must be 'fd' or 'analytic'")
@@ -503,9 +504,9 @@ def build_series(ctx, grid, eps, nu_max, solver="fd"):
             raise SolverError(f"solve failed at ({n},{nu}): {exc}") from exc
         return gf
 
+    _fill_cache(ctx, nu_max)
     growth = 0
     for nu in range(2, nu_max + 1):
-        _fill_level_cache(ctx, nu)
         lvl = 0.0
         for n in range(0, nu + 1):
             gf = table.entries[(n, nu)] = _solve_one(n, nu)

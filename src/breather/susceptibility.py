@@ -12,7 +12,7 @@ key that ignores argument order and the mirror w -> -conj w (the kernels
 are real, so a mirrored tuple's transform is the conjugate).  One kernel,
 vectorized over a batch of K pairs or triples, serves both orders;
 ``NonlinearSusceptibility.fill_cache`` sends all misses of a batch
-through it at once (the series recursion fills a whole level, the
+through it at once (a series build fills all its levels, the
 coupling sweep its whole scan), and a single lookup that misses is a
 batch of one.  The recursion only asks for tuples of
 even-parity harmonics (n + nu even), since the others vanish.
@@ -299,7 +299,8 @@ class NonlinearSusceptibility:
         return lam, amp
 
     def fill_cache(self, tuples):
-        """Evaluate every frequency pair/triple of ``tuples`` not yet cached.
+        """Evaluate the pairs/triples of ``tuples`` not yet cached, and return
+        every tuple's transform in input order (conjugated through a mirror).
 
         The misses of each order go through the kernel in vectorized
         passes of up to _MAX_BATCH tuples.  Each is evaluated as its
@@ -308,9 +309,9 @@ class NonlinearSusceptibility:
         is filled ahead or on demand; keys already cached are left
         untouched.
         """
+        resolved = [_cache_key(ws) for ws in tuples]
         pending = {2: {}, 3: {}}
-        for ws in tuples:
-            key, _ = _cache_key(ws)
+        for key, _ in resolved:
             if key not in self._cache(len(key)):
                 pending[len(key)][key] = None
         for order, todo in pending.items():
@@ -322,6 +323,8 @@ class NonlinearSusceptibility:
                     if _is_self_mirror(key):
                         val = val.real
                     self._cache(order)[key] = complex(val)
+        return [self._cache(len(key))[key].conjugate() if mirrored
+                else self._cache(len(key))[key] for key, mirrored in resolved]
 
     def _cache(self, order):
         return self._cache2 if order == 2 else self._cache3

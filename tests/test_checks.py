@@ -18,6 +18,7 @@ from breather.checks import (
     gamma_bound_sweep,
     transverse_rate_sq_inf,
 )
+from breather.config import load_config
 from breather.errors import ConfigError, ModelError
 from breather.pencil import PencilContext, _quartic_coeffs
 from breather.susceptibility import NonlinearSusceptibility
@@ -155,6 +156,29 @@ class TestCouplingBounds:
             2, c2max, nl._scalar_chi2_truncated)
         assert out["gamma_profile"] == profile(
             3, c3max, nl._scalar_chi3_truncated)
+
+    def test_bundled_sweep_pinned(self):
+        """The sweep at nu_max 8 on the bundled config, which reads the
+        values its fill returns, gives the constants and profiles of the
+        per-sample scalar lookups it replaced."""
+        cfg = load_config()
+        nl = cfg.interface.nl_minus or cfg.interface.nl_plus
+        out = gamma_bound_sweep(cfg.context(), nl, 8)
+        assert out == {
+            "nu_max": 8,
+            "c_beta": 7.540505502284027e-05,
+            "c_gamma": 1.3130451560748585e-07,
+            "beta_profile": [
+                (2, 0.00015862410082406929), (3, 0.00024058478593831184),
+                (4, 0.0003243057443023698), (5, 0.0004092094596410433),
+                (6, 0.0004956211311737829), (7, 0.0005827194720849122),
+                (8, 0.000671055587147185)],
+            "gamma_profile": [
+                (3, 4.3222005297218187e-07), (4, 5.822964153061636e-07),
+                (5, 7.353825277825787e-07), (6, 8.914814537132662e-07),
+                (7, 1.048894602893758e-06), (8, 1.2088057354161953e-06)],
+            "violations": 0,
+        }
 
     def test_samples_every_multiset_once(self, ctx, nl, monkeypatch):
         """The sweep samples one ordering of every multiset of cone points

@@ -543,6 +543,25 @@ class TestMembership:
         assert in_Omega0(ctx, 0.0)
         assert not in_Omega0(ctx, 1.0 - 0.2j)
 
+    def test_each_side_evaluated_once(self, ctx, monkeypatch):
+        """The Omega_0 and essential-spectrum tests of a cone point share
+        one permittivity evaluation per side."""
+        from breather.susceptibility import MaterialInterface
+
+        calls = []
+        scaled = MaterialInterface.permittivity_scaled
+
+        def spy(self, side, omega):
+            calls.append((side, omega))
+            return scaled(self, side, omega)
+
+        monkeypatch.setattr(MaterialInterface, "permittivity_scaled", spy)
+        points = [(n, nu) for nu in range(2, 5) for n in range(-nu, nu + 1)]
+        for n, nu in points:
+            assert resolvent_membership(ctx, n, nu) == "resolvent"
+        assert calls == [(side, ctx.omega(n, nu)) for n, nu in points
+                         for side in ("plus", "minus")]
+
 
 class TestModelGuards:
     def test_dispersion_needs_lorentz_minus(self, nl):

@@ -163,6 +163,33 @@ class TestStructuralZeros:
                     assert not (gf.U.any() or gf.V.any() or gf.W.any())
                     assert table.h_entries[(n, nu)].is_zero
 
+    def test_build_fills_transforms_once(self, ctx, monkeypatch):
+        """A build fills the transforms of all its levels in one call, so
+        no source's lookup misses the cache and fills again."""
+        nl = ctx.interface.nl_minus
+        fresh = NonlinearSusceptibility(
+            c2=nl.c2, c3=nl.c3, gamma_tilde=nl.gamma_tilde,
+            omega_star_tilde=nl.omega_star_tilde, T_N=nl.T_N,
+        )
+        itf = ctx.interface
+        own = PencilContext(
+            MaterialInterface(minus=itf.minus, plus=itf.plus,
+                              nl_minus=fresh, nl_plus=fresh),
+            k=ctx.k, omega0=ctx.omega0,
+        )
+        fills = []
+        fill = NonlinearSusceptibility.fill_cache
+
+        def spy(self, tuples):
+            fills.append(len(tuples))
+            return fill(self, tuples)
+
+        monkeypatch.setattr(NonlinearSusceptibility, "fill_cache", spy)
+        build_series(own, StaggeredGrid(40.0, 400), eps=0.5, nu_max=5,
+                     solver="fd")
+        assert len(fills) == 1
+        assert len(fresh._cache2) + len(fresh._cache3) <= fills[0]
+
     def test_overflow_names_harmonic(self, ctx, monkeypatch):
         def overflow(*args, **kwargs):
             raise OverflowGuard("scaled quantity exceeds double range")

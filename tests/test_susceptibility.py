@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breather import _expalg
 from breather._expalg import g_window, simplex_transform, triangle_transform
 from breather.errors import ConfigError, DomainError
 from breather.susceptibility import (
@@ -28,6 +29,7 @@ from breather.susceptibility import (
     TruncatedLorentz,
     UntruncatedDrude,
     UntruncatedLorentz,
+    _cache_key,
     ft_chi2_truncated,
     ft_chi3_truncated,
 )
@@ -198,6 +200,92 @@ class TestWindowDividedDifferences:
             self.check(simplex_transform(0.0, 0.0, x, T), [x, x, x])
         self.check(simplex_transform(1.0, -2.0j, 0.0, T),
                    [0.0, -2.0j, 1.0 - 2.0j])
+
+
+def reference_exp_divided_difference(w):
+    """The kernel as it stood before its rows were updated in place: every
+    Horner step and squaring round builds new diagonals, and every round
+    forms the whole triangle.  The in-place kernel must match it bit for
+    bit."""
+    w = np.asarray(w, dtype=complex)
+    s = np.maximum(np.frexp(2.0 * np.abs(w).max(axis=0))[1], 0)
+    c = np.ldexp(1.0, -s)
+    v = np.concatenate([np.zeros_like(w[:1]), w * c])
+    n = len(v)
+    x = [np.ones_like(v)] + [np.zeros_like(v[d:]) for d in range(1, n)]
+    for k in range(_expalg._TAYLOR_DEGREE, 0, -1):
+        vk, ck = v / k, c / k
+        x = [1.0 + vk * x[0]] + [vk[:n - d] * x[d] + ck * x[d - 1][1:]
+                                 for d in range(1, n)]
+    for r in range(1, s.max(initial=0) + 1):
+        sq = [sum(x[e][:n - d] * x[d - e][e:e + n - d] for e in range(d + 1))
+              for d in range(n)]
+        x = [np.where(r <= s, new, old) for new, old in zip(sq, x)]
+    return x[-1][0]
+
+
+class TestKernelAgainstReference:
+    """_exp_divided_difference gives the bytes of
+    reference_exp_divided_difference on every input."""
+
+    @staticmethod
+    def scales(w):
+        return np.maximum(np.frexp(2.0 * np.abs(w).max(axis=0))[1], 0)
+
+    def check(self, w):
+        got = _expalg._exp_divided_difference(w)
+        want = reference_exp_divided_difference(w)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def nodes(rng, shape, radius):
+        """Nodes of modulus up to radius, with both signs of Re and Im."""
+        return radius * rng.uniform(0.2, 1.0, shape) * np.exp(
+            2j * math.pi * rng.uniform(size=shape))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_seeded_batches(self, m):
+        """One batch per s = 0..4, then one batch mixing all of them."""
+        rng = np.random.default_rng(20261021 + m)
+        # max |w| in [2^(s-2), 2^(s-1)) gives s; below 1/2 it gives 0
+        radius = {0: 0.3, 1: 0.75, 2: 1.5, 3: 3.0, 4: 6.0}
+        for s, r in radius.items():
+            w = self.nodes(rng, (m, 7, 2), r)
+            w[0] = w[0] / np.abs(w[0]) * r
+            assert np.all(self.scales(w) == s)
+            self.check(w)
+        mixed = self.nodes(rng, (m, 40, 2, 2), 1.0)
+        mixed *= rng.choice(list(radius.values()), (40, 2, 2))
+        assert set(self.scales(mixed).ravel()) == set(radius)
+        self.check(mixed)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_element_carries_max_scale(self, m):
+        rng = np.random.default_rng(7 + m)
+        w = self.nodes(rng, (m, 33), 0.2)
+        w[:, 17] = self.nodes(rng, m, 7.5)
+        w[0, 17] *= 7.5 / abs(w[0, 17])
+        s = self.scales(w)
+        assert s.max() >= 4 and np.count_nonzero(s == s.max()) == 1
+        self.check(w)
+        self.check(-w)
+        w = self.nodes(rng, (m, 33), 7.5)
+        w[:, 5] = self.nodes(rng, m, 0.2)
+        self.check(w)
+
+    def test_confluent_near_confluent_and_zero_nodes(self):
+        rng = np.random.default_rng(31)
+        centres = np.concatenate([self.nodes(rng, 9, 6.0), [0.0, 0.4]])
+        for m in (1, 2, 3):
+            confluent = np.tile(centres, (m, 1))
+            near = confluent * (1.0 + 1e-9 * rng.normal(size=(m, 1)))
+            some_zero = near.copy()
+            some_zero[m - 1, ::2] = 0.0
+            for w in (confluent, near, some_zero):
+                self.check(w)
+            self.check(np.zeros((m, 4), dtype=complex))
+            self.check(np.full((m, 4), complex(-0.0, -0.0)))
 
 
 # ----------------------------------------------------------------------
@@ -488,6 +576,42 @@ class TestNonlinearTransforms:
         filled.fill_cache([(9.0, 9.0, 9.0), w[::-1]])
         assert len(filled._cache3) == 2
         assert filled._scalar_chi3_truncated(*w) == first
+
+    def test_fill_returns_lookup_values(self, monkeypatch):
+        """fill_cache returns, in input order, what a lookup of each tuple
+        returns: conjugated through the mirror, and real for a self-mirror
+        key, over cached and new keys alike.  A repeated fill makes no
+        kernel call."""
+        a, b, c = 0.3 - 0.2j, -1.7 + 0.1j, 2.4 - 0.5j
+        nl = make_nl(0.8)
+        cached = [(a, b), (a, b, c)]
+        for ws in cached:
+            nl._lookup(ws)
+        tuples = cached + [
+            (b, a), (-a.conjugate(), -b.conjugate()),
+            (c, -c.conjugate()), (a, -a.conjugate(), 0.5j),
+            (-c.conjugate(), b, 1.1), (1.1 + 0.3j, -0.4), (c, -b, a),
+        ]
+        mirrored = [_cache_key(ws)[1] for ws in tuples]
+        assert any(mirrored) and not all(mirrored)
+        got = nl.fill_cache(iter(tuples))
+        fresh = make_nl(0.8)
+        assert got == [fresh._lookup(ws) for ws in tuples]
+        assert got == [nl._lookup(ws) for ws in tuples]
+        assert got[1] != got[1].conjugate()
+        assert got[3] == got[0].conjugate()
+        assert got[4].imag == 0.0 and got[5].imag == 0.0
+
+        calls = []
+        kernel = _expalg._exp_divided_difference
+
+        def spy(w):
+            calls.append(w.shape)
+            return kernel(w)
+
+        monkeypatch.setattr(_expalg, "_exp_divided_difference", spy)
+        assert nl.fill_cache(tuples) == got
+        assert calls == []
 
     @pytest.mark.parametrize("T_N, rtol", [(0.8, 1e-12), (2.0, 1e-12),
                                            (0.12, 1e-10)])
