@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -83,34 +82,42 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-# Rows per write: bounds the text held at once, whatever the file size.
-_CSV_BLOCK = 256
+# Rows per block: bounds the cells held at once, whatever the file size.
+_CSV_BLOCK = 768
 
 
 def _cells(column):
-    """CSV cells of one column: each float as its repr (the shortest
-    string that reads back to the same double), each integer as an int.
-    A float column of +0.0 only (the n + nu odd harmonics, zero for any
-    couplings) skips the per-value repr."""
-    values = np.asarray(column)
-    if (values.dtype.kind == "f" and not values.any()
-            and not np.signbit(values).any()):
-        return ["0.0"] * values.size
-    return list(map(repr, values.tolist()))
+    """The CSV cells of one column, to pass as the ``lead`` of several
+    files: the x column that all mode files share is formatted once."""
+    from . import _csvtext
+
+    return _csvtext.cells(column)
 
 
 def _write_csv(path, header, columns, lead=None):
-    """Header row, then row i from cell i of every (equal-length) column,
-    comma-separated with ``\r\n`` line ends as ``csv.writer`` writes
-    them (no cell here needs quoting).  ``lead``, when given, is a first
-    column already formatted by ``_cells``: the x column that all mode
-    files share is formatted once."""
-    cells = ([] if lead is None else [lead]) + list(map(_cells, columns))
-    rows = map(",".join, zip(*cells))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, _CSV_BLOCK)):
-            fh.write("\r\n".join(block) + "\r\n")
+    """Header row, then row i from cell i of every column, comma-separated
+    with ``\r\n`` line ends as ``csv.writer`` writes them (no cell here
+    needs quoting).  A float is written as its repr (the shortest string
+    that reads back to the same double), an integer as an int.  ``lead``,
+    when given, is a first column already formatted by ``_cells``."""
+    from . import _csvtext
+
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns} | (
+        set() if lead is None else {len(lead)})
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length "
+                         f"({sorted(lengths)})")
+    if len(header) != len(columns) + (lead is not None):
+        raise ValueError(f"{path}: {len(header)} header names for "
+                         f"{len(columns) + (lead is not None)} columns")
+    n = lengths.pop() if lengths else 0
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, n, _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            fh.write(_csvtext.rows([c[block] for c in columns],
+                                   None if lead is None else lead[block]))
 
 
 def _t_schedule(cfg, spec):

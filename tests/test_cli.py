@@ -7,17 +7,24 @@ import importlib
 import json
 import logging
 import os
+import pathlib
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import breather
+from breather import cli
 from breather.cli import _cells, _write_csv, main
-from breather.config import default_config_path
+from breather.config import default_config_path, load_config
+from breather.resolvent import StaggeredGrid
+from breather.series import build_series
 
 from conftest import OMEGA0_REF
 
@@ -86,8 +93,8 @@ class TestWriteCsv:
         [0.0, np.nan, 0.0],
     ])
     def test_zero_columns(self, tmp_path, zeros):
-        """The all-+0.0 shortcut gives the row writer's bytes, and any
-        -0.0, subnormal or nan keeps the per-value repr."""
+        """Columns of zeros, alone or beside a -0.0, a subnormal or a nan,
+        give the row writer's bytes."""
         cols = [np.array(zeros), np.zeros(3), [0, 0, 0]]
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         _write_csv(str(new), ["a", "b", "c"], cols)
@@ -95,11 +102,115 @@ class TestWriteCsv:
         assert new.read_bytes() == old.read_bytes()
 
     def test_rows_across_blocks(self, tmp_path):
-        x = np.linspace(-1.0, 1.0, 1001)
+        rows = 2 * cli._CSV_BLOCK + 1
+        x = np.linspace(-1.0, 1.0, rows)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         _write_csv(str(new), ["x", "y"], [x, np.sin(x)])
         _row_write_csv(str(old), ["x", "y"], list(zip(x, np.sin(x))))
         assert new.read_bytes() == old.read_bytes()
+        assert new.read_bytes().count(b"\r\n") == rows + 1
+
+    def test_mode_files(self, tmp_path):
+        """Every mode file of a small build (all seven columns, x passed
+        once as the shared lead) has the row writer's bytes."""
+        cfg = load_config()
+        grid = StaggeredGrid(cfg.grid_d, 400)
+        table = build_series(cfg.context(), grid, cfg.eps, 4,
+                             solver=cfg.solver)
+        x = grid.x
+        lead = _cells(x)
+        header = ["x", "re_u1", "im_u1", "re_u2", "im_u2", "re_u3", "im_u3"]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        for gf in table.entries.values():
+            u = [gf.eval_u1(x), gf.eval_u2(x), gf.eval_u3(x)]
+            cols = [part for c in u for part in (c.real, c.imag)]
+            _write_csv(str(new), header, cols, lead=lead)
+            _row_write_csv(str(old), header, list(zip(x, *cols)))
+            assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("columns, header", [
+        ([[1.0, 2.0], [3.0]], ["a", "b"]),
+        ([[1.0], [2.0, 3.0]], ["a", "b"]),
+        ([[1.0, 2.0], [3.0, 4.0]], ["a"]),
+        ([[1.0, 2.0]], ["a", "b"]),
+    ], ids=["short-last", "short-first", "header-short", "header-long"])
+    def test_shape_errors_name_the_file(self, tmp_path, columns, header):
+        """Columns of unequal length, or a header that does not name each
+        column once, raise instead of writing a cut or shifted table."""
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="bad.csv"):
+            _write_csv(str(path), header, columns)
+
+    def test_lead_length_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="bad.csv"):
+            _write_csv(str(tmp_path / "bad.csv"), ["x", "y"], [[1.0, 2.0]],
+                       lead=_cells([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("column", [
+        [True, False], np.arange(2, dtype=np.uint8), ["a", "b"]])
+    def test_other_dtypes_rejected(self, tmp_path, column):
+        with pytest.raises(TypeError, match="dtype"):
+            _write_csv(str(tmp_path / "b.csv"), ["a"], [column])
+
+
+def _written_cells(path, values, width=8):
+    """The cells that ``_write_csv`` writes for ``values`` laid out as rows
+    of ``width`` columns (row-major; the last row padded with 0.0)."""
+    values = np.asarray(values)
+    padded = np.zeros(-(-values.size // width) * width, dtype=values.dtype)
+    padded[:values.size] = values
+    grid = padded.reshape(-1, width)
+    _write_csv(str(path), [f"c{j}" for j in range(width)], list(grid.T))
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) == grid.shape[0] + 2
+    cells = b",".join(lines[1:-1]).decode().split(",")
+    return cells[:values.size]
+
+
+class TestShortestRepr:
+    """Each cell is ``repr`` of its value: the shortest decimal that reads
+    back to the same double, in repr's layout, and an int's digits."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    @example([float("nan"), -float("nan"), float("inf"), -float("inf"),
+              0.0, -0.0, 5e-324, -2.225073858507201e-308,
+              2.2250738585072014e-308, 1.7976931348623157e308])
+    def test_floats(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            cells = _written_cells(pathlib.Path(tmp) / "f.csv", values)
+        assert cells == [repr(v) for v in values]
+
+    def test_bulk(self, tmp_path):
+        rng = np.random.default_rng(20180618)
+        random_bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64,
+                                   endpoint=False).view(np.float64)
+        # short decimals: the shortest digits are often one fewer than
+        # Schubfach's first candidate has
+        short = [float(f"{m}e{e}") for m, e in zip(
+            rng.integers(-10 ** 6, 10 ** 6, 10 ** 5),
+            rng.integers(-330, 310, 10 ** 5))]
+        edges = [2.0 ** e for e in range(-1074, 1024)]
+        edges += [10.0 ** e for e in range(-323, 309)]
+        edges += [1e-4, 1e-5, 1e16, 1e17]
+        near = [np.nextafter(v, d) for v in edges for d in (0.0, np.inf)]
+        extremes = [5e-324, 1e-323, 1.7976931348623157e308]
+        rare = np.array(edges + near + extremes)
+        values = np.concatenate([random_bits, short, rare, -rare])
+        cells = _written_cells(tmp_path / "bulk.csv", values, width=32)
+        want = [repr(v) for v in values.tolist()]
+        bad = [(w, c) for w, c in zip(want, cells) if w != c]
+        assert not bad, bad[:10]
+
+    @pytest.mark.parametrize("ints", [
+        [0, -1, 1, 9, 10, -10, 99, 100, 12345, -98765, 10 ** 15],
+        np.array([0, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 18,
+                  10 ** 17 - 1, 1000000007], dtype=np.int64),
+        np.array([-128, 0, 127], dtype=np.int8),
+    ], ids=["python", "int64", "int8"])
+    def test_integers(self, tmp_path, ints):
+        cells = _written_cells(tmp_path / "i.csv", ints, width=3)
+        assert cells == [repr(int(v)) for v in ints]
 
 
 class TestSpectrum:
@@ -380,6 +491,15 @@ class TestImportFootprint:
         costs start-up time and resident memory on every verb."""
         modules = ("scipy.sparse", "scipy.signal")
         assert self.loaded_after("import breather.cli", modules) == "[]"
+
+    def test_csv_text_loaded_by_first_write(self, tmp_path):
+        """The CSV formatter and its tables load on the first CSV write,
+        not with the CLI, so importing the CLI builds none of them."""
+        modules = ("breather._csvtext",)
+        assert self.loaded_after("import breather.cli", modules) == "[]"
+        code = ("import breather.cli as c\n"
+                f"c._write_csv({str(tmp_path / 'a.csv')!r}, ['a'], [[1.0]])")
+        assert self.loaded_after(code, modules) == "['breather._csvtext']"
 
     @pytest.mark.parametrize("argv, loaded", [
         (None, "[]"),
